@@ -24,6 +24,14 @@ MAX_ORDER_ENV = "ADDFORMS_MAX_ORDER"
 # Row cap for temporary pairwise tables (sumset, representation counts).
 _CHUNK = 1 << 21
 
+# Pair counts of A + B take the FFT path once |A|*|B| reaches both bounds
+# below, and are counted pairwise otherwise (timings in CHANGES.md).  A
+# transform costs a fixed ~40 us, about as much as 4096 pairs, plus a share
+# that grows with |G| (and with the rank: Z2^20 takes over a second), so small
+# products and sparse sets in large groups stay pairwise.
+_FFT_MIN_PAIRS = 1 << 12
+_FFT_PAIRS_PER_ELEMENT = 16
+
 
 def max_order_cap(explicit: int | None = None) -> int:
     """Group-order cap: explicit argument wins over the environment variable."""
@@ -276,7 +284,15 @@ class GroupSubset:
     def from_residues(
         cls, group: FiniteAbelianGroup, tuples: Iterable[Sequence[int]]
     ) -> "GroupSubset":
-        return cls.from_indices(group, (group.index_of(r) for r in tuples))
+        rows = [tuple(r) for r in tuples]
+        if any(len(r) != group.rank for r in rows):
+            raise ValueError(f"every element needs {group.rank} residues")
+        bits = np.zeros(group.order, dtype=bool)
+        if rows:
+            # object dtype keeps residues of any size exact until reduced
+            table = np.array(rows, dtype=object) % np.array(group.moduli, dtype=np.int64)
+            bits[group.encode_columns(list(table.astype(np.int64).T))] = True
+        return cls(group, bits)
 
     def indices(self) -> np.ndarray:
         cached = self._indices
@@ -290,7 +306,10 @@ class GroupSubset:
         return [self.group.from_index(int(i)) for i in self.indices()]
 
     def residue_lists(self) -> list[list[int]]:
-        return [list(e.residues) for e in self.elements()]
+        moduli = self.group.moduli
+        if not moduli:
+            return [[] for _ in range(self.size)]
+        return np.stack(np.unravel_index(self.indices(), moduli), 1).tolist()
 
     def density(self) -> Fraction:
         return Fraction(self.size, self.group.order)
@@ -352,20 +371,45 @@ def _pair_sum_indices(group: FiniteAbelianGroup, rows: np.ndarray, cols: np.ndar
     return acc
 
 
-def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
-    """A + B = {x + y : x in A, y in B}; empty if either side is empty."""
-    group = _same_group(a, b)
-    if a.size == 0 or b.size == 0:
-        return GroupSubset.empty(group)
-    ia, ib = a.indices(), b.indices()
+def _pairwise_counts(group: FiniteAbelianGroup, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """#{(x, y) : x in ia, y in ib, x + y = g} for every g, by enumerating pairs."""
     if ia.size > ib.size:
         ia, ib = ib, ia
-    bits = np.zeros(group.order, dtype=bool)
-    step = max(1, _CHUNK // ib.size)
-    for s in range(0, ia.size, step):
+    step = max(1, _CHUNK // max(1, ib.size))
+    counts = None
+    for s in range(0, max(1, ia.size), step):
         flat = _pair_sum_indices(group, ia[s : s + step], ib)
-        bits[flat.ravel()] = True
-    return GroupSubset(group, bits)
+        part = np.bincount(flat.ravel(), minlength=group.order)
+        counts = part if counts is None else counts + part
+    return counts
+
+
+def _pair_counts(a: "GroupSubset", b: "GroupSubset") -> np.ndarray:
+    """int64 array over element indices: #{(x, y) in A x B : x + y = g}.
+
+    Large products take one real FFT convolution of the indicator tables
+    (the C-order index makes `bits.reshape(moduli)` the array to transform).
+    Its rounding is certified: every value lies within 1/4 of an integer
+    and the counts sum to |A|*|B|.  Small products, and any result the
+    certificate rejects, are counted pairwise, so the counts are exact.
+    """
+    group = _same_group(a, b)
+    pairs = a.size * b.size
+    if pairs >= _FFT_MIN_PAIRS and pairs >= _FFT_PAIRS_PER_ELEMENT * group.order:
+        shape = group.moduli or (1,)
+        axes = tuple(range(len(shape)))
+        fa = np.fft.rfftn(a.bits.reshape(shape), axes=axes)
+        fb = fa if b is a else np.fft.rfftn(b.bits.reshape(shape), axes=axes)
+        raw = np.fft.irfftn(fa * fb, s=shape, axes=axes).ravel()
+        counts = np.rint(raw)
+        if np.abs(raw - counts).max() < 0.25 and int(counts.sum()) == pairs:
+            return counts.astype(np.int64)
+    return _pairwise_counts(group, a.indices(), b.indices())
+
+
+def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
+    """A + B = {x + y : x in A, y in B}; empty if either side is empty."""
+    return GroupSubset(a.group, _pair_counts(a, b) > 0)
 
 
 def signed_iterated_sumset(b: GroupSubset, r: int, s: int) -> GroupSubset:
@@ -385,33 +429,19 @@ def signed_iterated_sumset(b: GroupSubset, r: int, s: int) -> GroupSubset:
 
 
 def stabilizer(s: GroupSubset) -> GroupSubset:
-    """{g : g + S = S}; a subgroup.  Defined as the full group for S empty or S = G."""
+    """{g : g + S = S}; a subgroup.  Defined as the full group for S empty or S = G.
+
+    g + S = S exactly when |S & (S + g)| = (1_S * 1_{-S})(g) equals |S|.
+    """
     group = s.group
     if s.size == 0 or s.size == group.order:
         return GroupSubset.full(group)
-    idx = s.indices()
-    base = group.from_index(int(idx[0]))
-    candidates = group.translate_indices(idx, -base)
-    bits = np.zeros(group.order, dtype=bool)
-    for c in candidates:
-        shifted = group.translate_indices(idx, group.from_index(int(c)))
-        if s.bits[shifted].all():
-            bits[c] = True
-    return GroupSubset(group, bits)
+    return GroupSubset(group, _pair_counts(s, s.negate()) == s.size)
 
 
 def representation_vector(a: GroupSubset) -> np.ndarray:
     """int64 array over element indices: r_A(x) = #{(a1,a2) in A^2 : a1+a2 = x}."""
-    group = a.group
-    vec = np.zeros(group.order, dtype=np.int64)
-    ia = a.indices()
-    if ia.size == 0:
-        return vec
-    step = max(1, _CHUNK // ia.size)
-    for s in range(0, ia.size, step):
-        flat = _pair_sum_indices(group, ia[s : s + step], ia)
-        vec += np.bincount(flat.ravel(), minlength=group.order)
-    return vec
+    return _pair_counts(a, a)
 
 
 def representation_counts(a: GroupSubset) -> dict[GroupElement, int]:
@@ -420,10 +450,18 @@ def representation_counts(a: GroupSubset) -> dict[GroupElement, int]:
     return {a.group.from_index(i): int(vec[i]) for i in range(a.group.order)}
 
 
+def _sum_of_squares(vec: np.ndarray, size: int) -> int:
+    """Exact sum of vec**2 for the representation vector of a `size`-element
+    set, which is at most size**3: int64 while that bound fits, Python
+    integers beyond it."""
+    if size**3 < 2**63:
+        return int((vec * vec).sum())
+    return sum(v * v for v in vec.tolist())
+
+
 def additive_energy_raw(a: GroupSubset) -> int:
     """Number of quadruples (a1,a2,a3,a4) in A^4 with a1 + a2 = a3 + a4."""
-    vec = representation_vector(a)
-    return int((vec * vec).sum())
+    return _sum_of_squares(representation_vector(a), a.size)
 
 
 def additive_energy(a: GroupSubset) -> Fraction:

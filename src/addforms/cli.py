@@ -27,6 +27,9 @@ parse_poly = polynomial.parse_poly
 _EXHAUSTIVE_SUBSET_MAX_ORDER = 16
 _EXHAUSTIVE_PAIR_MAX_ORDER = 8
 _WITNESS_LIMIT = 10
+# `verify homdensity` gives up after this many random draws per requested
+# pair; on some groups (Z1, Z2, Z3) no subset admits M at all.
+_HOMDENSITY_DRAWS_PER_PAIR = 100
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -34,6 +37,16 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_subset(args, group: FiniteAbelianGroup, name: str) -> GroupSubset:
@@ -99,7 +112,7 @@ def _cmd_energy(args):
         params={"group": args.group},
         set_size=subset.size,
         raw=raw,
-        normalized=rational_json(abelian.additive_energy(subset)),
+        normalized=rational_json(Fraction(raw, group.order**3)),
     )
     if args.fourier:
         report["fourier"] = fourier.energy_fourier(subset)
@@ -203,6 +216,8 @@ def _cmd_check(args):
         )
         return report, not holds
 
+    if args.group is None:
+        raise ParseError(f"missing --group for --{kind}")
     group = parse_group(args.group)
     pairwise = kind in ("kneser", "plunnecke-ruzsa")
 
@@ -298,7 +313,14 @@ def _cmd_verify_homdensity(args):
     mismatches = []
     vacuous = 0
     details = []
+    draws = 0
     while pairs < args.pairs:
+        if draws == _HOMDENSITY_DRAWS_PER_PAIR * args.pairs:
+            raise AddformsError(
+                f"only {pairs} of {args.pairs} random subsets of "
+                f"{group.literal()} admitted M (k = {k}) in {draws} draws"
+            )
+        draws += 1
         a = GroupSubset(group, gen.random(group.order) < 0.5)
         good = linform.enumerate_satisfying(m, a, budget=args.max_work)
         if not good:
@@ -403,7 +425,7 @@ def _cmd_estimate(args):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--threads", type=int, default=1, help="worker count")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker count")
     p.add_argument(
         "--max-work",
         type=int,

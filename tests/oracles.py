@@ -108,6 +108,19 @@ def oracle_dft(moduli, values):
     return out
 
 
+def oracle_convolve(moduli, f_values, g_values):
+    """(f * g)(x) = E_y f(x - y) g(y) by the defining sum, values in tuple order."""
+    tuples = list(all_tuples(moduli))
+    index = {t: i for i, t in enumerate(tuples)}
+    out = []
+    for x in tuples:
+        total = 0j
+        for y, gy in zip(tuples, g_values):
+            total += f_values[index[t_add(moduli, x, t_neg(moduli, y))]] * gy
+        out.append(total / len(tuples))
+    return out
+
+
 def group_presentations(max_order):
     """All nondecreasing factor tuples (each factor >= 2) with product up to
     max_order, plus the trivial group; covers every abelian group of order

@@ -291,6 +291,11 @@ def test_subset_serialization_round_trips():
     assert parse_subset_file(subset_to_json(a), g) == a
     commented = "# heading\n0,0\n1,1 # inline\n\n2,0\n"
     assert parse_subset_file(commented, g) == a
+    assert a.residue_lists() == [[0, 0], [1, 1], [2, 0]]
+    huge = f"{3 * 10**30},-2\n-{10**30 + 1},{2**70 + 1}\n2,0\n"
+    assert parse_subset_file(huge, g) == a
+    with pytest.raises(ValueError):
+        parse_subset_file("[[0, 0], [1]]", g)
 
 
 def test_subset_immutability():

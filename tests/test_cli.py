@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from addforms.cli import main
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -265,3 +273,30 @@ def test_subset_file_input(capsys, tmp_path):
     )
     assert code == 0
     assert report["value"]["num"] == 1 and report["value"]["den"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "homdensity", "--group", "Z1", "--k", "2"], "admitted M"),
+        (["verify", "homdensity", "--group", "Z2", "--k", "2", "--pairs", "3"], "admitted M"),
+        (["check", "--kneser", "--exhaustive"], "missing --group"),
+        (["verify", "pinpoint", "--k", "2", "--threads", "0"], "--threads"),
+        (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--threads", "-2"], "--threads"),
+    ],
+)
+def test_usage_errors_exit_2_without_traceback(argv, message):
+    # a fresh process with a timeout, so a hang fails the test instead of the run
+    path = [_SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "addforms", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

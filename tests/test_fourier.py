@@ -84,6 +84,8 @@ def test_convolve_examples():
     assert np.allclose(scaled, values / 4, atol=TOL)
     zero = convolve(np.zeros(4), values, z4)
     assert np.allclose(zero, 0, atol=TOL)
+    assert not np.iscomplexobj(conv) and not np.iscomplexobj(scaled)
+    assert np.iscomplexobj(convolve(1j * values, point, z4))
 
 
 def test_convolution_matches_representation_counts():
@@ -176,9 +178,18 @@ def test_transform_determinism():
     assert energy_fourier(a) == energy_fourier(a)
 
 
-def test_transform_order_cap():
+def test_transform_beyond_former_direct_cap():
+    group = FiniteAbelianGroup([1 << 15])
+    rng = np.random.Generator(np.random.Philox(key=15))
+    a = GroupSubset(group, rng.random(group.order) < 0.3)
+    lhs, rhs = parseval_check(a)
+    assert lhs == pytest.approx(float(a.density()), abs=TOL)
+    assert rhs == pytest.approx(float(a.density()), abs=TOL)
+
+
+def test_transform_group_order_cap():
     with pytest.raises(CapExceeded):
-        fourier_transform(GroupSubset.empty(FiniteAbelianGroup([1 << 15])))
+        fourier_transform(GroupSubset.empty(FiniteAbelianGroup([1 << 21])))
 
 
 def test_spectrum_length_validation():

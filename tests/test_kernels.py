@@ -1,0 +1,180 @@
+"""Property tests of the vectorized set kernels and the Fourier module against
+the brute-force oracles, on both sides of the pairwise/FFT crossover, plus
+the certificate fallback and the exact energy sum."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+
+from addforms import abelian
+from addforms.abelian import (
+    FiniteAbelianGroup,
+    GroupSubset,
+    additive_energy_raw,
+    representation_vector,
+    stabilizer,
+    sumset,
+)
+from addforms.fourier import convolve, fourier_transform
+
+TOL = 1e-9
+PRESENTATIONS = oracles.group_presentations(24)
+# Crossover bounds that force every pair count through one path.
+PATHS = {
+    "pairwise": {"_FFT_MIN_PAIRS": float("inf")},
+    "fft": {"_FFT_MIN_PAIRS": 0, "_FFT_PAIRS_PER_ELEMENT": 0},
+}
+
+
+@st.composite
+def subsets(draw, count=1):
+    """A group presentation and `count` subsets of it, as sets of tuples."""
+    moduli = draw(st.sampled_from(PRESENTATIONS))
+    tuples = list(oracles.all_tuples(moduli))
+    masks = [
+        draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))
+        for _ in range(count)
+    ]
+    return moduli, [{t for t, keep in zip(tuples, mask) if keep} for mask in masks]
+
+
+def as_subset(moduli, tuple_set):
+    return GroupSubset.from_residues(FiniteAbelianGroup(moduli), sorted(tuple_set))
+
+
+def residue_set(subset):
+    return {e.residues for e in subset.elements()}
+
+
+def forced(path):
+    return mock.patch.multiple(abelian, **PATHS[path])
+
+
+@settings(max_examples=60, deadline=None)
+@given(subsets(count=2), st.sampled_from(sorted(PATHS)))
+def test_sumset_matches_oracle(drawn, path):
+    moduli, (a_set, b_set) = drawn
+    with forced(path):
+        got = sumset(as_subset(moduli, a_set), as_subset(moduli, b_set))
+    assert residue_set(got) == oracles.oracle_sumset(moduli, a_set, b_set)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subsets(), st.sampled_from(sorted(PATHS)))
+def test_representation_vector_and_energy_match_oracle(drawn, path):
+    moduli, (a_set,) = drawn
+    a = as_subset(moduli, a_set)
+    with forced(path):
+        vec = representation_vector(a)
+        raw = additive_energy_raw(a)
+    counts = oracles.oracle_rep_counts(moduli, a_set)
+    assert vec.dtype == np.int64
+    assert vec.tolist() == [counts[t] for t in oracles.all_tuples(moduli)]
+    assert raw == sum(c * c for c in counts.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(subsets(), st.sampled_from(sorted(PATHS)))
+def test_stabilizer_matches_oracle(drawn, path):
+    moduli, (s_set,) = drawn
+    with forced(path):
+        got = stabilizer(as_subset(moduli, s_set))
+    if len(s_set) == len(list(oracles.all_tuples(moduli))):
+        assert got == GroupSubset.full(got.group)
+    else:
+        assert residue_set(got) == oracles.oracle_stabilizer(moduli, s_set)
+
+
+reals = st.floats(-2, 2, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRESENTATIONS), st.data())
+def test_fourier_transform_and_convolve_match_oracle(moduli, data):
+    group = FiniteAbelianGroup(moduli)
+    table = st.lists(reals, min_size=group.order, max_size=group.order)
+    f, g, im = data.draw(table), data.draw(table), data.draw(table)
+    fc = [complex(x, y) for x, y in zip(f, im)]
+    got = fourier_transform(fc, group).coefficients
+    assert np.allclose(got, oracles.oracle_dft(moduli, fc), atol=TOL)
+    real = convolve(np.array(f), np.array(g), group)
+    assert not np.iscomplexobj(real)
+    assert np.allclose(real, oracles.oracle_convolve(moduli, f, g), atol=TOL)
+    mixed = convolve(np.array(fc), np.array(g), group)
+    assert np.allclose(mixed, oracles.oracle_convolve(moduli, fc, g), atol=TOL)
+
+
+def _spy(monkeypatch):
+    calls = []
+    pairwise = abelian._pairwise_counts
+
+    def spy(*args):
+        calls.append(args)
+        return pairwise(*args)
+
+    monkeypatch.setattr(abelian, "_pairwise_counts", spy)
+    return calls
+
+
+def _dense_pair(moduli, density=0.9, seed=0):
+    group = FiniteAbelianGroup(moduli)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return [GroupSubset(group, rng.random(group.order) < density) for _ in range(2)]
+
+
+def test_crossover_sides(monkeypatch):
+    calls = _spy(monkeypatch)
+    # Z256 at density 0.9: about 53k pairs, above both FFT bounds
+    a, b = _dense_pair((256,))
+    assert a.size * b.size >= max(abelian._FFT_MIN_PAIRS, abelian._FFT_PAIRS_PER_ELEMENT * 256)
+    above = sumset(a, b)
+    assert calls == []
+    # Z16 at density 0.9: at most 256 pairs, below the fixed bound
+    c, d = _dense_pair((16,))
+    below = sumset(c, d)
+    assert len(calls) == 1
+    # Z2^14 with 100 points: 10^4 pairs, above 4096 but sparse for the group
+    sparse = GroupSubset.from_indices(FiniteAbelianGroup((2,) * 14), range(0, 10000, 100))
+    representation_vector(sparse)
+    assert len(calls) == 2
+    with forced("pairwise"):
+        assert above == sumset(a, b)
+        assert below == sumset(c, d)
+
+
+@pytest.mark.parametrize("defect", ["roundoff", "sum"])
+def test_certificate_failure_falls_back_to_pairwise(monkeypatch, defect):
+    a, b = _dense_pair((12, 20), seed=1)
+    s = GroupSubset.from_indices(a.group, [i for i in range(a.group.order) if i % 40 < 37])
+    with forced("pairwise"):
+        want = (sumset(a, b), representation_vector(a), additive_energy_raw(a), stabilizer(s))
+    irfftn = np.fft.irfftn
+
+    def broken(*args, **kwargs):
+        out = irfftn(*args, **kwargs)
+        if defect == "roundoff":
+            return out + 0.3  # not within 1/4 of an integer
+        out.flat[0] += 1.0  # rounds cleanly, but the total is off by one
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", broken)
+    calls = _spy(monkeypatch)
+    got = (sumset(a, b), representation_vector(a), additive_energy_raw(a), stabilizer(s))
+    assert len(calls) == 4
+    assert got[0] == want[0] and got[3] == want[3]
+    assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
+def test_sum_of_squares_beyond_int64():
+    vec = np.array([3 << 31, 1 << 32, 5], dtype=np.int64)
+    exact = (3 << 31) ** 2 + (1 << 32) ** 2 + 25
+    assert exact >= 2**63
+    assert int((vec * vec).sum()) != exact  # int64 wraps
+    assert abelian._sum_of_squares(vec, 1 << 33) == exact
+    small = np.array([3, 4], dtype=np.int64)
+    assert abelian._sum_of_squares(small, 4) == 25

@@ -12,7 +12,7 @@ next to the closed form 2x^2 - x (they agree for n = 3, not for n = 2).
 from addforms import (
     build_psi,
     build_witness,
-    eval_reduction,
+    eval_quantum,
     parse_poly,
     verify_homdensity_identity,
     verify_pinpoint,
@@ -54,7 +54,7 @@ bundle = build_psi(parse_poly("x1 - y1"), 1)
 z3 = FiniteAbelianGroup([3])
 full = GroupSubset.full(z3)
 print(f"\npsi for q = x1 - y1 has {len(bundle.psi.terms)} terms; "
-      f"value on A = Z3 is {eval_reduction(bundle, full)}")
+      f"value on A = Z3 is {eval_quantum(bundle.psi, full)}")
 
 # The witness: slices of Z_{(k+1)^2} x H with coordinate complements.
 for n in ([3, 3], [2, 2]):

@@ -76,7 +76,6 @@ from .reduction import (
     build_psi,
     build_witness,
     compute_B_C,
-    eval_reduction,
     graph_densities,
     verify_homdensity_identity,
     verify_pinpoint,

@@ -19,11 +19,6 @@ from .abelian import FiniteAbelianGroup, GroupSubset
 from .errors import AddformsError, CapExceeded, ParseError
 from .report import dump_json, make_report, rational_json
 
-parse_group = abelian.parse_group
-parse_subset = abelian.parse_subset
-parse_system = linform.parse_system
-parse_poly = polynomial.parse_poly
-
 _EXHAUSTIVE_SUBSET_MAX_ORDER = 16
 _EXHAUSTIVE_PAIR_MAX_ORDER = 8
 _WITNESS_LIMIT = 10
@@ -53,7 +48,7 @@ def _load_subset(args, group: FiniteAbelianGroup, name: str) -> GroupSubset:
     literal = getattr(args, name.replace("-", "_"), None)
     file_attr = getattr(args, f"{name}_file".replace("-", "_"), None)
     if literal is not None:
-        return parse_subset(literal, group)
+        return abelian.parse_subset(literal, group)
     if file_attr is not None:
         return abelian.parse_subset_file(Path(file_attr).read_text(), group)
     raise ParseError(f"missing --{name} or --{name}-file")
@@ -88,9 +83,9 @@ def _random_subsets(group: FiniteAbelianGroup, count: int, seed: int):
 
 
 def _cmd_density(args):
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
-    system = parse_system(args.system)
+    system = linform.parse_system(args.system)
     value = linform.eval_density(
         system, subset, budget=args.max_work, threads=args.threads
     )
@@ -104,7 +99,7 @@ def _cmd_density(args):
 
 
 def _cmd_energy(args):
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
     raw = abelian.additive_energy_raw(subset)
     report = make_report(
@@ -121,7 +116,7 @@ def _cmd_energy(args):
 
 
 def _cmd_sumset(args):
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     a = _load_subset(args, group, "set-a")
     b = _load_subset(args, group, "set-b")
     s = abelian.sumset(a, b)
@@ -130,7 +125,7 @@ def _cmd_sumset(args):
 
 
 def _cmd_doubling(args):
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
     value = abelian.doubling_constant(subset)
     report = make_report(
@@ -143,7 +138,7 @@ def _cmd_doubling(args):
 
 
 def _cmd_stabilizer(args):
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
     stab = abelian.stabilizer(subset)
     report = make_report(
@@ -187,11 +182,8 @@ def _sweep(kind: str, instances, evaluate):
 
 def _describe_instance(instance) -> dict:
     if isinstance(instance, tuple):
-        return {
-            "A": _subset_json(instance[0])["elements"],
-            "B": _subset_json(instance[1])["elements"],
-        }
-    return {"A": _subset_json(instance)["elements"]}
+        return {"A": instance[0].residue_lists(), "B": instance[1].residue_lists()}
+    return {"A": instance.residue_lists()}
 
 
 def _cmd_check(args):
@@ -218,7 +210,7 @@ def _cmd_check(args):
 
     if args.group is None:
         raise ParseError(f"missing --group for --{kind}")
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     pairwise = kind in ("kneser", "plunnecke-ruzsa")
 
     def evaluate(instance):
@@ -273,7 +265,7 @@ def _cmd_check(args):
 
 
 def _cmd_reduce(args):
-    q = parse_poly(args.poly)
+    q = polynomial.parse_poly(args.poly)
     bundle = reduction.build_psi(q, args.k)
     report = make_report("reduce", params={"poly": args.poly, "k": args.k})
     report["bundle"] = bundle.to_dict()
@@ -305,7 +297,7 @@ def _cmd_verify_pinpoint(args):
 
 
 def _cmd_verify_homdensity(args):
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     k = args.k
     m = reduction.build_M(k)
     gen = np.random.Generator(np.random.Philox(key=int(args.seed)))
@@ -334,13 +326,9 @@ def _cmd_verify_homdensity(args):
                 vacuous += 1
             elif not rep.ok:
                 mismatches.append(rep.to_dict())
+            if j == 1 and len(details) < 3:
+                details.append(rep.to_dict())
         pairs += 1
-        if len(details) < 3:
-            details.append(
-                reduction.verify_homdensity_identity(
-                    a, g, 1, budget=args.max_work
-                ).to_dict()
-            )
     report = make_report(
         "verify-homdensity",
         params={"group": args.group, "k": k, "pairs": args.pairs, "seed": args.seed},
@@ -398,9 +386,9 @@ def _cmd_verify_bollobas(args):
 
 
 def _cmd_estimate(args):
-    group = parse_group(args.group)
+    group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
-    system = parse_system(args.system)
+    system = linform.parse_system(args.system)
     estimate, radius = linform.estimate_density(
         system, subset, args.samples, args.seed, threads=args.threads
     )

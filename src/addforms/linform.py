@@ -154,14 +154,13 @@ def _flat_values(pf: _PreparedForm, block: np.ndarray, group: FiniteAbelianGroup
     return flat
 
 
-def _apply_bucket(bucket, block, memb, group):
-    mask = None
-    for pf in bucket:
+def _mask(prepared, block, memb, group) -> np.ndarray:
+    """Which rows of `block` satisfy every prepared form."""
+    mask = np.ones(block.shape[0], dtype=bool)
+    for pf in prepared:
         ok = memb[_flat_values(pf, block, group)]
-        if pf.negated:
-            ok = ~ok
-        mask = ok if mask is None else mask & ok
-    return block if mask is None else block[mask]
+        mask &= ~ok if pf.negated else ok
+    return mask
 
 
 def _run_levels(group, memb, buckets, nfix, arity, first_values):
@@ -188,7 +187,7 @@ def _run_levels(group, memb, buckets, nfix, arity, first_values):
             if part.shape[1]:
                 ext[:, :-1] = np.repeat(part, values.size, axis=0)
             ext[:, -1] = np.tile(values, m)
-            pieces.append(_apply_bucket(bucket, ext, memb, group))
+            pieces.append(ext[_mask(bucket, ext, memb, group)] if bucket else ext)
         frontier = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
     return frontier
 
@@ -223,15 +222,10 @@ def _satisfying_frontier(
     memb = subset.bits
     for form in system.forms:
         pf = _PreparedForm(form, fixed, nfix, group)
-        if not pf.terms:
-            flat = int(group.encode_columns([np.array([o]) for o in pf.offsets])[0]) if group.moduli else 0
-            ok = bool(memb[flat])
-            if pf.negated:
-                ok = not ok
-            if not ok:
-                return None
-        else:
+        if pf.terms:
             buckets[nfix + max(col for col, _ in pf.terms)].append(pf)
+        elif memb[group.index_of(pf.offsets)] == pf.negated:
+            return None
 
     if kfree == 0:
         return np.zeros((1, 0), dtype=np.int64)
@@ -338,13 +332,7 @@ def estimate_density(
         ci, m = chunk
         gen = np.random.Generator(base.jumped(ci))
         draw = gen.integers(0, group.order, size=(m, system.arity), dtype=np.int64)
-        mask = None
-        for pf in prepared:
-            ok = memb[_flat_values(pf, draw, group)]
-            if pf.negated:
-                ok = ~ok
-            mask = ok if mask is None else mask & ok
-        return int(mask.sum()) if mask is not None else m
+        return int(_mask(prepared, draw, memb, group).sum())
 
     if threads <= 1 or len(chunks) == 1:
         hits = sum(run(c) for c in chunks)
@@ -358,13 +346,15 @@ def estimate_density(
 def eval_quantum(
     q: QuantumSystem,
     subset: GroupSubset,
+    fixed: Sequence[GroupElement] = (),
     *,
     budget: int | None = None,
     threads: int = 1,
 ) -> Fraction:
     """sum over terms of coeff * product of factor densities, exact.
 
-    Factors evaluate independently (fresh variables per factor).
+    Factors evaluate independently (fresh variables per factor), each with
+    its first variables pinned to `fixed`; a repeated factor is evaluated once.
     """
     cache: dict[LinearSystem, Fraction] = {}
     total = Fraction(0)
@@ -373,7 +363,7 @@ def eval_quantum(
         for factor in factors:
             d = cache.get(factor)
             if d is None:
-                d = eval_density(factor, subset, budget=budget, threads=threads)
+                d = eval_density_fixed(factor, subset, fixed, budget=budget, threads=threads)
                 cache[factor] = d
             prod *= d
             if prod == 0:

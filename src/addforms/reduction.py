@@ -86,65 +86,38 @@ def build_L_sub(k: int, j: int, zvar: int, arity: int | None = None) -> LinearSy
     return LinearSystem(arity, _substituted_L(k, j, {zvar: 1}, arity))
 
 
-def _embed_all(system: LinearSystem, arity: int) -> tuple[LinearForm, ...]:
-    return tuple(f.embedded(arity) for f in system.forms)
-
-
-def _singleton(arity: int, combo: dict[int, int]) -> LinearForm:
-    coeffs = [0] * arity
-    for var, w in combo.items():
-        coeffs[var] += w
-    return LinearForm(arity, tuple(coeffs))
+def _slot_system(
+    k: int, j: int, slots: int, edges: tuple[tuple[int, int], ...]
+) -> LinearSystem:
+    """M over g, then L with each slot z substituted for gj, then for each
+    edge (a, b) of the slot graph L substituted at gj + z_a - z_b and that
+    singleton form; slot s is variable k + s, so k + `slots` variables."""
+    if not 1 <= j <= k:
+        raise ValueError(f"j must be in 1..{k}")
+    arity = k + slots
+    forms = tuple(f.embedded(arity) for f in build_M(k).forms)
+    for z in range(k, arity):
+        forms += _substituted_L(k, j, {z: 1}, arity)
+    for a, b in edges:
+        w = {j - 1: 1, k + a: 1, k + b: -1}
+        edge = LinearForm(arity, tuple(w.get(i, 0) for i in range(arity)))
+        forms += _substituted_L(k, j, w, arity) + (edge,)
+    return LinearSystem(arity, forms)
 
 
 def build_V(k: int, j: int) -> LinearSystem:
-    """M over g plus L with slot z substituted for gj; k+1 variables."""
-    if not 1 <= j <= k:
-        raise ValueError(f"j must be in 1..{k}")
-    arity = k + 1
-    forms = _embed_all(build_M(k), arity) + _substituted_L(k, j, {k: 1}, arity)
-    return LinearSystem(arity, forms)
+    """The point: M over g plus L with slot z substituted for gj."""
+    return _slot_system(k, j, 1, ())
 
 
 def build_E(k: int, j: int) -> LinearSystem:
-    """V_j's edge-counting extension over slots z, z'; k+2 variables."""
-    if not 1 <= j <= k:
-        raise ValueError(f"j must be in 1..{k}")
-    arity = k + 2
-    z, z2 = k, k + 1
-    w = {j - 1: 1, z: 1, z2: -1}
-    forms = (
-        _embed_all(build_M(k), arity)
-        + _substituted_L(k, j, {z: 1}, arity)
-        + _substituted_L(k, j, {z2: 1}, arity)
-        + _substituted_L(k, j, w, arity)
-        + (_singleton(arity, w),)
-    )
-    return LinearSystem(arity, forms)
+    """The edge z -> z' on top of V_j: counts ordered pairs of slot values."""
+    return _slot_system(k, j, 2, ((0, 1),))
 
 
 def build_T(k: int, j: int) -> LinearSystem:
-    """V_j's triangle-counting extension over slots z, z', z''; k+3 variables."""
-    if not 1 <= j <= k:
-        raise ValueError(f"j must be in 1..{k}")
-    arity = k + 3
-    z, z2, z3 = k, k + 1, k + 2
-    w12 = {j - 1: 1, z: 1, z2: -1}
-    w23 = {j - 1: 1, z2: 1, z3: -1}
-    w31 = {j - 1: 1, z3: 1, z: -1}
-    forms = (
-        _embed_all(build_M(k), arity)
-        + _substituted_L(k, j, {z: 1}, arity)
-        + _substituted_L(k, j, {z2: 1}, arity)
-        + _substituted_L(k, j, {z3: 1}, arity)
-        + _substituted_L(k, j, w12, arity)
-        + (_singleton(arity, w12),)
-        + _substituted_L(k, j, w23, arity)
-        + (_singleton(arity, w23),)
-        + _substituted_L(k, j, w31, arity)
-        + (_singleton(arity, w31),)
-    )
-    return LinearSystem(arity, forms)
+    """The directed triangle z -> z' -> z'' -> z on top of V_j."""
+    return _slot_system(k, j, 3, ((0, 1), (1, 2), (2, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -597,43 +570,6 @@ def verify_pinpoint(
 # Evaluating the assembled quantum combination.
 
 
-def eval_reduction(
-    bundle: ReductionBundle,
-    a: GroupSubset,
-    *,
-    budget: int | None = None,
-    threads: int = 1,
-) -> Fraction:
-    """Value of psi on a subset under independent-product semantics."""
-    return linform.eval_quantum(bundle.psi, a, budget=budget, threads=threads)
-
-
-def eval_psi_given_g(
-    bundle: ReductionBundle,
-    a: GroupSubset,
-    g: Sequence[GroupElement],
-    *,
-    budget: int | None = None,
-    threads: int = 1,
-) -> Fraction:
-    """Value of psi with the k base variables pinned to g in every factor."""
-    gt = tuple(g)
-    cache: dict[LinearSystem, Fraction] = {}
-    total = Fraction(0)
-    for coeff, factors in bundle.psi.terms:
-        prod = Fraction(1)
-        for f in factors:
-            d = cache.get(f)
-            if d is None:
-                d = linform.eval_density_fixed(f, a, gt, budget=budget, threads=threads)
-                cache[f] = d
-            prod *= d
-            if prod == 0:
-                break
-        total += coeff * prod
-    return total
-
-
 def eval_reduction_shared_g(
     bundle: ReductionBundle,
     a: GroupSubset,
@@ -641,32 +577,13 @@ def eval_reduction_shared_g(
     budget: int | None = None,
     threads: int = 1,
 ) -> Fraction:
-    """Average of eval_psi_given_g over all g; every factor contains the M
-    forms, so only g with M(g) inside A contribute beyond constant terms."""
-    group = a.group
-    const = sum(
-        (Fraction(coeff) for coeff, factors in bundle.psi.terms if not factors),
-        Fraction(0),
-    )
-    nonconst = tuple((c, f) for c, f in bundle.psi.terms if f)
+    """Average over all g of psi with the k base variables pinned to g in
+    every factor; every factor contains the M forms, so only g with M(g)
+    inside A contribute beyond constant terms."""
+    const = sum(coeff for coeff, factors in bundle.psi.terms if not factors)
+    nonconst = QuantumSystem(tuple((c, f) for c, f in bundle.psi.terms if f))
     total = Fraction(0)
-    if nonconst:
-        good = linform.enumerate_satisfying(
-            bundle.M, a, budget=budget, threads=threads
-        )
-        for g in good:
-            cache: dict[LinearSystem, Fraction] = {}
-            for coeff, factors in nonconst:
-                prod = Fraction(1)
-                for f in factors:
-                    d = cache.get(f)
-                    if d is None:
-                        d = linform.eval_density_fixed(
-                            f, a, g, budget=budget, threads=threads
-                        )
-                        cache[f] = d
-                    prod *= d
-                    if prod == 0:
-                        break
-                total += coeff * prod
-    return const + total / group.order**bundle.k
+    if nonconst.terms:
+        for g in linform.enumerate_satisfying(bundle.M, a, budget=budget, threads=threads):
+            total += linform.eval_quantum(nonconst, a, g, budget=budget, threads=threads)
+    return const + total / a.group.order**bundle.k

@@ -69,7 +69,6 @@ from .reduction import (
     WitnessSpec,
     build_E,
     build_L,
-    build_L_sub,
     build_M,
     build_T,
     build_V,

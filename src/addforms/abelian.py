@@ -50,10 +50,12 @@ class FiniteAbelianGroup:
     factor slowest.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("moduli", "order", "_strides", "_res_tables")
+    __slots__ = ("moduli", "order", "_res_tables")
 
     def __init__(self, moduli: Sequence[int], max_order: int | None = None):
         mods = tuple(int(n) for n in moduli)
+        if not mods:
+            raise ValueError("a group needs at least one cyclic factor (Z1 is trivial)")
         if any(n < 1 for n in mods):
             raise ValueError(f"cyclic factors must be >= 1, got {mods}")
         order = 1
@@ -65,12 +67,8 @@ class FiniteAbelianGroup:
                 f"group order {order} exceeds cap {cap}; pass max_order or set "
                 f"{MAX_ORDER_ENV} to override"
             )
-        strides = [1] * len(mods)
-        for t in range(len(mods) - 2, -1, -1):
-            strides[t] = strides[t + 1] * mods[t + 1]
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_res_tables", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -92,17 +90,16 @@ class FiniteAbelianGroup:
         return GroupElement(self, (0,) * len(self.moduli))
 
     def index_of(self, residues: Sequence[int]) -> int:
-        return sum(
-            (int(r) % n) * s for r, n, s in zip(residues, self.moduli, self._strides)
-        )
+        return self.combine((), residues)
 
     def from_index(self, index: int) -> "GroupElement":
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} out of range for order {self.order}")
         residues = []
-        for n, s in zip(self.moduli, self._strides):
-            residues.append((index // s) % n)
-        return GroupElement(self, tuple(residues))
+        for n in reversed(self.moduli):
+            index, r = divmod(index, n)
+            residues.append(r)
+        return GroupElement(self, tuple(reversed(residues)))
 
     def __iter__(self) -> Iterator["GroupElement"]:
         for i in range(self.order):
@@ -119,8 +116,6 @@ class FiniteAbelianGroup:
 
     def literal(self) -> str:
         """Text form accepted by `parse_group`, e.g. "Z9xZ2"."""
-        if not self.moduli:
-            return "Z1"
         return "x".join(f"Z{n}" for n in self.moduli)
 
     # Vectorized index helpers used throughout the package.
@@ -129,34 +124,41 @@ class FiniteAbelianGroup:
         """int64 array: residue of each element index in component t."""
         table = self._res_tables.get(t)
         if table is None:
-            idx = np.arange(self.order, dtype=np.int64)
-            table = (idx // self._strides[t]) % self.moduli[t]
+            shape = [1] * self.rank
+            shape[t] = self.moduli[t]
+            axis = np.arange(self.moduli[t], dtype=np.int64).reshape(shape)
+            table = np.broadcast_to(axis, self.moduli).ravel()
             table.flags.writeable = False
             self._res_tables[t] = table
         return table
 
-    def encode_columns(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        """Flat indices from per-component residue arrays (already reduced)."""
-        if not self.moduli:
-            shape = columns[0].shape if columns else (1,)
-            return np.zeros(shape, dtype=np.int64)
-        out = columns[0] * self._strides[0]
-        for t in range(1, len(self.moduli)):
-            out = out + columns[t] * self._strides[t]
-        return out
+    def combine(self, terms, offsets: Sequence[int] | None = None):
+        """Flat indices of offsets + sum of c * x over (c, index array) terms.
 
-    def translate_indices(self, indices: np.ndarray, by: "GroupElement") -> np.ndarray:
-        cols = [
-            (self.residue_table(t)[indices] + by.residues[t]) % n
-            for t, n in enumerate(self.moduli)
-        ]
-        return self.encode_columns(cols) if cols else np.zeros_like(indices)
-
-    def negate_indices(self, indices: np.ndarray) -> np.ndarray:
-        cols = [
-            (-self.residue_table(t)[indices]) % n for t, n in enumerate(self.moduli)
-        ]
-        return self.encode_columns(cols) if cols else np.zeros_like(indices)
+        The index arrays broadcast against each other; `offsets` is a residue
+        tuple, needed when there are no terms (it is then the Python integer
+        index of `offsets`).  This is the one writer of the C-order
+        mixed-radix index: each component is gathered from `residue_table`,
+        reduced mod n and folded in as flat * n + comp.
+        """
+        flat = 0
+        for t, n in enumerate(self.moduli):
+            comp = None if offsets is None else int(offsets[t]) % n
+            for c, idx in terms:
+                part = self.residue_table(t)[idx]
+                c %= n
+                # unit coefficients skip the multiply: on the tiny sets of
+                # exhaustive sweeps each numpy call is a large share of the cost
+                if c != 1:
+                    part *= c
+                comp = part if comp is None else comp + part
+            comp %= n
+            if t:
+                flat *= n
+                flat += comp
+            else:
+                flat = comp
+        return flat
 
 
 class GroupElement:
@@ -291,7 +293,7 @@ class GroupSubset:
         if rows:
             # object dtype keeps residues of any size exact until reduced
             table = np.array(rows, dtype=object) % np.array(group.moduli, dtype=np.int64)
-            bits[group.encode_columns(list(table.astype(np.int64).T))] = True
+            bits[np.ravel_multi_index(tuple(table.astype(np.int64).T), group.moduli)] = True
         return cls(group, bits)
 
     def indices(self) -> np.ndarray:
@@ -306,10 +308,7 @@ class GroupSubset:
         return [self.group.from_index(int(i)) for i in self.indices()]
 
     def residue_lists(self) -> list[list[int]]:
-        moduli = self.group.moduli
-        if not moduli:
-            return [[] for _ in range(self.size)]
-        return np.stack(np.unravel_index(self.indices(), moduli), 1).tolist()
+        return np.stack(np.unravel_index(self.indices(), self.group.moduli), 1).tolist()
 
     def density(self) -> Fraction:
         return Fraction(self.size, self.group.order)
@@ -326,17 +325,13 @@ class GroupSubset:
         if by.group != self.group:
             raise GroupMismatchError("translate by element of a different group")
         bits = np.zeros(self.group.order, dtype=bool)
-        idx = self.indices()
-        if idx.size:
-            bits[self.group.translate_indices(idx, by)] = True
+        bits[self.group.combine(((1, self.indices()),), by.residues)] = True
         return GroupSubset(self.group, bits)
 
     def negate(self) -> "GroupSubset":
         """The reflection -A."""
         bits = np.zeros(self.group.order, dtype=bool)
-        idx = self.indices()
-        if idx.size:
-            bits[self.group.negate_indices(idx)] = True
+        bits[self.group.combine(((-1, self.indices()),))] = True
         return GroupSubset(self.group, bits)
 
     def __and__(self, other: "GroupSubset") -> "GroupSubset":
@@ -358,19 +353,6 @@ class GroupSubset:
         return f"GroupSubset({self.group.literal()}, size={self.size})"
 
 
-def _pair_sum_indices(group: FiniteAbelianGroup, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat indices of all pairwise sums rows[i] + cols[j], shape (len(rows), len(cols))."""
-    if not group.moduli:
-        return np.zeros((len(rows), len(cols)), dtype=np.int64)
-    acc = None
-    for t, n in enumerate(group.moduli):
-        rt = group.residue_table(t)
-        comp = (rt[rows][:, None] + rt[cols][None, :]) % n
-        comp *= group._strides[t]
-        acc = comp if acc is None else acc + comp
-    return acc
-
-
 def _pairwise_counts(group: FiniteAbelianGroup, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """#{(x, y) : x in ia, y in ib, x + y = g} for every g, by enumerating pairs."""
     if ia.size > ib.size:
@@ -378,7 +360,7 @@ def _pairwise_counts(group: FiniteAbelianGroup, ia: np.ndarray, ib: np.ndarray) 
     step = max(1, _CHUNK // max(1, ib.size))
     counts = None
     for s in range(0, max(1, ia.size), step):
-        flat = _pair_sum_indices(group, ia[s : s + step], ib)
+        flat = group.combine(((1, ia[s : s + step, None]), (1, ib[None, :])))
         part = np.bincount(flat.ravel(), minlength=group.order)
         counts = part if counts is None else counts + part
     return counts
@@ -396,8 +378,8 @@ def _pair_counts(a: "GroupSubset", b: "GroupSubset") -> np.ndarray:
     group = _same_group(a, b)
     pairs = a.size * b.size
     if pairs >= _FFT_MIN_PAIRS and pairs >= _FFT_PAIRS_PER_ELEMENT * group.order:
-        shape = group.moduli or (1,)
-        axes = tuple(range(len(shape)))
+        shape = group.moduli
+        axes = tuple(range(group.rank))
         fa = np.fft.rfftn(a.bits.reshape(shape), axes=axes)
         fb = fa if b is a else np.fft.rfftn(b.bits.reshape(shape), axes=axes)
         raw = np.fft.irfftn(fa * fb, s=shape, axes=axes).ravel()
@@ -496,10 +478,6 @@ def parse_group(text: str, max_order: int | None = None) -> FiniteAbelianGroup:
         if not (sc.match("x") or sc.match("X")):
             raise sc.error("expected 'x' between factors")
     return FiniteAbelianGroup(moduli, max_order=max_order)
-
-
-def format_group(group: FiniteAbelianGroup) -> str:
-    return group.literal()
 
 
 def _parse_element_item(sc: Scanner, group: FiniteAbelianGroup) -> GroupElement:

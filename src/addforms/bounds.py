@@ -35,9 +35,6 @@ class PiecewiseRational:
     def __call__(self, x: Fraction) -> Fraction:
         return self.branch_eval(self.branch_of(x), x)
 
-    def on_branch(self, t: int, x: Fraction) -> Fraction:
-        return self.branch_eval(t, x)
-
     def breakpoint_gap(self, t: int) -> Fraction:
         """Difference of adjacent branch values at the breakpoint shared by
         branches t and t+1; zero where the function is continuous."""
@@ -133,13 +130,6 @@ def delta_prime_on_branch(t: int, alpha) -> Fraction:
 def delta_double_prime_on_branch(t: int, alpha) -> Fraction:
     alpha = Fraction(alpha)
     return -12 * t * (t + 1) * alpha**2 + 6 * (2 * t + 1) * alpha - 2
-
-
-delta_piecewise = PiecewiseRational(
-    branch_of=delta_branch,
-    branch_bounds=lambda t: (Fraction(1, t + 1), Fraction(1, t)),
-    branch_eval=delta_on_branch,
-)
 
 
 def delta(alpha) -> Fraction:

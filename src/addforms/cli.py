@@ -192,11 +192,11 @@ def _cmd_check(args):
         x = _parse_fraction(args.x)
         y = _parse_fraction(args.y)
         if kind == "region-graph":
+            holds = bounds.in_region_R_graph(x, y)
             bound = bounds.bollobas_h(x)
-            holds = y >= bound
         else:
+            holds = bounds.in_region_R_energy(x, y)
             bound = bounds.energy_upper_bound(x)
-            holds = y <= bound
         report = make_report(
             f"check-{kind}",
             instance={"x": str(x), "y": str(y)},

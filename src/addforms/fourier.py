@@ -76,7 +76,7 @@ def function_values(group: FiniteAbelianGroup, f: FunctionLike) -> np.ndarray:
 
 def _table(group: FiniteAbelianGroup, values: np.ndarray) -> np.ndarray:
     """Values over element indices as the moduli-shaped array the FFT acts on."""
-    return values.reshape(group.moduli or (1,))
+    return values.reshape(group.moduli)
 
 
 def fourier_transform(f: FunctionLike, group: FiniteAbelianGroup | None = None) -> Spectrum:

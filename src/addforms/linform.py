@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._scan import Scanner
-from .abelian import FiniteAbelianGroup, GroupElement, GroupSubset
+from .abelian import GroupElement, GroupSubset
 from .errors import CapExceeded, GroupMismatchError
 
 DEFAULT_WORK_BUDGET = 10**9
@@ -127,38 +127,11 @@ class _PreparedForm:
         )
 
 
-def _flat_values(pf: _PreparedForm, block: np.ndarray, group: FiniteAbelianGroup) -> np.ndarray:
-    """Flat element indices of a prepared form over a block of partial assignments."""
-    rows = block.shape[0]
-    if not group.moduli:
-        return np.zeros(rows, dtype=np.int64)
-    flat = None
-    for t, n in enumerate(group.moduli):
-        rt = group.residue_table(t)
-        acc = None
-        for col, c in pf.terms:
-            cm = c % n
-            if cm == 0:
-                continue
-            part = rt[block[:, col]] * cm
-            acc = part if acc is None else acc + part
-        off = pf.offsets[t]
-        if acc is None:
-            comp = np.full(rows, off, dtype=np.int64)
-        else:
-            if off:
-                acc += off
-            comp = acc % n
-        stride = group._strides[t]
-        flat = comp * stride if flat is None else flat + comp * stride
-    return flat
-
-
 def _mask(prepared, block, memb, group) -> np.ndarray:
     """Which rows of `block` satisfy every prepared form."""
     mask = np.ones(block.shape[0], dtype=bool)
     for pf in prepared:
-        ok = memb[_flat_values(pf, block, group)]
+        ok = memb[group.combine([(c, block[:, col]) for col, c in pf.terms], pf.offsets)]
         mask &= ~ok if pf.negated else ok
     return mask
 

@@ -77,15 +77,6 @@ def _substituted_L(k: int, j: int, combo: dict[int, int], arity: int) -> tuple[L
     return tuple(out)
 
 
-def build_L_sub(k: int, j: int, zvar: int, arity: int | None = None) -> LinearSystem:
-    """L with variable j replaced by the variable at index `zvar` (0-based)."""
-    if not 1 <= j <= k:
-        raise ValueError(f"j must be in 1..{k}")
-    if arity is None:
-        arity = max(k, zvar + 1)
-    return LinearSystem(arity, _substituted_L(k, j, {zvar: 1}, arity))
-
-
 def _slot_system(
     k: int, j: int, slots: int, edges: tuple[tuple[int, int], ...]
 ) -> LinearSystem:
@@ -233,17 +224,8 @@ def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
     b = u.vertices
     if b.size == 0:
         raise ValueError("empty vertex set")
-    group = b.group
     bi = b.indices()
-    if group.moduli:
-        cols = [
-            (group.residue_table(t)[bi][:, None] - group.residue_table(t)[bi][None, :]) % n
-            for t, n in enumerate(group.moduli)
-        ]
-        diff = group.encode_columns(cols)
-    else:
-        diff = np.zeros((bi.size, bi.size), dtype=np.int64)
-    edges = u.connection.bits[diff]
+    edges = u.connection.bits[b.group.combine(((1, bi[:, None]), (-1, bi[None, :])))]
     m = b.size
     k2 = Fraction(int(edges.sum()), m * m)
     em = edges.astype(np.int64)

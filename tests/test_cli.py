@@ -275,6 +275,9 @@ def test_subset_file_input(capsys, tmp_path):
     assert report["value"]["num"] == 1 and report["value"]["den"] == 2
 
 
+_OUTSIDE_BOX = "error: point outside the unit box"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -283,6 +286,10 @@ def test_subset_file_input(capsys, tmp_path):
         (["check", "--kneser", "--exhaustive"], "missing --group"),
         (["verify", "pinpoint", "--k", "2", "--threads", "0"], "--threads"),
         (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--threads", "-2"], "--threads"),
+        (["check", "--region-graph", "--x", "2/3", "--y", "5"], _OUTSIDE_BOX),
+        (["check", "--region-graph", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
+        (["check", "--region-energy", "--x", "2/3", "--y", "5"], _OUTSIDE_BOX),
+        (["check", "--region-energy", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(argv, message):

@@ -1,6 +1,7 @@
-"""Property tests of the vectorized set kernels and the Fourier module against
-the brute-force oracles, on both sides of the pairwise/FFT crossover, plus
-the certificate fallback and the exact energy sum."""
+"""Property tests of the element index, the vectorized set kernels and the
+Fourier module against the brute-force oracles, on both sides of the
+pairwise/FFT crossover, plus the certificate fallback and the exact energy
+sum."""
 
 from unittest import mock
 
@@ -88,6 +89,60 @@ def test_stabilizer_matches_oracle(drawn, path):
         assert got == GroupSubset.full(got.group)
     else:
         assert residue_set(got) == oracles.oracle_stabilizer(moduli, s_set)
+
+
+def coefficients(moduli):
+    """Small integers of either sign, or a multiple of one of the moduli."""
+    span = 2 * max(moduli)
+    multiples = st.builds(lambda m, n: m * n, st.integers(-3, 3), st.sampled_from(moduli))
+    return st.integers(-span, span) | multiples
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PRESENTATIONS), st.data())
+def test_combine_matches_oracle(moduli, data):
+    group = FiniteAbelianGroup(moduli)
+    tuples = list(oracles.all_tuples(moduli))
+    index = {t: i for i, t in enumerate(tuples)}
+    for i, t in enumerate(tuples):
+        assert group.index_of(t) == i and group.from_index(i).residues == t
+    elements = st.integers(0, group.order - 1)
+    rows = data.draw(st.lists(elements, min_size=1, max_size=6))
+    cols = data.draw(st.lists(elements, min_size=1, max_size=6))
+    c1, c2 = data.draw(coefficients(moduli)), data.draw(coefficients(moduli))
+    offsets = data.draw(
+        st.none() | st.tuples(*[st.integers(-50, 50) for _ in moduli])
+    )
+    shift = offsets or tuple(0 for _ in moduli)
+
+    def want(*pairs):
+        value = oracles.eval_form_tuple(
+            moduli, [c for c, _ in pairs], [tuples[x] for _, x in pairs]
+        )
+        return index[oracles.t_add(moduli, value, shift)]
+
+    x, y = np.array(rows), np.array(cols)
+    single = group.combine(((c1, x),), offsets)
+    assert single.tolist() == [want((c1, r)) for r in rows]
+    table = group.combine(((c1, x[:, None]), (c2, y[None, :])), offsets)
+    assert table.tolist() == [[want((c1, r), (c2, c)) for c in cols] for r in rows]
+    assert group.combine((), shift) == index[oracles.t_add(moduli, tuples[0], shift)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(subsets(), st.data())
+def test_translate_and_negate_match_oracle(drawn, data):
+    moduli, (a_set,) = drawn
+    a = as_subset(moduli, a_set)
+    by = data.draw(st.sampled_from(list(oracles.all_tuples(moduli))))
+    got = a.translate(a.group.element(by))
+    assert residue_set(got) == {oracles.t_add(moduli, x, by) for x in a_set}
+    assert residue_set(a.negate()) == {oracles.t_neg(moduli, x) for x in a_set}
+
+
+def test_rank_zero_presentation_refused():
+    with pytest.raises(ValueError):
+        FiniteAbelianGroup([])
 
 
 reals = st.floats(-2, 2, allow_nan=False)

@@ -59,9 +59,6 @@ def test_eval_density_examples():
 
 
 def test_eval_density_matches_oracle():
-    moduli = (3, 2)
-    group = FiniteAbelianGroup(moduli)
-    tuples = list(oracles.all_tuples(moduli))
     systems = [
         parse_system("[g1]"),
         parse_system("[!(2g1); g2]"),
@@ -69,15 +66,18 @@ def test_eval_density_matches_oracle():
         parse_system("[2g1 - g2; !(g1 + g2)]"),
     ]
     rng = random.Random(9)
-    for _ in range(8):
-        mask = rng.randrange(1 << group.order)
-        a_set = {tuples[i] for i in range(group.order) if mask >> i & 1}
-        a = subset_from_tuples(group, a_set)
-        for system in systems:
-            expected = oracles.oracle_density(
-                moduli, _forms_as_tuples(system), a_set, system.arity
-            )
-            assert eval_density(system, a) == expected
+    for moduli in [(3, 2), (2, 2, 3)]:
+        group = FiniteAbelianGroup(moduli)
+        tuples = list(oracles.all_tuples(moduli))
+        for _ in range(8):
+            mask = rng.randrange(1 << group.order)
+            a_set = {tuples[i] for i in range(group.order) if mask >> i & 1}
+            a = subset_from_tuples(group, a_set)
+            for system in systems:
+                expected = oracles.oracle_density(
+                    moduli, _forms_as_tuples(system), a_set, system.arity
+                )
+                assert eval_density(system, a) == expected
 
 
 def test_eval_density_denominator_divides_group_power():

@@ -16,7 +16,6 @@ from addforms.reduction import (
     DirectedCayleyGraph,
     build_E,
     build_L,
-    build_L_sub,
     build_M,
     build_T,
     build_V,
@@ -73,17 +72,6 @@ _BUNDLE_DIGESTS = {
 def test_bundle_form_order_pinned(poly, k):
     text = dump_json(build_psi(parse_poly(poly), k).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == _BUNDLE_DIGESTS[poly, k]
-
-
-def test_build_L_sub_substitution():
-    sub = build_L_sub(2, 2, 2)
-    assert sub.arity == 3
-    assert sub.forms[0].coefficients == (3, 0, 0) and sub.forms[0].negated
-    assert any(f.coefficients == (-2, 0, 1) for f in sub.forms)
-    assert any(f.coefficients == (-8, 0, 4) for f in sub.forms)
-    # substituting j = 1 replaces the anchor variable itself
-    sub1 = build_L_sub(2, 1, 2)
-    assert sub1.forms[0].coefficients == (0, 0, 3) and sub1.forms[0].negated
 
 
 def test_build_E_edge_form():

@@ -32,6 +32,17 @@ _CHUNK = 1 << 21
 _FFT_MIN_PAIRS = 1 << 12
 _FFT_PAIRS_PER_ELEMENT = 16
 
+# Row-wise pair counts (`pair_count_rows`) loop over the columns of the
+# |G| x |G| difference table when |G| <= _TABLE_ORDER_PER_AXIS * rank, and
+# take one batched FFT otherwise.  numpy's n-dimensional FFT pays a pass per
+# axis, so the loop wins on many short axes (Z2^6, Z4^3) and on one axis up
+# to about |G| = 32 (timings in CHANGES.md).
+_TABLE_ORDER_PER_AXIS = 32
+# A row of `pair_count_rows` holds up to about 48 bytes of temporaries per
+# group element (measured); `batch_rows` keeps a batch near this many bytes,
+# so sweeps stay within the peak RSS of the per-subset code they replace.
+_BATCH_BYTES = 1 << 20
+
 
 def max_order_cap(explicit: int | None = None) -> int:
     """Group-order cap: explicit argument wins over the environment variable."""
@@ -366,27 +377,92 @@ def _pairwise_counts(group: FiniteAbelianGroup, ia: np.ndarray, ib: np.ndarray) 
     return counts
 
 
+def _certified_fft(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs):
+    """Pair counts of the rows of two (rows, |G|) indicator matrices by one
+    real FFT convolution over the group axes (the C-order index makes
+    `reshape(rows, *moduli)` the array to transform), rounded to int64, with
+    a per-row certificate: every value lies within 1/4 of an integer and the
+    row sums to `pairs` (|A_i| * |B_i|).  Pass `b is a` for A + A."""
+    rows = len(a)
+    shape = (rows, *group.moduli)
+    axes = tuple(range(1, group.rank + 1))
+    fa = np.fft.rfftn(a.reshape(shape), axes=axes)
+    fb = fa if b is a else np.fft.rfftn(b.reshape(shape), axes=axes)
+    raw = np.fft.irfftn(fa * fb, s=group.moduli, axes=axes).reshape(rows, group.order)
+    counts = np.rint(raw)
+    ok = (np.abs(raw - counts).max(axis=1) < 0.25) & (counts.sum(axis=1) == pairs)
+    return counts.astype(np.int64), ok
+
+
 def _pair_counts(a: "GroupSubset", b: "GroupSubset") -> np.ndarray:
     """int64 array over element indices: #{(x, y) in A x B : x + y = g}.
 
-    Large products take one real FFT convolution of the indicator tables
-    (the C-order index makes `bits.reshape(moduli)` the array to transform).
-    Its rounding is certified: every value lies within 1/4 of an integer
-    and the counts sum to |A|*|B|.  Small products, and any result the
-    certificate rejects, are counted pairwise, so the counts are exact.
+    Large products take the certified FFT convolution; small products, and
+    any result the certificate rejects, are counted pairwise, so the counts
+    are exact.
     """
     group = _same_group(a, b)
     pairs = a.size * b.size
     if pairs >= _FFT_MIN_PAIRS and pairs >= _FFT_PAIRS_PER_ELEMENT * group.order:
-        shape = group.moduli
-        axes = tuple(range(group.rank))
-        fa = np.fft.rfftn(a.bits.reshape(shape), axes=axes)
-        fb = fa if b is a else np.fft.rfftn(b.bits.reshape(shape), axes=axes)
-        raw = np.fft.irfftn(fa * fb, s=shape, axes=axes).ravel()
-        counts = np.rint(raw)
-        if np.abs(raw - counts).max() < 0.25 and int(counts.sum()) == pairs:
-            return counts.astype(np.int64)
+        bits = a.bits[None]
+        counts, ok = _certified_fft(group, bits, bits if b is a else b.bits[None], pairs)
+        if ok[0]:
+            return counts[0]
     return _pairwise_counts(group, a.indices(), b.indices())
+
+
+def batch_rows(group: FiniteAbelianGroup) -> int:
+    """Rows per `pair_count_rows` call that keep its temporaries near
+    `_BATCH_BYTES`."""
+    return max(1, _BATCH_BYTES // (48 * group.order))
+
+
+def pair_count_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise pair counts of two boolean (rows, |G|) matrices: int64
+    (rows, |G|) with entry [i, g] = #{(x, y) in A_i x B_i : x + y = g}.
+
+    Exact on both paths: small groups sum a[:, x] & b[:, g - x] over x in
+    integers, a column of the difference table of `combine` at a time; the
+    others take one certified FFT convolution, and the rows it rejects are
+    counted pairwise.  Pass `b is a` for A + A; batches of
+    `batch_rows(group)` rows keep the temporaries near `_BATCH_BYTES`.
+    """
+    n = group.order
+    if n <= _TABLE_ORDER_PER_AXIS * group.rank:
+        idx = np.arange(n)
+        diff = group.combine(((1, idx[:, None]), (-1, idx[None, :])))  # g - x
+        at = a.T.copy()  # element-major: a row per element
+        bt = at if b is a else b.T.copy()
+        counts = np.zeros(bt.shape, dtype=np.min_scalar_type(n))
+        for x in range(n):
+            counts += at[x] & bt[diff[:, x]]
+        return counts.T.astype(np.int64)
+    counts, ok = _certified_fft(group, a, b, a.sum(axis=1) * b.sum(axis=1))
+    for i in np.flatnonzero(~ok):
+        counts[i] = _pairwise_counts(group, np.flatnonzero(a[i]), np.flatnonzero(b[i]))
+    return counts
+
+
+def sumset_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise A_i + B_i as a boolean (rows, |G|) matrix."""
+    return pair_count_rows(group, a, b) > 0
+
+
+def stabilizer_rows(group: FiniteAbelianGroup, s: np.ndarray) -> np.ndarray:
+    """Row-wise stabilizers as a boolean (rows, |G|) matrix: |S & (S + g)|
+    equals |S| exactly when g stabilizes S, which makes the rows of empty
+    and full sets the full group, as in `stabilizer`."""
+    negated = s[:, group.combine(((-1, np.arange(group.order)),))]
+    return pair_count_rows(group, s, negated) == s.sum(axis=1)[:, None]
+
+
+def additive_energy_rows(group: FiniteAbelianGroup, counts: np.ndarray) -> np.ndarray:
+    """Row-wise `additive_energy_raw` from the representation counts
+    `pair_count_rows(group, a, a)`, exact: int64 while |G|^3 fits, an array
+    of Python integers beyond it."""
+    if group.order**3 < 2**63:
+        return (counts * counts).sum(axis=1)
+    return np.array([_sum_of_squares(row, group.order) for row in counts], dtype=object)
 
 
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:

@@ -14,9 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
+from . import abelian
 from .abelian import (
+    FiniteAbelianGroup,
     GroupSubset,
-    additive_energy,
+    additive_energy_raw,
     signed_iterated_sumset,
     stabilizer,
     sumset,
@@ -276,13 +280,67 @@ def verify_delta_derivative_claims(
 
 # ---------------------------------------------------------------------------
 # Classical inequality checkers (exact left-hand sides).
+#
+# Each inequality is written once, as an integer numerator of its left-hand
+# side over a power of |G|.  The scalar `check_*` evaluate it on the counts of
+# one instance; the `*_rows` functions on a batch of instances, given as
+# boolean (rows, |G|) matrices, returning (numerators, denominator).  In a
+# batch, a vacuous instance (an empty A where the inequality needs a nonempty
+# one) has numerator 0.
+
+
+def _kneser(sum_size, a_size, b_size, stab_size):
+    """|A+B| - |A| - |B| + |H(A+B)|, over |G|."""
+    return sum_size - a_size - b_size + stab_size
+
+
+def _plunnecke_ruzsa(sum_size, a_size, folded_size, folds):
+    """|A+B|^(r+s) - |A|^(r+s-1) * |rB - sB|, over |G|^(r+s)."""
+    return sum_size**folds - a_size ** (folds - 1) * folded_size
+
+
+def _energy_doubling(energy, a_size, doubled_size):
+    """E(A) * |A+A| - |A|^4, over |G|^4."""
+    return energy * doubled_size - a_size**4
+
+
+def _energy_bound(energy, a_size, rest, order):
+    """|G|^4 * (energy_upper_bound(|A|/|G|) - E(A)/|G|^3) with rest = |G| mod |A|:
+    N m^3 - m^3 f + m^2 f^2 - N E, over |G|^4."""
+    return order * a_size**3 - a_size**3 * rest + a_size**2 * rest**2 - order * energy
+
+
+def _verdict(numerator: int, denominator: int) -> tuple[Fraction, bool]:
+    lhs = Fraction(numerator, denominator)
+    return lhs, lhs >= 0
+
+
+def _exact(bound: int, *columns) -> list[np.ndarray]:
+    """The integer columns as int64 while `bound`, the sum of the absolute
+    values of the terms of the formula they feed, fits; as arrays of Python
+    integers beyond it."""
+    dtype = np.int64 if bound < 2**63 else object
+    return [np.asarray(c).astype(dtype, copy=False) for c in columns]
 
 
 def check_kneser(a: GroupSubset, b: GroupSubset) -> tuple[Fraction, bool]:
     """alpha(A+B) - alpha(A) - alpha(B) + alpha(stabilizer(A+B)) >= 0."""
     s = sumset(a, b)
-    lhs = s.density() - a.density() - b.density() + stabilizer(s).density()
-    return lhs, lhs >= 0
+    return _verdict(_kneser(s.size, a.size, b.size, stabilizer(s).size), a.group.order)
+
+
+def kneser_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray):
+    """Kneser numerators of the row pairs (A_i, B_i), over |G|."""
+    s = abelian.sumset_rows(group, a, b)
+    h = abelian.stabilizer_rows(group, s)
+    return _kneser(*(m.sum(axis=1) for m in (s, a, b, h))), group.order
+
+
+def _check_folds(r: int, s: int) -> None:
+    if r + s < 1:
+        raise ValueError("need r + s >= 1")
+    if r < 0 or s < 0:
+        raise ValueError("fold counts must be nonnegative")
 
 
 def check_plunnecke_ruzsa(
@@ -291,25 +349,68 @@ def check_plunnecke_ruzsa(
     """alpha(A+B)^(r+s) - alpha(A)^(r+s-1) * alpha(rB - sB) >= 0."""
     if a.size == 0:
         raise ValueError("A must be nonempty")
-    if r + s < 1:
-        raise ValueError("need r + s >= 1")
-    lhs = sumset(a, b).density() ** (r + s) - a.density() ** (
-        r + s - 1
-    ) * signed_iterated_sumset(b, r, s).density()
-    return lhs, lhs >= 0
+    _check_folds(r, s)
+    numerator = _plunnecke_ruzsa(
+        sumset(a, b).size, a.size, signed_iterated_sumset(b, r, s).size, r + s
+    )
+    return _verdict(numerator, a.group.order ** (r + s))
+
+
+def plunnecke_ruzsa_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, r: int, s: int):
+    """Plunnecke-Ruzsa numerators of the row pairs (A_i, B_i), over |G|^(r+s)."""
+    if not a.any():  # every instance is vacuous, whatever the folds
+        return np.zeros(len(a), dtype=np.int64), 1
+    _check_folds(r, s)
+    folded = np.zeros_like(b)
+    folded[:, 0] = True
+    for _ in range(r):
+        folded = abelian.sumset_rows(group, folded, b)
+    negated = b[:, group.combine(((-1, np.arange(group.order)),))]
+    for _ in range(s):
+        folded = abelian.sumset_rows(group, folded, negated)
+    n = group.order
+    sum_size, a_size, folded_size = _exact(
+        2 * n ** (r + s),
+        abelian.sumset_rows(group, a, b).sum(axis=1),
+        a.sum(axis=1),
+        folded.sum(axis=1),
+    )
+    numerators = _plunnecke_ruzsa(sum_size, a_size, folded_size, r + s)
+    return np.where(a_size == 0, 0, numerators), n ** (r + s)
 
 
 def check_energy_doubling(a: GroupSubset) -> tuple[Fraction, bool]:
     """normalized_energy(A) * alpha(A+A) - alpha(A)^4 >= 0."""
-    if a.size == 0:
-        return Fraction(0), True
-    lhs = additive_energy(a) * sumset(a, a).density() - a.density() ** 4
-    return lhs, lhs >= 0
+    numerator = _energy_doubling(additive_energy_raw(a), a.size, sumset(a, a).size)
+    return _verdict(numerator, a.group.order**4)
+
+
+def energy_doubling_rows(group: FiniteAbelianGroup, a: np.ndarray):
+    """Energy-doubling numerators of the rows A_i, over |G|^4."""
+    n = group.order
+    reps = abelian.pair_count_rows(group, a, a)
+    energy, a_size, doubled_size = _exact(
+        2 * n**4,
+        abelian.additive_energy_rows(group, reps),
+        a.sum(axis=1),
+        (reps > 0).sum(axis=1),
+    )
+    return _energy_doubling(energy, a_size, doubled_size), n**4
 
 
 def check_energy_bound(a: GroupSubset) -> tuple[Fraction, bool]:
     """Slack energy_upper_bound(alpha(A)) - normalized_energy(A) >= 0."""
     if a.size == 0:
         raise ValueError("A must be nonempty")
-    slack = energy_upper_bound(a.density()) - additive_energy(a)
-    return slack, slack >= 0
+    n = a.group.order
+    return _verdict(_energy_bound(additive_energy_raw(a), a.size, n % a.size, n), n**4)
+
+
+def energy_bound_rows(group: FiniteAbelianGroup, a: np.ndarray):
+    """Energy-bound numerators of the rows A_i, over |G|^4; an empty row
+    has m = E = f = 0, so numerator 0."""
+    n = group.order
+    a_size = a.sum(axis=1)
+    energy = abelian.additive_energy_rows(group, abelian.pair_count_rows(group, a, a))
+    energy, a_size, rest = _exact(4 * n**4, energy, a_size, n % np.maximum(a_size, 1))
+    return _energy_bound(energy, a_size, rest, n), n**4

@@ -34,14 +34,17 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_subset(args, group: FiniteAbelianGroup, name: str) -> GroupSubset:
@@ -63,19 +66,34 @@ def _subset_json(subset: GroupSubset) -> dict:
     }
 
 
-def _all_subsets(group: FiniteAbelianGroup):
-    """All subsets in mask order; only sane for small orders."""
+def _mask_rows(masks: np.ndarray, order: int) -> np.ndarray:
+    """Boolean (len(masks), order) matrix: element i is in row k when bit i
+    of masks[k] is set."""
+    return (masks[:, None] >> np.arange(order)) & 1 == 1
+
+
+def _exhaustive_batches(group: FiniteAbelianGroup, pairwise: bool):
+    """Every subset in mask order, or every pair (A-major), as row batches."""
     order = group.order
-    for mask in range(1 << order):
-        yield GroupSubset.from_indices(
-            group, [i for i in range(order) if mask >> i & 1]
-        )
+    total = 1 << (order * (1 + pairwise))
+    rows = abelian.batch_rows(group)
+    for start in range(0, total, rows):
+        k = np.arange(start, min(start + rows, total))
+        if pairwise:
+            yield _mask_rows(k >> order, order), _mask_rows(k & ((1 << order) - 1), order)
+        else:
+            yield (_mask_rows(k, order),)
 
 
-def _random_subsets(group: FiniteAbelianGroup, count: int, seed: int):
+def _random_batches(group: FiniteAbelianGroup, count: int, seed: int, pairwise: bool):
+    """`count` random subsets, or pairs of consecutive ones, as row batches
+    drawn from one Philox stream (a batch draws the same numbers as its rows
+    drawn one at a time)."""
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    for _ in range(count):
-        yield GroupSubset(group, gen.random(group.order) < 0.5)
+    rows = abelian.batch_rows(group)
+    for start in range(0, count, rows):
+        bits = gen.random((min(rows, count - start) * (1 + pairwise), group.order)) < 0.5
+        yield (bits[0::2], bits[1::2]) if pairwise else (bits,)
 
 
 # ---------------------------------------------------------------------------
@@ -160,35 +178,42 @@ def _check_single(kind: str, instance: dict, lhs: Fraction, holds: bool):
     return report, not holds
 
 
-def _sweep(kind: str, instances, evaluate):
-    checked = 0
+def _sweep(kind: str, group: FiniteAbelianGroup, batches, slack):
+    """Count the instances of every batch and those whose numerator from
+    `slack(group, *batch)` is negative; keep the first violations, in
+    instance order, as witnesses."""
+    checked = violations = 0
     witnesses = []
-    for instance in instances:
-        checked += 1
-        lhs, holds = evaluate(instance)
-        if not holds:
-            if len(witnesses) < _WITNESS_LIMIT:
-                witnesses.append(
-                    {"instance": _describe_instance(instance), "lhs": rational_json(lhs)}
-                )
+    for batch in batches:
+        numerators, denominator = slack(group, *batch)
+        bad = np.flatnonzero(numerators < 0)
+        for i in bad[: _WITNESS_LIMIT - len(witnesses)]:
+            instance = [GroupSubset(group, rows[i]) for rows in batch]
+            lhs = Fraction(int(numerators[i]), denominator)
+            witnesses.append(
+                {"instance": _describe_instance(instance), "lhs": rational_json(lhs)}
+            )
+        checked += len(numerators)
+        violations += len(bad)
     report = make_report(
         kind,
         checked=checked,
-        violations=len(witnesses),
+        violations=violations,
         witnesses=witnesses,
     )
-    return report, bool(witnesses)
+    return report, violations > 0
 
 
-def _describe_instance(instance) -> dict:
-    if isinstance(instance, tuple):
-        return {"A": instance[0].residue_lists(), "B": instance[1].residue_lists()}
-    return {"A": instance.residue_lists()}
+def _describe_instance(subsets) -> dict:
+    return {name: s.residue_lists() for name, s in zip("AB", subsets)}
 
 
 def _cmd_check(args):
     kind = args.kind
     if kind in ("region-graph", "region-energy"):
+        for name in ("x", "y"):
+            if getattr(args, name) is None:
+                raise ParseError(f"missing --{name} for --{kind}")
         x = _parse_fraction(args.x)
         y = _parse_fraction(args.y)
         if kind == "region-graph":
@@ -213,55 +238,26 @@ def _cmd_check(args):
     group = abelian.parse_group(args.group)
     pairwise = kind in ("kneser", "plunnecke-ruzsa")
 
-    def evaluate(instance):
-        # preconditioned checks pass vacuously on empty sets so sweeps count
-        # every instance
-        if kind == "kneser":
-            return bounds.check_kneser(*instance)
-        if kind == "plunnecke-ruzsa":
-            a, b = instance
-            if a.size == 0:
-                return Fraction(0), True
-            return bounds.check_plunnecke_ruzsa(a, b, args.r, args.s)
-        if kind == "energy-doubling":
-            return bounds.check_energy_doubling(instance)
-        if instance.size == 0:
-            return Fraction(0), True
-        return bounds.check_energy_bound(instance)
-
+    slack = {
+        "kneser": bounds.kneser_rows,
+        "plunnecke-ruzsa": lambda g, a, b: bounds.plunnecke_ruzsa_rows(g, a, b, args.r, args.s),
+        "energy-doubling": bounds.energy_doubling_rows,
+        "energy-bound": bounds.energy_bound_rows,
+    }[kind]
+    if args.random:
+        batches = _random_batches(group, args.random, args.seed, pairwise)
+        return _sweep(f"check-{kind}", group, batches, slack)
     if args.exhaustive:
         cap = _EXHAUSTIVE_PAIR_MAX_ORDER if pairwise else _EXHAUSTIVE_SUBSET_MAX_ORDER
         if group.order > cap:
-            raise CapExceeded(
-                f"exhaustive sweep over {group.literal()} exceeds order cap {cap}"
-            )
-        if pairwise:
-            instances = (
-                (a, b) for a in _all_subsets(group) for b in _all_subsets(group)
-            )
-        else:
-            instances = _all_subsets(group)
-        return _sweep(f"check-{kind}", instances, evaluate)
+            raise CapExceeded(f"exhaustive sweep over {group.literal()} exceeds order cap {cap}")
+        return _sweep(f"check-{kind}", group, _exhaustive_batches(group, pairwise), slack)
 
-    if args.random:
-        singles = _random_subsets(group, args.random * (2 if pairwise else 1), args.seed)
-        if pairwise:
-            it = iter(singles)
-            instances = [(a, next(it)) for a in it]
-        else:
-            instances = list(singles)
-        return _sweep(f"check-{kind}", instances, evaluate)
-
-    if pairwise:
-        a = _load_subset(args, group, "set-a")
-        b = _load_subset(args, group, "set-b")
-        lhs, holds = evaluate((a, b))
-        return _check_single(
-            f"check-{kind}", _describe_instance((a, b)), lhs, holds
-        )
-    a = _load_subset(args, group, "set")
-    lhs, holds = evaluate(a)
-    return _check_single(f"check-{kind}", _describe_instance(a), lhs, holds)
+    names = ("set-a", "set-b") if pairwise else ("set",)
+    subsets = [_load_subset(args, group, name) for name in names]
+    numerators, denominator = slack(group, *(s.bits[None] for s in subsets))
+    lhs = Fraction(int(numerators[0]), denominator)
+    return _check_single(f"check-{kind}", _describe_instance(subsets), lhs, lhs >= 0)
 
 
 def _cmd_reduce(args):
@@ -413,7 +409,7 @@ def _cmd_estimate(args):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker count")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker count")
     p.add_argument(
         "--max-work",
         type=int,
@@ -484,8 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subset_options(p)
     _add_subset_options(p, "set-a")
     _add_subset_options(p, "set-b")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--random", type=int, default=0, help="number of random instances")
+    sweep = p.add_mutually_exclusive_group()
+    sweep.add_argument("--exhaustive", action="store_true")
+    sweep.add_argument(
+        "--random", type=_int_at_least(0), default=0, help="number of random instances"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=1)

@@ -1,11 +1,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from conftest import subset_from_mask, subset_from_tuples
 
-from addforms.abelian import FiniteAbelianGroup, GroupSubset
+from addforms.abelian import (
+    FiniteAbelianGroup,
+    GroupSubset,
+    additive_energy,
+    signed_iterated_sumset,
+    stabilizer,
+    sumset,
+)
 from addforms.bounds import (
     bollobas_h,
     bollobas_piecewise,
@@ -19,9 +28,13 @@ from addforms.bounds import (
     delta_prime,
     delta_prime_on_branch,
     delta_double_prime,
+    energy_bound_rows,
+    energy_doubling_rows,
     energy_upper_bound,
     in_region_R_energy,
     in_region_R_graph,
+    kneser_rows,
+    plunnecke_ruzsa_rows,
     verify_delta_derivative_claims,
 )
 
@@ -195,3 +208,99 @@ def test_classical_inequalities_small_sweeps():
             if a.size:
                 assert check_plunnecke_ruzsa(a, b, 1, 1)[1]
                 assert check_plunnecke_ruzsa(a, b, 2, 1)[1]
+
+
+# The left-hand sides as densities, the way the inequalities are stated.
+
+
+def kneser_lhs(a, b):
+    s = sumset(a, b)
+    return s.density() - a.density() - b.density() + stabilizer(s).density()
+
+
+def plunnecke_ruzsa_lhs(a, b, r, s):
+    folded = signed_iterated_sumset(b, r, s).density()
+    return sumset(a, b).density() ** (r + s) - a.density() ** (r + s - 1) * folded
+
+
+def energy_doubling_lhs(a):
+    return additive_energy(a) * sumset(a, a).density() - a.density() ** 4
+
+
+def energy_bound_lhs(a):
+    return energy_upper_bound(a.density()) - additive_energy(a)
+
+
+def all_subsets(group):
+    masks = [subset_from_mask(group, m) for m in range(1 << group.order)]
+    return masks, np.array([m.bits for m in masks])
+
+
+_FOLDS = [(1, 0), (0, 1), (2, 1), (2, 2)]
+
+
+def test_numerators_equal_lhs_on_every_small_subset():
+    for moduli in oracles.group_presentations(8):
+        group = FiniteAbelianGroup(moduli)
+        subsets, bits = all_subsets(group)
+        doubling, den_d = energy_doubling_rows(group, bits)
+        bound, den_b = energy_bound_rows(group, bits)
+        for i, a in enumerate(subsets):
+            lhs = energy_doubling_lhs(a)
+            assert Fraction(int(doubling[i]), den_d) == lhs
+            assert check_energy_doubling(a) == (lhs, lhs >= 0)
+            if a.size:
+                lhs = energy_bound_lhs(a)
+                assert Fraction(int(bound[i]), den_b) == lhs
+                assert check_energy_bound(a) == (lhs, lhs >= 0)
+            else:
+                assert bound[i] == 0  # vacuous
+
+
+def test_numerators_equal_lhs_on_every_small_pair():
+    for moduli in oracles.group_presentations(5):
+        group = FiniteAbelianGroup(moduli)
+        subsets, bits = all_subsets(group)
+        pairs = [(a, b) for a in subsets for b in subsets]
+        a_bits = np.repeat(bits, len(subsets), axis=0)
+        b_bits = np.tile(bits, (len(subsets), 1))
+        kneser, den = kneser_rows(group, a_bits, b_bits)
+        for i, (a, b) in enumerate(pairs):
+            lhs = kneser_lhs(a, b)
+            assert Fraction(int(kneser[i]), den) == lhs
+            assert check_kneser(a, b) == (lhs, lhs >= 0)
+        for r, s in _FOLDS:
+            numerators, den = plunnecke_ruzsa_rows(group, a_bits, b_bits, r, s)
+            for i, (a, b) in enumerate(pairs):
+                if not a.size:
+                    assert numerators[i] == 0  # vacuous
+                    continue
+                lhs = plunnecke_ruzsa_lhs(a, b, r, s)
+                assert Fraction(int(numerators[i]), den) == lhs
+                assert check_plunnecke_ruzsa(a, b, r, s) == (lhs, lhs >= 0)
+
+
+def test_plunnecke_ruzsa_rows_refuse_bad_folds():
+    group = FiniteAbelianGroup([4])
+    _, bits = all_subsets(group)
+    for (r, s), message in [((0, 0), "r \\+ s >= 1"), ((2, -1), "nonnegative")]:
+        with pytest.raises(ValueError, match=message):
+            plunnecke_ruzsa_rows(group, bits, bits, r, s)
+        with pytest.raises(ValueError, match=message):
+            check_plunnecke_ruzsa(subset_from_mask(group, 1), subset_from_mask(group, 1), r, s)
+
+
+def test_energy_bound_rows_beyond_int64():
+    # |G|^4 = 2^64: the numerators leave int64 for Python integers
+    group = FiniteAbelianGroup([65536])
+    rng = np.random.Generator(np.random.Philox(key=11))
+    # |G| * |A|^3 passes 2^63 once |A| > 0.79 |G|
+    bits = rng.random((3, group.order)) < np.array([[0.97], [0.5], [0.2]])
+    numerators, den = energy_bound_rows(group, bits)
+    assert den == 2**64 and numerators.dtype == object
+    for row, numerator in zip(bits, numerators):
+        assert (Fraction(numerator, den), numerator >= 0) == check_energy_bound(
+            GroupSubset(group, row)
+        )
+    small = FiniteAbelianGroup([256])
+    assert energy_bound_rows(small, bits[:, :256])[0].dtype == np.int64

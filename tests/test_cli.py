@@ -1,11 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from addforms import abelian, bounds, cli
+from addforms.abelian import FiniteAbelianGroup
 from addforms.cli import main
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -290,6 +294,13 @@ _OUTSIDE_BOX = "error: point outside the unit box"
         (["check", "--region-graph", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
         (["check", "--region-energy", "--x", "2/3", "--y", "5"], _OUTSIDE_BOX),
         (["check", "--region-energy", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
+        (["check", "--region-graph", "--y", "1/2"], "missing --x"),
+        (["check", "--region-energy", "--x", "1/2"], "missing --y"),
+        (["check", "--energy-bound", "--group", "Z8", "--random", "-3"], "--random"),
+        (
+            ["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "5"],
+            "not allowed with argument --exhaustive",
+        ),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(argv, message):
@@ -307,3 +318,86 @@ def test_usage_errors_exit_2_without_traceback(argv, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# sha256 of the reports of the benchmark's sweeps, recorded from the
+# per-subset sweep that the batched one replaced.
+_SWEEP_DIGESTS = {
+    ("energy-bound", "Z2xZ2xZ2xZ2", "--exhaustive"): "481ec58cb0d417b6571f0669b1e2150f3d2c2c76d12ce00e3c4a5d6b4d589772",
+    ("energy-bound", "Z12", "--exhaustive"): "27b33cc7294cc3203813b9768665141fb51a27408fb6de0e00b679844af351d4",
+    ("energy-doubling", "Z10", "--exhaustive"): "ec161972c7302c53e5f58ecdfb01cdb258877e5ad7f815830206e2ea58f44950",
+    ("energy-doubling", "Z3xZ3", "--exhaustive"): "098cd5a3ed5820f7087c512317c7afe9150e28f7b74994afada887954fdd6e65",
+    ("kneser", "Z6", "--exhaustive"): "8dd9789f375bfdab37cc2e4e3a3b6db3f82fa59fafbc3654e2585bf15f9714c5",
+    ("plunnecke-ruzsa", "Z5", "--exhaustive --r 2 --s 1"): "bc2ba1467c0d59aed1be06211c5232f50e0c560d46ca2fb672d0404696cdb141",
+    ("energy-bound", "Z256", "--random 2000 --seed 101"): "2b6771cfd20fe20c84169e1adc866b0e842b3e3a1e0276bac10e41df7c6e731b",
+    ("energy-bound", "Z16xZ16", "--random 2000 --seed 102"): "2b6771cfd20fe20c84169e1adc866b0e842b3e3a1e0276bac10e41df7c6e731b",
+    ("energy-doubling", "Z128", "--random 3000 --seed 103"): "8e7c49710446b468c29bb8561ba2d0847da2877e558a879b9b56e47e5280e82e",
+    ("kneser", "Z64", "--random 4000 --seed 104"): "87ae2e34b84d66b766b430fc272d44b4bdae3274b73990852bfe8c8be6c0e4a3",
+    ("plunnecke-ruzsa", "Z100", "--random 1000 --seed 105 --r 2 --s 2"): "c74ef6fdfaa35d60b65312e1bed6b07c27d4c1c81f12ee4d2e6cc78e5f7a6144",
+}
+
+
+@pytest.mark.parametrize(("kind", "group", "flags"), list(_SWEEP_DIGESTS))
+def test_sweep_reports_pinned(capsys, kind, group, flags):
+    code, out, _ = run_cli(capsys, "check", f"--{kind}", "--group", group, *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SWEEP_DIGESTS[kind, group, flags]
+
+
+def _every_row_violates(monkeypatch, name):
+    # every left-hand side is below 2, so subtracting 2 makes each negative
+    slack = getattr(bounds, name)
+
+    def violating(group, *rows):
+        numerators, denominator = slack(group, *rows)
+        return numerators - 2 * denominator, denominator
+
+    monkeypatch.setattr(bounds, name, violating)
+
+
+@pytest.mark.parametrize(
+    ("argv", "name", "first"),
+    [
+        (["--energy-bound", "--group", "Z6", "--exhaustive"], "energy_bound_rows",
+         [{"A": []}, {"A": [[0]]}, {"A": [[1]]}, {"A": [[0], [1]]}]),
+        (["--kneser", "--group", "Z3", "--exhaustive"], "kneser_rows",
+         [{"A": [], "B": []}, {"A": [], "B": [[0]]}, {"A": [], "B": [[1]]}]),
+        (["--plunnecke-ruzsa", "--group", "Z12", "--random", "25"], "plunnecke_ruzsa_rows", []),
+    ],
+)
+def test_sweep_counts_every_violation(capsys, monkeypatch, argv, name, first):
+    _every_row_violates(monkeypatch, name)
+    code, report = run_json(capsys, "check", *argv)
+    assert code == 1
+    assert report["violations"] == report["checked"] > cli._WITNESS_LIMIT
+    assert len(report["witnesses"]) == cli._WITNESS_LIMIT
+    assert [w["instance"] for w in report["witnesses"][: len(first)]] == first
+
+
+def test_batches_draw_the_per_subset_instances(monkeypatch):
+    monkeypatch.setattr(abelian, "batch_rows", lambda group: 3)
+    group = FiniteAbelianGroup([2, 3])
+    gen = np.random.Generator(np.random.Philox(key=9))
+    singles = np.array([gen.random(group.order) < 0.5 for _ in range(14)])
+    batches = list(cli._random_batches(group, 7, 9, pairwise=True))
+    assert [len(a) for a, _ in batches] == [3, 3, 1]
+    assert np.array_equal(np.concatenate([a for a, _ in batches]), singles[0::2])
+    assert np.array_equal(np.concatenate([b for _, b in batches]), singles[1::2])
+    (ones,) = zip(*cli._random_batches(group, 7, 9, pairwise=False))
+    assert np.array_equal(np.concatenate(ones), singles[:7])
+
+    group = FiniteAbelianGroup([3])
+    masks = [[i >> j & 1 == 1 for j in range(3)] for i in range(8)]
+    (subsets,) = zip(*cli._exhaustive_batches(group, pairwise=False))
+    assert np.concatenate(subsets).tolist() == masks
+    a, b = (np.concatenate(side) for side in zip(*cli._exhaustive_batches(group, True)))
+    assert a.tolist() == [m for m in masks for _ in masks]
+    assert b.tolist() == masks * 8
+
+
+def test_energy_bound_sweep_beyond_int64(capsys):
+    code, report = run_json(
+        capsys, "check", "--energy-bound", "--group", "Z65536", "--random", "2", "--seed", "4"
+    )
+    assert code == 0
+    assert (report["checked"], report["violations"]) == (2, 0)

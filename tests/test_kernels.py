@@ -1,8 +1,10 @@
-"""Property tests of the element index, the vectorized set kernels and the
-Fourier module against the brute-force oracles, on both sides of the
-pairwise/FFT crossover, plus the certificate fallback and the exact energy
-sum."""
+"""Property tests of the element index, the vectorized set kernels, their
+row-wise batched forms and the Fourier module against the brute-force
+oracles, on both sides of the pairwise/FFT crossover and of the table/FFT
+crossover of the row kernels, plus the certificate fallbacks and the exact
+energy sum."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -17,9 +19,13 @@ from addforms.abelian import (
     FiniteAbelianGroup,
     GroupSubset,
     additive_energy_raw,
+    additive_energy_rows,
+    pair_count_rows,
     representation_vector,
     stabilizer,
+    stabilizer_rows,
     sumset,
+    sumset_rows,
 )
 from addforms.fourier import convolve, fourier_transform
 
@@ -54,6 +60,54 @@ def residue_set(subset):
 
 def forced(path):
     return mock.patch.multiple(abelian, **PATHS[path])
+
+
+# Row kernels: the difference-table loop on every group, or the FFT on every
+# group.
+ROW_PATHS = {"table": float("inf"), "fft": 0}
+
+
+def forced_rows(path):
+    return mock.patch.object(abelian, "_TABLE_ORDER_PER_AXIS", ROW_PATHS[path])
+
+
+def bit_rows(moduli, tuple_sets):
+    """Boolean (rows, |G|) matrix of subsets given as sets of tuples."""
+    return np.array([[t in s for t in oracles.all_tuples(moduli)] for s in tuple_sets])
+
+
+def oracle_pair_counts(moduli, a_set, b_set):
+    counts = Counter(oracles.t_add(moduli, x, y) for x in a_set for y in b_set)
+    return [counts[t] for t in oracles.all_tuples(moduli)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(subsets(count=6), st.sampled_from(sorted(ROW_PATHS)))
+def test_row_kernels_match_single_subset_kernels_and_oracle(drawn, path):
+    moduli, sets = drawn
+    group = FiniteAbelianGroup(moduli)
+    a_sets, b_sets = sets[:3], sets[3:]
+    a, b = bit_rows(moduli, a_sets), bit_rows(moduli, b_sets)
+    with forced_rows(path):
+        counts = pair_count_rows(group, a, b)
+        sums = sumset_rows(group, a, b)
+        stabs = stabilizer_rows(group, a)
+        energies = additive_energy_rows(group, pair_count_rows(group, a, a))
+    assert counts.dtype == np.int64 and counts.shape == a.shape
+    for i, (a_set, b_set) in enumerate(zip(a_sets, b_sets)):
+        single_a, single_b = as_subset(moduli, a_set), as_subset(moduli, b_set)
+        assert counts[i].tolist() == oracle_pair_counts(moduli, a_set, b_set)
+        assert GroupSubset(group, sums[i]) == sumset(single_a, single_b)
+        assert residue_set(GroupSubset(group, sums[i])) == oracles.oracle_sumset(
+            moduli, a_set, b_set
+        )
+        assert GroupSubset(group, stabs[i]) == stabilizer(single_a)
+        if len(a_set) < group.order:
+            assert residue_set(GroupSubset(group, stabs[i])) == oracles.oracle_stabilizer(
+                moduli, a_set
+            )
+        assert energies[i] == additive_energy_raw(single_a)
+        assert energies[i] == sum(c * c for c in oracles.oracle_rep_counts(moduli, a_set).values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,6 +277,32 @@ def test_certificate_failure_falls_back_to_pairwise(monkeypatch, defect):
     assert len(calls) == 4
     assert got[0] == want[0] and got[3] == want[3]
     assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
+@pytest.mark.parametrize("defect", ["roundoff", "sum"])
+def test_row_certificate_failure_recounts_the_rejected_row(monkeypatch, defect):
+    group = FiniteAbelianGroup((12, 20))
+    rng = np.random.Generator(np.random.Philox(key=2))
+    a, b = rng.random((2, 4, group.order)) < 0.5
+    with forced_rows("table"):
+        want = pair_count_rows(group, a, b)
+    irfftn = np.fft.irfftn
+
+    def broken(*args, **kwargs):
+        out = irfftn(*args, **kwargs)
+        if defect == "roundoff":
+            out[2] += 0.3  # row 2 is not within 1/4 of an integer
+        else:
+            out[2].flat[0] += 1.0  # row 2 rounds cleanly, but its total is off
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", broken)
+    calls = _spy(monkeypatch)
+    with forced_rows("fft"):
+        got = pair_count_rows(group, a, b)
+    assert len(calls) == 1
+    assert calls[0][1].tolist() == np.flatnonzero(a[2]).tolist()
+    assert np.array_equal(got, want)
 
 
 def test_sum_of_squares_beyond_int64():

@@ -146,9 +146,10 @@ class FiniteAbelianGroup:
     def combine(self, terms, offsets: Sequence[int] | None = None):
         """Flat indices of offsets + sum of c * x over (c, index array) terms.
 
-        The index arrays broadcast against each other; `offsets` is a residue
-        tuple, needed when there are no terms (it is then the Python integer
-        index of `offsets`).  This is the one writer of the C-order
+        Each c is an integer or an int64 array of integers; the index and
+        coefficient arrays broadcast against each other.  `offsets` is a
+        residue tuple, needed when there are no terms (it is then the Python
+        integer index of `offsets`).  This is the one writer of the C-order
         mixed-radix index: each component is gathered from `residue_table`,
         reduced mod n and folded in as flat * n + comp.
         """
@@ -157,11 +158,12 @@ class FiniteAbelianGroup:
             comp = None if offsets is None else int(offsets[t]) % n
             for c, idx in terms:
                 part = self.residue_table(t)[idx]
-                c %= n
-                # unit coefficients skip the multiply: on the tiny sets of
-                # exhaustive sweeps each numpy call is a large share of the cost
-                if c != 1:
-                    part *= c
+                if isinstance(c, np.ndarray):
+                    part = part * (c % n)
+                elif c % n != 1:
+                    # unit coefficients skip the multiply: on the tiny sets of
+                    # exhaustive sweeps each numpy call is a large share of the cost
+                    part *= c % n
                 comp = part if comp is None else comp + part
             comp %= n
             if t:

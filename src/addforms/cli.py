@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 a checked inequality or identity failed
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -310,10 +311,10 @@ def _cmd_verify_homdensity(args):
             )
         draws += 1
         a = GroupSubset(group, gen.random(group.order) < 0.5)
-        good = linform.enumerate_satisfying(m, a, budget=args.max_work)
-        if not good:
+        _, good = linform.solve_rows(m, a, linform.prefix_row(a, ()), budget=args.max_work)
+        if not len(good):
             continue
-        g = good[int(gen.integers(0, len(good)))]
+        g = tuple(group.from_index(int(i)) for i in good[int(gen.integers(0, len(good)))])
         for j in range(1, k + 1):
             rep = reduction.verify_homdensity_identity(
                 a, g, j, budget=args.max_work, threads=args.threads
@@ -551,10 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused for the rest of
+    the process (building it costs milliseconds; importing stays cheap)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -2,14 +2,19 @@
 Monte-Carlo evaluation of their satisfaction densities.
 
 A system is a list of forms sum_i c_i * g_i, each required to land inside a
-subset (or outside it, when negated).  The exact evaluator enumerates
-assignments variable by variable, testing every form as soon as its last
-variable is bound, so unsatisfiable prefixes are pruned early; the per-level
-work is vectorized.  Counts are exact integers and densities exact rationals.
+subset (or outside it, when negated).  The exact evaluator, `solve_rows`,
+takes a matrix of pinned prefixes, one row per prefix, and enumerates the
+remaining variables level by level for all rows at once, testing every form
+as soon as its last variable is bound, so unsatisfiable prefixes are pruned
+early; the per-level work is vectorized.  The density, enumeration and
+quantum functions are 1-row calls of it.  Counts are exact integers and
+densities exact rationals.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -109,115 +114,236 @@ def eval_form(form: LinearForm, assignment: Sequence[GroupElement]) -> GroupElem
     return GroupElement(group, tuple(residues))
 
 
-class _PreparedForm:
-    """A form with fixed-prefix contributions folded into constant offsets."""
-
-    __slots__ = ("negated", "terms", "offsets")
-
-    def __init__(self, form: LinearForm, fixed: Sequence[GroupElement], nfix: int, group):
-        self.negated = form.negated
-        self.terms = tuple(
-            (i - nfix, c)
-            for i, c in enumerate(form.coefficients)
-            if i >= nfix and c != 0
-        )
-        self.offsets = tuple(
-            sum(form.coefficients[i] * fixed[i].residues[t] for i in range(nfix)) % n
-            for t, n in enumerate(group.moduli)
-        )
-
-
-def _mask(prepared, block, memb, group) -> np.ndarray:
-    """Which rows of `block` satisfy every prepared form."""
-    mask = np.ones(block.shape[0], dtype=bool)
-    for pf in prepared:
-        ok = memb[group.combine([(c, block[:, col]) for col, c in pf.terms], pf.offsets)]
-        mask &= ~ok if pf.negated else ok
-    return mask
-
-
-def _run_levels(group, memb, buckets, nfix, arity, first_values):
-    """Extend the satisfying-prefix frontier one variable at a time."""
-    n = group.order
-    frontier = np.zeros((1, 0), dtype=np.int64)
-    for level in range(nfix, arity):
-        if frontier.shape[0] == 0:
-            break
-        values = (
-            first_values
-            if level == nfix and first_values is not None
-            else np.arange(n, dtype=np.int64)
-        )
-        if values.size == 0:
-            return np.zeros((0, arity - nfix), dtype=np.int64)
-        bucket = buckets[level]
-        pieces = []
-        rows_per = max(1, _ENUM_CHUNK // values.size)
-        for start in range(0, frontier.shape[0], rows_per):
-            part = frontier[start : start + rows_per]
-            m = part.shape[0]
-            ext = np.empty((m * values.size, part.shape[1] + 1), dtype=np.int64)
-            if part.shape[1]:
-                ext[:, :-1] = np.repeat(part, values.size, axis=0)
-            ext[:, -1] = np.tile(values, m)
-            pieces.append(ext[_mask(bucket, ext, memb, group)] if bucket else ext)
-        frontier = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-    return frontier
-
-
-def _satisfying_frontier(
-    system: LinearSystem,
-    subset: GroupSubset,
-    fixed: Sequence[GroupElement],
-    *,
-    budget: int | None,
-    threads: int,
-) -> np.ndarray | None:
-    """All assignments of the free variables satisfying the system, as index
-    rows, or None when a fully-bound form already fails."""
-    group = subset.group
-    nfix = len(fixed)
-    if nfix > system.arity:
-        raise ValueError("more fixed values than variables")
-    for g in fixed:
-        if g.group != group:
-            raise GroupMismatchError("fixed element from a different group")
-    kfree = system.arity - nfix
+def _check_budget(order: int, kfree: int, nforms: int, budget: int | None) -> None:
     limit = DEFAULT_WORK_BUDGET if budget is None else int(budget)
-    predicted = (group.order**kfree) * len(system.forms)
+    predicted = (order**kfree) * nforms
     if predicted > limit:
         raise CapExceeded(
             f"predicted work {predicted} exceeds budget {limit}; raise the budget "
             "or use estimate_density for a Monte Carlo estimate"
         )
 
-    buckets: dict[int, list[_PreparedForm]] = {lv: [] for lv in range(nfix, system.arity)}
-    memb = subset.bits
-    for form in system.forms:
-        pf = _PreparedForm(form, fixed, nfix, group)
-        if pf.terms:
-            buckets[nfix + max(col for col, _ in pf.terms)].append(pf)
-        elif memb[group.index_of(pf.offsets)] == pf.negated:
-            return None
 
-    if kfree == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-
-    if threads <= 1 or group.order < 2:
-        return _run_levels(group, memb, buckets, nfix, system.arity, None)
-
-    ranges = np.array_split(np.arange(group.order, dtype=np.int64), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda vals: _run_levels(group, memb, buckets, nfix, system.arity, vals),
-                ranges,
-            )
+def _level(forms: Sequence[LinearForm], nfix: int, exponent: int):
+    """Forms prepared to be tested together: (pinned, free), where pinned
+    lists (variable, coefficient) for every pinned variable one of the forms
+    uses, the coefficient an int when all forms share it and otherwise an
+    int64 array with one entry per form, and free lists each form's (free
+    terms, negated) with free variables numbered from 0.  Coefficients are
+    reduced mod the group exponent."""
+    coeffs = np.array(
+        [[c % exponent for c in f.coefficients[:nfix]] for f in forms], dtype=np.int64
+    ).reshape(len(forms), nfix)
+    coeffs.flags.writeable = False
+    pinned = tuple(
+        (i, int(col[0]) if (col == col[0]).all() else col[:, None])
+        for i, col in enumerate(coeffs.T)
+        if col.any()
+    )
+    free = tuple(
+        (
+            tuple(
+                (i - nfix, c % exponent)
+                for i, c in enumerate(f.coefficients)
+                if i >= nfix and c % exponent
+            ),
+            f.negated,
         )
-    parts = [p for p in parts if p.shape[0]]
-    if not parts:
-        return np.zeros((0, kfree), dtype=np.int64)
-    return np.concatenate(parts, axis=0)
+        for f in forms
+    )
+    return pinned, free
+
+
+@functools.lru_cache(maxsize=256)
+def _prepare(system: LinearSystem, nfix: int, exponent: int) -> tuple:
+    """The forms grouped by level, each level prepared by `_level` (None when
+    empty): level 0 holds the forms without a free variable, level i + 1 the
+    forms whose last free variable is free variable i.  Cached: the
+    reduction verifiers evaluate a few systems for many prefixes."""
+    buckets: list[list[LinearForm]] = [[] for _ in range(system.arity - nfix + 1)]
+    for form in system.forms:
+        last = max(
+            (i for i, c in enumerate(form.coefficients) if i >= nfix and c % exponent),
+            default=nfix - 1,
+        )
+        buckets[last - nfix + 1].append(form)
+    return tuple(_level(b, nfix, exponent) if b else None for b in buckets)
+
+
+def _pinned_offsets(group, level, prefixes: np.ndarray):
+    """Indices of the pinned parts of a level's forms, one combine for all of
+    them: (forms, rows), or (1, rows) when the forms share their pinned part;
+    None when no form has one."""
+    if level is None or not level[0]:
+        return None
+    return group.combine([(c, prefixes[None, :, i]) for i, c in level[0]])
+
+
+def _holds(group, memb, level, off, columns):
+    """Where every form of `level` lands in A (outside A when negated).
+
+    columns[i] holds the indices of free variable i; off[f] (or off[0] when
+    `off` has one row) those of form f's pinned part, None when no form has
+    one; all broadcast against each other.  None when the level is empty.
+    """
+    if level is None:
+        return None
+    ok = None
+    for f, (free, negated) in enumerate(level[1]):
+        pin = None if off is None else off[f if len(off) > 1 else 0]
+        if free:
+            terms = [(c, columns[i]) for i, c in free]
+            hit = memb[group.combine(terms if pin is None else terms + [(1, pin)])]
+        else:
+            hit = memb[0 if pin is None else pin]
+        hit = ~hit if negated else hit
+        ok = hit if ok is None else ok & hit
+    return ok
+
+
+def _complete(group, memb, levels, offsets, rows: int, values: np.ndarray):
+    """The satisfying completions of `rows` live prefix rows as (owner,
+    free): free[i] is an index row of the free variables, owner[i] the
+    prefix row it completes, in (owner, free) order.  The first free
+    variable ranges over `values`, the others over the whole group."""
+    kfree = len(levels) - 1
+    if kfree == 0:
+        return np.arange(rows, dtype=np.int64), np.zeros((rows, 0), dtype=np.int64)
+    # The first free variable is bound for all rows at once: pinned parts are
+    # (rows, 1) terms and the variable a (1, values) term.
+    shape = (rows, values.size)
+    off = None if offsets[1] is None else offsets[1][:, :, None]
+    ok = _holds(group, memb, levels[1], off, [values[None, :]])
+    owner, vi = np.nonzero(np.ones(shape, dtype=bool) if ok is None else np.broadcast_to(ok, shape))
+    free = values[vi][:, None]
+    single = rows == 1
+    n = group.order
+    every = np.arange(n, dtype=np.int64)
+    step = max(1, _ENUM_CHUNK // n)
+    for level in range(2, kfree + 1):
+        if free.shape[0] == 0:
+            break
+        prepared, off = levels[level], offsets[level]
+        owners, frees = [], []
+        for start in range(0, free.shape[0], step):
+            part = free[start : start + step]
+            ext = np.empty((part.shape[0] * n, level), dtype=np.int64)
+            ext[:, :-1] = np.repeat(part, n, axis=0)
+            ext[:, -1] = np.tile(every, part.shape[0])
+            own = None if single else np.repeat(owner[start : start + step], n)
+            if prepared is not None:
+                keep = _holds(
+                    group, memb, prepared, off if off is None or single else off[:, own], ext.T
+                )
+                ext = ext[keep]
+                own = None if single else own[keep]
+            frees.append(ext)
+            owners.append(own)
+        free = frees[0] if len(frees) == 1 else np.concatenate(frees, axis=0)
+        if not single:
+            owner = owners[0] if len(owners) == 1 else np.concatenate(owners)
+    if free.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, kfree), dtype=np.int64)
+    if single:
+        owner = np.zeros(free.shape[0], dtype=np.int64)
+    return owner, free
+
+
+def solve_rows(
+    system: LinearSystem,
+    subset: GroupSubset,
+    prefixes: np.ndarray,
+    *,
+    budget: int | None = None,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every satisfying completion of every pinned prefix, as index rows.
+
+    `prefixes` is an int64 (rows, nfix) matrix of element indices for the
+    first nfix variables.  Returns (owner, free): free[i] holds the indices
+    of the remaining variables, owner[i] the prefix row it completes, sorted
+    by (owner, free).  The work budget is checked per prefix, |G|^kfree * d,
+    before anything is allocated, so it admits a whole batch when it admits
+    one row.  Each block of candidate assignments holds at most about 2^20
+    rows, the first free variable of a chunk of prefix rows included.
+    """
+    group = subset.group
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    if prefixes.ndim != 2:
+        raise ValueError("prefixes must be a (rows, nfix) index matrix")
+    rows, nfix = prefixes.shape
+    if nfix > system.arity:
+        raise ValueError("more fixed values than variables")
+    kfree = system.arity - nfix
+    _check_budget(group.order, kfree, len(system.forms), budget)
+    if prefixes.size and (prefixes.min() < 0 or prefixes.max() >= group.order):
+        raise ValueError("prefix index out of range")
+
+    levels = _prepare(system, nfix, math.lcm(*group.moduli))
+    memb = subset.bits
+    n = group.order
+    values = np.arange(n, dtype=np.int64)
+    splits = [values] if threads <= 1 or n < 2 or kfree == 0 else np.array_split(values, threads)
+    step = max(1, _ENUM_CHUNK // (n if kfree else 1))
+    owners, frees = [], []
+    pool = ThreadPoolExecutor(max_workers=len(splits)) if len(splits) > 1 else None
+    with pool or contextlib.nullcontext():
+        run = map if pool is None else pool.map
+        for start in range(0, rows, step):
+            part = prefixes[start : start + step]
+            offsets = [_pinned_offsets(group, level, part) for level in levels]
+            live = np.arange(part.shape[0])
+            alive = _holds(group, memb, levels[0], offsets[0], ())
+            if alive is not None:
+                live = live[np.broadcast_to(alive, live.shape)]
+                offsets = [None if off is None else off[:, live] for off in offsets]
+            if live.size == 0:
+                continue
+            parts = list(
+                run(lambda v: _complete(group, memb, levels, offsets, live.size, v), splits)
+            )
+            owner = np.concatenate([p[0] for p in parts])
+            free = np.concatenate([p[1] for p in parts], axis=0)
+            if len(parts) > 1 and live.size > 1:
+                order = np.argsort(owner, kind="stable")
+                owner, free = owner[order], free[order]
+            owners.append(live[owner] + start)
+            frees.append(free)
+    if not owners:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, kfree), dtype=np.int64)
+    return np.concatenate(owners), np.concatenate(frees, axis=0)
+
+
+def count_rows(
+    system: LinearSystem,
+    subset: GroupSubset,
+    prefixes: np.ndarray,
+    *,
+    budget: int | None = None,
+    threads: int = 1,
+    masks: bool = False,
+):
+    """Per-row satisfying counts (int64, one per prefix row) of the
+    completions that `solve_rows` lists; with `masks`, also the boolean
+    (rows, |G|) matrix of satisfying values when one variable is left free."""
+    owner, free = solve_rows(system, subset, prefixes, budget=budget, threads=threads)
+    rows = len(prefixes)
+    counts = np.bincount(owner, minlength=rows)
+    if not masks:
+        return counts
+    if free.shape[1] != 1:
+        raise ValueError("masks need exactly one free variable")
+    out = np.zeros((rows, subset.group.order), dtype=bool)
+    out[owner, free[:, 0]] = True
+    return counts, out
+
+
+def prefix_row(subset: GroupSubset, fixed: Sequence[GroupElement]) -> np.ndarray:
+    """The (1, nfix) index matrix of a pinned prefix of group elements."""
+    for g in fixed:
+        if g.group != subset.group:
+            raise GroupMismatchError("fixed element from a different group")
+    return np.array([g.index() for g in fixed], dtype=np.int64).reshape(1, len(fixed))
 
 
 def eval_density(
@@ -245,14 +371,10 @@ def eval_density_fixed(
 ) -> Fraction:
     """Satisfaction probability with a prefix of the variables pinned and the
     remaining variables uniform."""
-    frontier = _satisfying_frontier(
-        system, subset, tuple(fixed), budget=budget, threads=threads
+    counts = count_rows(
+        system, subset, prefix_row(subset, fixed), budget=budget, threads=threads
     )
-    kfree = system.arity - len(fixed)
-    denom = subset.group.order**kfree
-    if frontier is None:
-        return Fraction(0, 1)
-    return Fraction(frontier.shape[0], denom)
+    return Fraction(int(counts[0]), subset.group.order ** (system.arity - len(fixed)))
 
 
 def enumerate_satisfying(
@@ -264,15 +386,11 @@ def enumerate_satisfying(
     threads: int = 1,
 ) -> list[tuple[GroupElement, ...]]:
     """All free-variable assignments satisfying the system, in index order."""
-    frontier = _satisfying_frontier(
-        system, subset, tuple(fixed), budget=budget, threads=threads
+    _, free = solve_rows(
+        system, subset, prefix_row(subset, fixed), budget=budget, threads=threads
     )
-    if frontier is None:
-        return []
     group = subset.group
-    return [
-        tuple(group.from_index(int(i)) for i in row) for row in frontier
-    ]
+    return [tuple(group.from_index(int(i)) for i in row) for row in free]
 
 
 def estimate_density(
@@ -294,7 +412,7 @@ def estimate_density(
         raise ValueError("samples must be >= 1")
     group = subset.group
     memb = subset.bits
-    prepared = [_PreparedForm(f, (), 0, group) for f in system.forms]
+    level = _level(system.forms, 0, math.lcm(*group.moduli))
     base = np.random.Philox(key=int(seed))
     chunks = [
         (ci, min(_SAMPLE_CHUNK, samples - ci * _SAMPLE_CHUNK))
@@ -305,7 +423,8 @@ def estimate_density(
         ci, m = chunk
         gen = np.random.Generator(base.jumped(ci))
         draw = gen.integers(0, group.order, size=(m, system.arity), dtype=np.int64)
-        return int(_mask(prepared, draw, memb, group).sum())
+        ok = _holds(group, memb, level, None, draw.T)
+        return int(np.broadcast_to(ok, (m,)).sum())
 
     if threads <= 1 or len(chunks) == 1:
         hits = sum(run(c) for c in chunks)
@@ -329,46 +448,47 @@ def eval_quantum(
     Factors evaluate independently (fresh variables per factor), each with
     its first variables pinned to `fixed`; a repeated factor is evaluated once.
     """
-    cache: dict[LinearSystem, Fraction] = {}
+    return quantum_sum_rows(
+        q, subset, prefix_row(subset, fixed), budget=budget, threads=threads
+    )
+
+
+def quantum_sum_rows(
+    q: QuantumSystem,
+    subset: GroupSubset,
+    prefixes: np.ndarray,
+    *,
+    budget: int | None = None,
+    threads: int = 1,
+) -> Fraction:
+    """The sum over the rows of a (rows, nfix) prefix matrix of `q` with the
+    first variables of every factor pinned to the row, exact.
+
+    A factor is counted once per row, for all rows that need it in one
+    `count_rows` call; a row stops evaluating a term's factors once the
+    term's product is 0 there.
+    """
+    rows = len(prefixes)
+    order = subset.group.order
+    counts: dict[LinearSystem, np.ndarray] = {}  # -1 marks rows not counted yet
     total = Fraction(0)
     for coeff, factors in q.terms:
-        prod = Fraction(1)
+        num = np.ones(rows, dtype=object)
+        den = 1
         for factor in factors:
-            d = cache.get(factor)
-            if d is None:
-                d = eval_density_fixed(factor, subset, fixed, budget=budget, threads=threads)
-                cache[factor] = d
-            prod *= d
-            if prod == 0:
+            live = np.flatnonzero(num)
+            if live.size == 0:
                 break
-        total += coeff * prod
+            got = counts.setdefault(factor, np.full(rows, -1, dtype=np.int64))
+            todo = live[got[live] < 0]
+            if todo.size:
+                got[todo] = count_rows(
+                    factor, subset, prefixes[todo], budget=budget, threads=threads
+                )
+            num[live] *= got[live].astype(object)
+            den *= order ** (factor.arity - prefixes.shape[1])
+        total += coeff * Fraction(int(num.sum()), den)
     return total
-
-
-def canonicalize(system: LinearSystem) -> tuple[LinearSystem, list[str]]:
-    """Sort forms and drop duplicate positive forms; report diagnostics.
-
-    A form and its own negation may coexist (the density is then 0); that is
-    flagged rather than rejected.
-    """
-    diagnostics: list[str] = []
-    seen_positive: set[tuple[int, ...]] = set()
-    kept: list[LinearForm] = []
-    for f in system.forms:
-        if not f.negated:
-            if f.coefficients in seen_positive:
-                diagnostics.append(f"duplicate positive form dropped: {format_form(f)}")
-                continue
-            seen_positive.add(f.coefficients)
-        kept.append(f)
-    coeff_sets = {(f.negated, f.coefficients) for f in kept}
-    for f in kept:
-        if f.negated and (False, f.coefficients) in coeff_sets:
-            diagnostics.append(
-                f"system contains a form and its negation: {format_form(f)}"
-            )
-    kept.sort(key=lambda f: (f.negated, f.coefficients))
-    return LinearSystem(system.arity, tuple(kept)), diagnostics
 
 
 # Text format.

@@ -14,6 +14,7 @@ variables z, z', z'' as needed (V_j has k+1 variables, E_j k+2, T_j k+3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,9 +31,11 @@ from .report import rational_json
 
 
 # ---------------------------------------------------------------------------
-# System builders.
+# System builders.  They are pure and their systems immutable, so each
+# (k, j) is built once per process.
 
 
+@functools.cache
 def build_L(k: int) -> LinearSystem:
     """One negated form (k+1)*g1 plus the dilates p*(gj - j*g1) for
     p = 1..k+2, j = 2..k; exactly 1 + (k+2)(k-1) forms."""
@@ -48,6 +51,7 @@ def build_L(k: int) -> LinearSystem:
     return LinearSystem(k, tuple(forms))
 
 
+@functools.cache
 def build_M(k: int) -> LinearSystem:
     """L plus the k singleton forms g1, ..., gk."""
     base = build_L(k)
@@ -96,16 +100,19 @@ def _slot_system(
     return LinearSystem(arity, forms)
 
 
+@functools.cache
 def build_V(k: int, j: int) -> LinearSystem:
     """The point: M over g plus L with slot z substituted for gj."""
     return _slot_system(k, j, 1, ())
 
 
+@functools.cache
 def build_E(k: int, j: int) -> LinearSystem:
     """The edge z -> z' on top of V_j: counts ordered pairs of slot values."""
     return _slot_system(k, j, 2, ((0, 1),))
 
 
+@functools.cache
 def build_T(k: int, j: int) -> LinearSystem:
     """The directed triangle z -> z' -> z'' -> z on top of V_j."""
     return _slot_system(k, j, 3, ((0, 1), (1, 2), (2, 0)))
@@ -177,20 +184,6 @@ def build_psi(q: IntPolynomial, k: int) -> ReductionBundle:
     )
 
 
-def bundle_from_dict(data: dict) -> ReductionBundle:
-    """Rebuild a bundle from its serialized form (systems are re-derived from
-    (q, k) and checked against the stored strings)."""
-    k = int(data["k"])
-    q = poly.parse_poly(data["q"])
-    bundle = build_psi(q, k)
-    stored = data.get("systems")
-    if stored is not None:
-        rebuilt = bundle.to_dict()["systems"]
-        if stored != rebuilt:
-            raise ValueError("stored systems disagree with the rebuilt bundle")
-    return bundle
-
-
 # ---------------------------------------------------------------------------
 # Directed difference graphs and density identities.
 
@@ -215,6 +208,28 @@ class DirectedCayleyGraph:
         )
 
 
+# Float64 products of 0/1 matrices are exact while every path count (at most
+# m) and every partial sum of one is an integer below 2^53.
+_F64_EXACT = 1 << 53
+# Cap on the entries of one (rows, m, m) stack of adjacency matrices.
+_EDGE_CHUNK = 1 << 19
+
+
+def _pair_and_cycle_counts(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pair and directed 3-cycle counts, int64 per row, of a boolean
+    (rows, m, m) stack of adjacency matrices: sum E and trace E^3, the
+    latter as the int64 sum of (E @ E) * E^T."""
+    pairs = edges.sum(axis=(1, 2), dtype=np.int64)
+    if edges.shape[1] < _F64_EXACT:
+        e = edges.astype(np.float64)
+        paths = np.matmul(e, e).astype(np.int64)
+    else:
+        e = edges.astype(np.int64)
+        paths = np.matmul(e, e)
+    cycles = (paths * edges.transpose(0, 2, 1)).sum(axis=(1, 2))
+    return pairs, cycles
+
+
 def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
     """Ordered pair and ordered 3-cycle densities, exact.
 
@@ -226,11 +241,9 @@ def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
         raise ValueError("empty vertex set")
     bi = b.indices()
     edges = u.connection.bits[b.group.combine(((1, bi[:, None]), (-1, bi[None, :])))]
+    pairs, cycles = _pair_and_cycle_counts(edges[None])
     m = b.size
-    k2 = Fraction(int(edges.sum()), m * m)
-    em = edges.astype(np.int64)
-    k3 = Fraction(int(np.trace(em @ em @ em)), m**3)
-    return k2, k3
+    return Fraction(int(pairs[0]), m * m), Fraction(int(cycles[0]), m**3)
 
 
 def compute_B_C(
@@ -240,10 +253,10 @@ def compute_B_C(
     k = len(g)
     if not 1 <= j <= k:
         raise ValueError(f"j must be in 1..{k}")
-    group = a.group
-    v = build_V(k, j)
-    zs = linform.enumerate_satisfying(v, a, fixed=tuple(g), budget=budget)
-    b = GroupSubset.from_elements(group, [row[0] for row in zs])
+    _, masks = linform.count_rows(
+        build_V(k, j), a, linform.prefix_row(a, g), budget=budget, masks=True
+    )
+    b = GroupSubset(a.group, masks[0])
     c = (b & a).translate(-g[j - 1])
     return b, c
 
@@ -304,12 +317,12 @@ def verify_homdensity_identity(
     t_m = linform.eval_density_fixed(build_M(k), a, gt, budget=budget, threads=threads)
     if t_m == 0:
         return HomdensityReport(vacuous=True, **meta)
-    t_v = linform.eval_density_fixed(build_V(k, j), a, gt, budget=budget, threads=threads)
+    b, c = compute_B_C(a, gt, j, budget=budget)
+    t_v = Fraction(b.size, group.order)
     if t_v == 0:
         return HomdensityReport(vacuous=True, **meta)
     t_e = linform.eval_density_fixed(build_E(k, j), a, gt, budget=budget, threads=threads)
     t_t = linform.eval_density_fixed(build_T(k, j), a, gt, budget=budget, threads=threads)
-    b, c = compute_B_C(a, gt, j, budget=budget)
     k2, k3 = graph_densities(DirectedCayleyGraph(b, c))
     return HomdensityReport(
         vacuous=False,
@@ -340,10 +353,6 @@ class WitnessSpec:
         """The slice {j} x H."""
         rt0 = self.group.residue_table(0)
         return GroupSubset(self.group, rt0 == j)
-
-    def h_class(self, gj: GroupElement, j: int) -> int:
-        """The j-th coordinate of the H-part of gj (drives the 3-cycle count)."""
-        return gj.residues[j]
 
     def to_dict(self, subset_file: str | None = None) -> dict:
         out = {
@@ -427,58 +436,76 @@ class WitnessReport:
         }
 
 
+def _residue_rows(group: FiniteAbelianGroup, row: np.ndarray) -> list[tuple[int, ...]]:
+    return [group.from_index(int(i)).residues for i in row]
+
+
 def verify_witness(
     spec: WitnessSpec, *, budget: int | None = None, threads: int = 1
 ) -> WitnessReport:
     """For every g with M(g) inside A: assert B_j = {j} x H and the exact
     pair density 1 - 1/n_j; measure the 3-cycle density per coordinate class
-    and record it against the closed form 2x^2 - x."""
-    a = spec.subset
-    m = build_M(spec.k)
-    good = linform.enumerate_satisfying(m, a, budget=budget, threads=threads)
-    b_violations: list[str] = []
-    k2_violations: list[str] = []
-    seen: dict[tuple[int, int], dict] = {}
-    for g in good:
-        for j in range(1, spec.k + 1):
-            b, c = compute_B_C(a, g, j, budget=budget)
-            if b != spec.expected_B(j):
-                b_violations.append(f"B_{j} mismatch at g={[e.residues for e in g]}")
-                continue
-            k2, k3 = graph_densities(DirectedCayleyGraph(b, c))
-            x = 1 - Fraction(1, spec.n[j - 1])
-            if k2 != x:
-                k2_violations.append(
-                    f"k2={k2} != {x} at g={[e.residues for e in g]}, j={j}"
-                )
-            key = (j, spec.h_class(g[j - 1], j))
-            stat = seen.get(key)
-            if stat is None:
-                seen[key] = {"count": 1, "k2": k2, "k3": k3}
-            else:
-                stat["count"] += 1
-                if stat["k3"] != k3 or stat["k2"] != k2:
-                    b_violations.append(
-                        f"inconsistent densities within class {key}"
-                    )
+    (the j-th H-coordinate of gj) and record it against the closed form
+    2x^2 - x.  All good g are index rows of one matrix: B_j takes one
+    `count_rows` call per j, and the C-edges of all rows one stack."""
+    a, group, k = spec.subset, spec.group, spec.k
+    _, good = linform.solve_rows(
+        build_M(k), a, linform.prefix_row(a, ()), budget=budget, threads=threads
+    )
+    every = np.arange(group.order, dtype=np.int64)
+    b_events: list[tuple[int, int, str]] = []  # (row, j, message), sorted at the end
+    k2_events: list[tuple[int, int, str]] = []
     classes = []
-    for (j, h_class), stat in sorted(seen.items()):
+    for j in range(1, k + 1) if len(good) else ():
+        _, masks = linform.count_rows(build_V(k, j), a, good, budget=budget, masks=True)
+        expected = spec.expected_B(j).bits
+        b_ok = (masks == expected).all(axis=1)
+        for r in np.flatnonzero(~b_ok):
+            g = _residue_rows(group, good[r])
+            b_events.append((r, j, f"B_{j} mismatch at g={g}"))
+        rows = np.flatnonzero(b_ok)
+        # C = (B & A) - gj as one bit row per g; b1 -> b2 is an edge iff
+        # b1 - b2 lies in C, so the edges gather C at the B - B table.
+        bi = np.flatnonzero(expected)
+        m = bi.size
+        diff = group.combine(((1, bi[:, None]), (-1, bi[None, :])))
+        in_ba = expected & a.bits
+        gj = good[rows, j - 1]
+        pairs = np.empty(rows.size, dtype=np.int64)
+        cycles = np.empty(rows.size, dtype=np.int64)
+        step = max(1, _EDGE_CHUNK // max(m * m, group.order))
+        for s in range(0, rows.size, step):
+            c = in_ba[group.combine(((1, every[None, :]), (1, gj[s : s + step, None])))]
+            edges = c[:, diff]
+            pairs[s : s + step], cycles[s : s + step] = _pair_and_cycle_counts(edges)
         x = 1 - Fraction(1, spec.n[j - 1])
-        classes.append(
-            WitnessClassStat(
-                j=j,
-                h_class=h_class,
-                count=stat["count"],
-                k2=stat["k2"],
-                k3_measured=stat["k3"],
-                k3_claimed=2 * x**2 - x,
+        for i in np.flatnonzero(pairs * spec.n[j - 1] != (spec.n[j - 1] - 1) * m * m):
+            g = _residue_rows(group, good[rows[i]])
+            k2 = Fraction(int(pairs[i]), m * m)
+            k2_events.append((rows[i], j, f"k2={k2} != {x} at g={g}, j={j}"))
+        h = group.residue_table(j)[gj]
+        for h_class in np.unique(h):
+            members = np.flatnonzero(h == h_class)
+            first = members[0]
+            odd = (pairs[members] != pairs[first]) | (cycles[members] != cycles[first])
+            key = (j, int(h_class))
+            for i in members[odd]:
+                b_events.append((rows[i], j, f"inconsistent densities within class {key}"))
+            classes.append(
+                WitnessClassStat(
+                    j=j,
+                    h_class=int(h_class),
+                    count=members.size,
+                    k2=Fraction(int(pairs[first]), m * m),
+                    k3_measured=Fraction(int(cycles[first]), m**3),
+                    k3_claimed=2 * x**2 - x,
+                )
             )
-        )
     return WitnessReport(
         spec=spec,
         good_g_count=len(good),
-        b_violations=tuple(b_violations),
-        k2_violations=tuple(k2_violations),
+        b_violations=tuple(msg for _, _, msg in sorted(b_events, key=lambda e: e[:2])),
+        k2_violations=tuple(msg for _, _, msg in sorted(k2_events, key=lambda e: e[:2])),
         classes=tuple(classes),
     )
 
@@ -494,6 +521,7 @@ class PinpointReport:
     checked: int
     l_satisfying: int
     m_satisfying: int
+    gj_zero_hits: int
     violations: tuple[str, ...]
 
     @property
@@ -507,43 +535,76 @@ class PinpointReport:
             "checked": self.checked,
             "l_satisfying": self.l_satisfying,
             "m_satisfying": self.m_satisfying,
+            "gj_zero_hits": self.gj_zero_hits,
             "violations": len(self.violations),
             "violation_details": list(self.violations),
             "ok": self.ok,
         }
 
 
+def _solution_set_violations(
+    name: str, found: np.ndarray, expected: np.ndarray, why
+) -> list[str]:
+    """Messages for the rows of `found` missing from `expected` (explained
+    by `why(row)`) and for the rows of `expected` missing from `found`."""
+    have = {tuple(r) for r in found.tolist()}
+    want = {tuple(r) for r in expected.tolist()}
+    out = []
+    for g in sorted(have - want):
+        out.extend(f"{name}: g={list(g)} {reason}" for reason in why(g))
+    out.extend(f"{name}: g={list(g)} is not a solution" for g in sorted(want - have))
+    return out
+
+
 def verify_pinpoint(
     k: int, *, budget: int | None = None, threads: int = 1
 ) -> PinpointReport:
-    """Exhaustively confirm over Z_{(k+1)^2} with S = {0..k}: every g with
-    L(g) in S has gj = j*g1 and gj != 0; every g with M(g) in S has gj = j."""
+    """Exhaustively confirm over Z_{(k+1)^2} with S = {0..k}: the g with L(g)
+    in S are exactly (g1, 2*g1, ..., k*g1) with g1 not divisible by k + 1, and
+    g = (1, ..., k) is the only g with M(g) in S.
+
+    Some L-solutions have a coordinate gj = 0, namely when j*g1 is divisible
+    by (k+1)^2 (first at k = 5: g1 = 9, g4 = 36 = 0 in Z36).  M excludes them
+    all the same, so these hits are counted, not flagged; the count must
+    equal the closed form #{(g1, j) : 2 <= j <= k, g1 not divisible by k + 1,
+    j*g1 divisible by (k+1)^2}.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     modulus = (k + 1) ** 2
     group = FiniteAbelianGroup([modulus])
     s = GroupSubset.from_indices(group, range(k + 1))
-    violations: list[str] = []
-    sat_l = linform.enumerate_satisfying(build_L(k), s, budget=budget, threads=threads)
-    for g in sat_l:
-        g1 = g[0].residues[0]
-        for j in range(1, k + 1):
-            gj = g[j - 1].residues[0]
-            if gj != (j * g1) % modulus:
-                violations.append(f"L: g={[e.residues[0] for e in g]} has g{j} != {j}*g1")
-            if gj == 0:
-                violations.append(f"L: g={[e.residues[0] for e in g]} has g{j} = 0")
-    sat_m = linform.enumerate_satisfying(build_M(k), s, budget=budget, threads=threads)
-    for g in sat_m:
-        for j in range(1, k + 1):
-            if g[j - 1].residues[0] != j:
-                violations.append(f"M: g={[e.residues[0] for e in g]} has g{j} != {j}")
+    none = linform.prefix_row(s, ())
+    _, sat_l = linform.solve_rows(build_L(k), s, none, budget=budget, threads=threads)
+    _, sat_m = linform.solve_rows(build_M(k), s, none, budget=budget, threads=threads)
+    multiples = np.arange(1, k + 1)
+    g1 = np.flatnonzero(np.arange(modulus) % (k + 1))
+    violations = _solution_set_violations(
+        "L",
+        sat_l,
+        np.outer(g1, multiples) % modulus,
+        lambda g: [
+            f"has g{j} != {j}*g1" for j in multiples if g[j - 1] != j * g[0] % modulus
+        ]
+        or [f"has g1 divisible by {k + 1}"],
+    )
+    hits = int((sat_l == 0).sum())
+    closed = sum(1 for x in g1.tolist() for j in range(2, k + 1) if j * x % modulus == 0)
+    if hits != closed:
+        violations.append(f"L: {hits} coordinates gj = 0, closed form {closed}")
+    violations += _solution_set_violations(
+        "M",
+        sat_m,
+        multiples[None, :],
+        lambda g: [f"has g{j} != {j}" for j in multiples if g[j - 1] != j],
+    )
     return PinpointReport(
         k=k,
         modulus=modulus,
         checked=group.order**k,
         l_satisfying=len(sat_l),
         m_satisfying=len(sat_m),
+        gj_zero_hits=hits,
         violations=tuple(violations),
     )
 
@@ -566,6 +627,8 @@ def eval_reduction_shared_g(
     nonconst = QuantumSystem(tuple((c, f) for c, f in bundle.psi.terms if f))
     total = Fraction(0)
     if nonconst.terms:
-        for g in linform.enumerate_satisfying(bundle.M, a, budget=budget, threads=threads):
-            total += linform.eval_quantum(nonconst, a, g, budget=budget, threads=threads)
+        _, good = linform.solve_rows(
+            bundle.M, a, linform.prefix_row(a, ()), budget=budget, threads=threads
+        )
+        total = linform.quantum_sum_rows(nonconst, a, good, budget=budget, threads=threads)
     return const + total / a.group.order**bundle.k

@@ -92,6 +92,20 @@ def oracle_density(moduli, forms, a_set, arity):
     return Fraction(hits, order**arity)
 
 
+def oracle_completions(moduli, forms, a_set, prefix, arity):
+    """The assignments of the variables after `prefix` (residue tuples) that
+    satisfy every form, in index order; forms: list of (coeffs, negated)."""
+    out = []
+    for rest in itertools.product(all_tuples(moduli), repeat=arity - len(prefix)):
+        assignment = tuple(prefix) + rest
+        if all(
+            (eval_form_tuple(moduli, coeffs, assignment) in a_set) != negated
+            for coeffs, negated in forms
+        ):
+            out.append(rest)
+    return out
+
+
 def oracle_dft(moduli, values):
     """Expectation-normalized transform by the defining double sum."""
     import cmath

@@ -401,3 +401,76 @@ def test_energy_bound_sweep_beyond_int64(capsys):
     )
     assert code == 0
     assert (report["checked"], report["violations"]) == (2, 0)
+
+
+# sha256 of the reports of the benchmark's `verify witness` tasks, (2; 7,7),
+# and its three `verify homdensity` tasks at fixed seeds, recorded from the
+# per-g verifiers that the batched ones replaced.
+_VERIFY_DIGESTS = {
+    "witness --k 2 --n 5,5": "fb57f35e9f76270c00a9b8d209c8b1f41d136bbe3b316b7347330d54f2607eb0",
+    "witness --k 2 --n 4,6": "6796f0d1e04cee4bd87f9a193e1894fc1cb301d5c1edbe4cfe4a415fbae4c506",
+    "witness --k 3 --n 2,2,2": "8c2566acd20903f4fa8f22c4a73b62c7a7fd91077b238c417d3e222a4d0211b6",
+    "witness --k 2 --n 7,7": "53e689047f0b7bdd4950143771256b788b10e765640705099eda49e3c3c21338",
+    "homdensity --group Z9xZ2 --k 2 --pairs 30 --seed 1": "0a4b86172fb4d7223661d3cfad04fe5f8b6a56a3047d55747daf7a00b0165d1b",
+    "homdensity --group Z16xZ3 --k 2 --pairs 30 --seed 2": "920c8b34176a27f749243963b448415da3eda7268d9818421e709d92addfe012",
+    "homdensity --group Z9xZ2 --k 3 --pairs 30 --seed 3": "715add1a5c91d2e0b4cba3d2a7e6df72c510ed0616a739b445c545db43e5f9df",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", list(_VERIFY_DIGESTS))
+def test_verify_reports_pinned(capsys, argv, threads):
+    code, out, _ = run_cli(capsys, "verify", *argv.split(), "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
+
+
+def test_witness_budget_is_per_prefix(capsys):
+    # M over Z25xZ5xZ5 predicts 225^2 * 7 = 354375; each good g then pins a
+    # prefix of V_j, which predicts 225 * 12 for every row of the batch
+    argv = ["verify", "witness", "--k", "2", "--n", "5,5", "--max-work"]
+    code, out, _ = run_cli(capsys, *argv, "354375")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS["witness --k 2 --n 5,5"]
+    code, out, err = run_cli(capsys, *argv, "354374")
+    assert code == 3 and out == ""
+    assert "predicted work 354375 exceeds budget 354374" in err
+
+
+# a mix of reports, a violation (exit 1), usage errors and a library error (exit 2)
+_MIXED_ARGVS = [
+    ["density", "--group", "Z4", "--set", "{0,1}", "--system", "[g1; g2; g1+g2]"],
+    ["nonsense"],
+    ["energy", "--group", "Z6", "--set", "{0,1,3}"],
+    ["verify", "pinpoint", "--k", "2", "--threads", "0"],
+    ["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "5"],
+    ["check", "--energy-bound", "--group", "Z6", "--exhaustive"],
+    ["density", "--group", "Z4"],
+    ["verify", "homdensity", "--group", "Z2", "--k", "2", "--pairs", "1"],
+    ["verify", "witness", "--k", "2", "--n", "2,2"],
+    ["check", "--region-graph", "--x", "1", "--y", "1/2"],
+    ["density", "--group", "Z4", "--set", "{0,1}", "--system", "[g1; g2; g1+g2]"],
+]
+
+
+def test_one_parser_per_process_matches_fresh_parsers(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in _MIXED_ARGVS]
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", build)
+    fresh = [run_cli(capsys, *argv) for argv in _MIXED_ARGVS]
+    assert shared == fresh
+    assert {code for code, _, _ in shared} == {0, 1, 2}
+
+
+def test_parser_is_not_built_at_import():
+    path = [_SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = "import addforms.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.stdout.strip() == "0", proc.stderr

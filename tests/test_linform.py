@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import subset_from_mask, subset_from_tuples
@@ -13,7 +16,7 @@ from addforms.linform import (
     LinearForm,
     LinearSystem,
     QuantumSystem,
-    canonicalize,
+    count_rows,
     estimate_density,
     eval_density,
     eval_density_fixed,
@@ -24,6 +27,8 @@ from addforms.linform import (
     format_system,
     parse_quantum,
     parse_system,
+    prefix_row,
+    solve_rows,
 )
 
 
@@ -146,6 +151,9 @@ def test_negation_complement():
         pos = LinearSystem.of([LinearForm(1, (2,))])
         neg = LinearSystem.of([LinearForm(1, (2,), negated=True)])
         assert eval_density(pos, a) + eval_density(neg, a) == 1
+    contradictory = parse_system("[g1; !(g1)]")
+    z2 = FiniteAbelianGroup([2])
+    assert eval_density(contradictory, GroupSubset.full(z2)) == 0
 
 
 def test_disjoint_union_product_consistency():
@@ -221,17 +229,6 @@ def test_estimate_density_converges_quick():
     assert hits >= 19
 
 
-def test_canonicalize_diagnostics():
-    system = parse_system("[g1; g1; !(g1); g2]")
-    canon, notes = canonicalize(system)
-    assert len(canon.forms) == 3
-    assert any("duplicate" in n for n in notes)
-    assert any("negation" in n for n in notes)
-    contradictory = parse_system("[g1; !(g1)]")
-    z2 = FiniteAbelianGroup([2])
-    assert eval_density(contradictory, GroupSubset.full(z2)) == 0
-
-
 def test_parse_system_round_trip():
     texts = [
         "[g1]",
@@ -280,3 +277,92 @@ def test_group_mismatch_between_fixed_and_subset():
     a = GroupSubset.full(z4)
     with pytest.raises(GroupMismatchError):
         eval_density_fixed(parse_system("[g1; g2]"), a, (z5.element([0]),))
+
+
+PRESENTATIONS = oracles.group_presentations(12)
+
+
+@st.composite
+def row_problems(draw):
+    """A group, a subset, a system of up to four forms over up to three
+    variables, and up to five pinned prefixes (duplicates allowed)."""
+    moduli = draw(st.sampled_from(PRESENTATIONS))
+    tuples = list(oracles.all_tuples(moduli))
+    arity = draw(st.integers(1, 3))
+    nfix = draw(st.integers(0, arity))
+    coefficient = st.integers(-3, 3) | st.sampled_from([0, 0, 1, 12, -(10**20)])
+    forms = draw(
+        st.lists(
+            st.tuples(st.tuples(*[coefficient] * arity), st.booleans()), min_size=1, max_size=4
+        )
+    )
+    bits = draw(st.lists(st.booleans(), min_size=len(tuples), max_size=len(tuples)))
+    a_set = {t for t, bit in zip(tuples, bits) if bit}
+    prefixes = draw(
+        st.lists(st.tuples(*[st.sampled_from(tuples)] * nfix), min_size=0, max_size=5)
+    )
+    return moduli, arity, forms, a_set, prefixes
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_problems(), st.sampled_from([1, 2]))
+def test_rows_match_one_row_calls_and_oracle(problem, threads):
+    moduli, arity, forms, a_set, prefixes = problem
+    group = FiniteAbelianGroup(moduli)
+    a = subset_from_tuples(group, a_set)
+    system = LinearSystem(arity, tuple(LinearForm(arity, c, neg) for c, neg in forms))
+    nfix = len(prefixes[0]) if prefixes else 0
+    rows = np.array(
+        [[group.element(r).index() for r in p] for p in prefixes], dtype=np.int64
+    ).reshape(len(prefixes), nfix)
+    owner, free = solve_rows(system, a, rows, threads=threads)
+    counts = count_rows(system, a, rows, threads=threads)
+    assert counts.tolist() == np.bincount(owner, minlength=len(rows)).tolist()
+    expected_owner, expected_free = [], []
+    for r, prefix in enumerate(prefixes):
+        want = oracles.oracle_completions(moduli, forms, a_set, prefix, arity)
+        fixed = tuple(group.element(p) for p in prefix)
+        one_owner, one_free = solve_rows(system, a, prefix_row(a, fixed), threads=threads)
+        assert one_owner.tolist() == [0] * len(want)
+        got = [tuple(group.from_index(int(i)).residues for i in row) for row in one_free]
+        assert got == want
+        assert eval_density_fixed(system, a, fixed) == Fraction(
+            len(want), group.order ** (arity - nfix)
+        )
+        expected_owner += [r] * len(want)
+        expected_free += one_free.tolist()
+    assert owner.tolist() == expected_owner
+    assert free.reshape(len(expected_owner), arity - nfix).tolist() == expected_free
+    if arity - nfix == 1:
+        _, masks = count_rows(system, a, rows, masks=True, threads=threads)
+        assert masks.shape == (len(prefixes), group.order)
+        for r, prefix in enumerate(prefixes):
+            want = oracles.oracle_completions(moduli, forms, a_set, prefix, arity)
+            assert masks[r].tolist() == [(t,) in want for t in oracles.all_tuples(moduli)]
+
+
+def test_rows_budget_is_per_prefix():
+    group = FiniteAbelianGroup([5])
+    a = subset_from_tuples(group, [(0,), (1,), (3,)])
+    system = parse_system("[g1; g2; g1+g2]")
+    # one pinned variable: 5 values times 3 forms per prefix, however many rows
+    rows = np.arange(5, dtype=np.int64)[:, None]
+    assert count_rows(system, a, rows, budget=15).tolist() == [
+        int(eval_density_fixed(system, a, (group.element([g]),)) * 5) for g in range(5)
+    ]
+    # refused before anything is allocated, even for 2^40 (broadcast) rows
+    huge = np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (1 << 40, 1))
+    with pytest.raises(CapExceeded, match="predicted work 15 exceeds budget 14"):
+        count_rows(system, a, huge, budget=14)
+
+
+def test_rows_reject_bad_prefixes():
+    group = FiniteAbelianGroup([4])
+    a = GroupSubset.full(group)
+    system = parse_system("[g1; g2]")
+    with pytest.raises(ValueError):
+        count_rows(system, a, np.array([[4]]))
+    with pytest.raises(ValueError):
+        count_rows(system, a, np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError):
+        count_rows(system, a, np.zeros((2, 0), dtype=np.int64), masks=True)

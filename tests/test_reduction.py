@@ -8,12 +8,16 @@ import pytest
 
 from conftest import subset_from_mask, subset_from_tuples
 
+from addforms import linform, reduction
 from addforms.abelian import FiniteAbelianGroup, GroupSubset
 from addforms.linform import eval_density, eval_density_fixed, eval_quantum
 from addforms.polynomial import IntPolynomial, parse_poly, poly_eval
 from addforms.report import dump_json
 from addforms.reduction import (
     DirectedCayleyGraph,
+    WitnessClassStat,
+    WitnessReport,
+    WitnessSpec,
     build_E,
     build_L,
     build_M,
@@ -21,7 +25,6 @@ from addforms.reduction import (
     build_V,
     build_psi,
     build_witness,
-    bundle_from_dict,
     compute_B_C,
     eval_reduction_shared_g,
     graph_densities,
@@ -104,17 +107,6 @@ def test_psi_structure_examples():
     )
 
 
-def test_bundle_round_trip():
-    bundle = build_psi(parse_poly("x1y1 - 2x1 + 1"), 1)
-    data = bundle.to_dict()
-    rebuilt = bundle_from_dict(data)
-    assert rebuilt.to_dict() == data
-    with pytest.raises(ValueError):
-        bad = dict(data)
-        bad["systems"] = dict(data["systems"], L="[g1]")
-        bundle_from_dict(bad)
-
-
 def test_compute_B_C_empty_when_M_fails():
     group = FiniteAbelianGroup([9])
     a = subset_from_tuples(group, [(0,)])  # g in A forces g = 0, but 3*0 in A fails
@@ -165,6 +157,90 @@ def test_graph_densities_match_oracle():
         c = subset_from_mask(group, rng.randrange(1 << group.order))
         u = DirectedCayleyGraph(b, c)
         assert graph_densities(u) == _oracle_graph_densities(u)
+
+
+@pytest.mark.parametrize("float_path", [True, False])
+def test_cycle_counts_take_float64_only_under_the_guard(monkeypatch, float_path):
+    # lowering the guard below every vertex count forces the int64 path
+    if not float_path:
+        monkeypatch.setattr(reduction, "_F64_EXACT", 1)
+    seen = []
+    matmul = np.matmul
+
+    def spy(x, y, *args, **kwargs):
+        seen.append(x.dtype)
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    group = FiniteAbelianGroup([2, 4])
+    rng = random.Random(5 if float_path else 6)
+    connections = [0, 1, (1 << group.order) - 1]  # empty C, the loop only, all of G
+    connections += [rng.randrange(1 << group.order) | 1 for _ in range(6)]  # with loops
+    connections += [rng.randrange(1 << group.order) & ~1 for _ in range(6)]  # without
+    for c_mask in connections:
+        b = subset_from_mask(group, rng.randrange(1, 1 << group.order))
+        u = DirectedCayleyGraph(b, subset_from_mask(group, c_mask))
+        assert graph_densities(u) == _oracle_graph_densities(u)
+    assert set(seen) == {np.dtype(np.float64 if float_path else np.int64)}
+    # a stack of rows counts each row as the 1-row call does
+    stack = np.random.default_rng(7).random((5, 6, 6)) < 0.5
+    pairs, cycles = reduction._pair_and_cycle_counts(stack)
+    for row, p, c in zip(stack, pairs, cycles):
+        e = row.astype(int)
+        assert (p, c) == (e.sum(), np.trace(e @ e @ e))
+
+
+def _per_g_witness(spec):
+    """verify_witness one g and one j at a time, through the public 1-row
+    calls, as the reference for the batched verifier."""
+    a = spec.subset
+    good = linform.enumerate_satisfying(build_M(spec.k), a)
+    b_violations, k2_violations, seen = [], [], {}
+    for g in good:
+        for j in range(1, spec.k + 1):
+            b, c = compute_B_C(a, g, j)
+            if b != spec.expected_B(j):
+                b_violations.append(f"B_{j} mismatch at g={[e.residues for e in g]}")
+                continue
+            k2, k3 = graph_densities(DirectedCayleyGraph(b, c))
+            x = 1 - Fraction(1, spec.n[j - 1])
+            if k2 != x:
+                k2_violations.append(f"k2={k2} != {x} at g={[e.residues for e in g]}, j={j}")
+            key = (j, g[j - 1].residues[j])
+            if key not in seen:
+                seen[key] = [1, k2, k3]
+            else:
+                seen[key][0] += 1
+                if seen[key][1:] != [k2, k3]:
+                    b_violations.append(f"inconsistent densities within class {key}")
+    classes = []
+    for (j, h), (count, k2, k3) in sorted(seen.items()):
+        x = 1 - Fraction(1, spec.n[j - 1])
+        classes.append(WitnessClassStat(j, h, count, k2, k3, 2 * x**2 - x))
+    return WitnessReport(spec, len(good), tuple(b_violations), tuple(k2_violations), tuple(classes))
+
+
+@pytest.mark.parametrize(
+    ("n", "seed", "first"),
+    [((3, 3), 0, 0), ((3, 3), 1, 1), ((2, 3), 2, 1), ((4, 2), 5, 1), ((4, 2), 53, 1)],
+)
+def test_batched_witness_matches_per_g_reference(n, seed, first):
+    # flipping a few bits of A in the slices first..k breaks B (slice 0), k2
+    # and the consistency of the classes (slices 1..k) at some g
+    spec = build_witness(2, n)
+    bits = spec.subset.bits.copy()
+    rng = np.random.default_rng(seed)
+    rt0 = spec.group.residue_table(0)
+    inside = np.flatnonzero((rt0 >= first) & (rt0 <= 2))
+    bits[rng.choice(inside, rng.integers(1, 6), replace=False)] ^= True
+    spec = WitnessSpec(spec.k, spec.n, spec.group, GroupSubset(spec.group, bits))
+    expected = _per_g_witness(spec)
+    assert verify_witness(spec).to_dict() == expected.to_dict()
+    if first == 0:
+        assert any("mismatch" in v for v in expected.b_violations)
+    if n == (4, 2):
+        assert any("inconsistent" in v for v in expected.b_violations)
+        assert expected.k2_violations
 
 
 def test_homdensity_identity_random_instances():
@@ -285,21 +361,80 @@ def test_verify_pinpoint_through_k12(k):
     assert not [v for v in rep.violations if "*g1" in v]
 
 
-# The "every L-solution has gj != 0" half fails at these k (k = 5: g = (9, 18,
-# 27, 0, 9) over Z36); whether the paper's lemma needs a hypothesis on k + 1
-# is not yet settled.
-_PINPOINT_GJ_ZERO = {5, 9, 11}
-
-
-@pytest.mark.parametrize(
-    "k",
-    [
-        pytest.param(k, marks=pytest.mark.xfail(strict=True)) if k in _PINPOINT_GJ_ZERO else k
-        for k in range(2, 13)
-    ],
-)
+@pytest.mark.parametrize("k", range(2, 13))
 def test_verify_pinpoint_ok_through_k12(k):
     assert verify_pinpoint(k, budget=10**40).ok
+
+
+# Coordinates gj = 0 among the L-solutions, k = 2..17: the pairs (g1, j) with
+# 2 <= j <= k, g1 not divisible by k + 1 and j*g1 divisible by (k+1)^2
+# (k = 5: g1 = 9 and 27 with j = 4 over Z36).
+_GJ_ZERO_HITS = {5: 2, 9: 4, 11: 10, 13: 6, 14: 6, 17: 12}
+
+
+@pytest.mark.parametrize("k", range(2, 18))
+def test_pinpoint_solution_sets_through_k17(k):
+    rep = verify_pinpoint(k, budget=10**80)
+    assert rep.ok, rep.violations
+    assert rep.l_satisfying == k * (k + 1)
+    assert rep.m_satisfying == 1
+    assert rep.gj_zero_hits == _GJ_ZERO_HITS.get(k, 0)
+
+
+def _filtered_solutions(monkeypatch, keep):
+    solve = linform.solve_rows
+
+    def filtered(*args, **kwargs):
+        owner, free = solve(*args, **kwargs)
+        rows = np.array([keep(row) for row in free.tolist()], dtype=bool)
+        return owner[rows], free[rows]
+
+    monkeypatch.setattr(linform, "solve_rows", filtered)
+
+
+def test_pinpoint_flags_a_missing_solution(monkeypatch):
+    _filtered_solutions(monkeypatch, lambda row: row != [1, 2, 3, 4, 5])
+    rep = verify_pinpoint(5, budget=10**40)
+    assert rep.violations == (
+        "L: g=[1, 2, 3, 4, 5] is not a solution",
+        "M: g=[1, 2, 3, 4, 5] is not a solution",
+    )
+    assert rep.gj_zero_hits == 2
+
+
+def test_pinpoint_checks_gj_zero_hits_against_the_closed_form(monkeypatch):
+    _filtered_solutions(monkeypatch, lambda row: 0 not in row)
+    rep = verify_pinpoint(5, budget=10**40)
+    assert rep.violations == (
+        "L: g=[9, 18, 27, 0, 9] is not a solution",
+        "L: g=[27, 18, 9, 0, 27] is not a solution",
+        "L: 0 coordinates gj = 0, closed form 2",
+    )
+    assert rep.gj_zero_hits == 0
+
+
+def test_pinpoint_flags_extra_solutions(monkeypatch):
+    solve = linform.solve_rows
+
+    def with_extra(*args, **kwargs):
+        owner, free = solve(*args, **kwargs)
+        extra = np.array([[2, 4, 7, 8], [5, 10, 15, 20]])  # g3 != 3*g1; g1 = 0 mod 5
+        return np.concatenate([owner, [0, 0]]), np.concatenate([free, extra])
+
+    monkeypatch.setattr(linform, "solve_rows", with_extra)
+    rep = verify_pinpoint(4, budget=10**40)
+    assert rep.violations == (
+        "L: g=[2, 4, 7, 8] has g3 != 3*g1",
+        "L: g=[5, 10, 15, 20] has g1 divisible by 5",
+        "M: g=[2, 4, 7, 8] has g1 != 1",
+        "M: g=[2, 4, 7, 8] has g2 != 2",
+        "M: g=[2, 4, 7, 8] has g3 != 3",
+        "M: g=[2, 4, 7, 8] has g4 != 4",
+        "M: g=[5, 10, 15, 20] has g1 != 1",
+        "M: g=[5, 10, 15, 20] has g2 != 2",
+        "M: g=[5, 10, 15, 20] has g3 != 3",
+        "M: g=[5, 10, 15, 20] has g4 != 4",
+    )
 
 
 def test_pinpoint_intended_solution_satisfies_M():
@@ -333,6 +468,20 @@ def test_eval_reduction_matches_qstar_evaluation():
             + [eval_density(t, a) for t in bundle.T]
         )
         assert eval_quantum(bundle.psi, a) == poly_eval(bundle.qstar, densities)
+
+
+def test_shared_g_rows_match_per_g_quantum():
+    group = FiniteAbelianGroup([9])
+    bundle = build_psi(parse_poly("x1^2 - y1 + x2*y2"), 2)
+    bits = np.ones(9, dtype=bool)
+    bits[[3, 6]] = False
+    for a in (GroupSubset(group, bits), GroupSubset(group, np.arange(9) != 3)):
+        good = linform.enumerate_satisfying(bundle.M, a)
+        assert good
+        nonconst = linform.QuantumSystem(tuple(t for t in bundle.psi.terms if t[1]))
+        const = sum(c for c, f in bundle.psi.terms if not f)
+        direct = sum((eval_quantum(nonconst, a, g) for g in good), Fraction(0))
+        assert eval_reduction_shared_g(bundle, a) == const + direct / group.order**2
 
 
 def test_shared_g_average_matches_direct():

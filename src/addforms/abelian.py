@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -297,16 +298,23 @@ class GroupSubset:
 
     @classmethod
     def from_residues(
-        cls, group: FiniteAbelianGroup, tuples: Iterable[Sequence[int]]
+        cls, group: FiniteAbelianGroup, tuples: Iterable[Sequence[int]] | np.ndarray
     ) -> "GroupSubset":
-        rows = [tuple(r) for r in tuples]
-        if any(len(r) != group.rank for r in rows):
-            raise ValueError(f"every element needs {group.rank} residues")
-        bits = np.zeros(group.order, dtype=bool)
-        if rows:
+        """The subset of the given residue rows, each reduced mod the moduli;
+        `tuples` may also be an (n, rank) integer matrix."""
+        if isinstance(tuples, np.ndarray):
+            table = tuples
+        else:
+            rows = [tuple(r) for r in tuples]
+            if any(len(r) != group.rank for r in rows):
+                raise ValueError(f"every element needs {group.rank} residues")
             # object dtype keeps residues of any size exact until reduced
-            table = np.array(rows, dtype=object) % np.array(group.moduli, dtype=np.int64)
-            bits[np.ravel_multi_index(tuple(table.astype(np.int64).T), group.moduli)] = True
+            table = np.array(rows, dtype=object).reshape(-1, group.rank)
+        if table.ndim != 2 or table.shape[1] != group.rank:
+            raise ValueError(f"every element needs {group.rank} residues")
+        table = (table % np.array(group.moduli, dtype=np.int64)).astype(np.int64)
+        bits = np.zeros(group.order, dtype=bool)
+        bits[np.ravel_multi_index(tuple(table.T), group.moduli)] = True
         return cls(group, bits)
 
     def indices(self) -> np.ndarray:
@@ -320,8 +328,14 @@ class GroupSubset:
     def elements(self) -> list[GroupElement]:
         return [self.group.from_index(int(i)) for i in self.indices()]
 
+    def residue_matrix(self) -> np.ndarray:
+        """int64 (size, rank) matrix of the elements' residues, in index order."""
+        return np.stack(np.unravel_index(self.indices(), self.group.moduli), 1).astype(
+            np.int64, copy=False
+        )
+
     def residue_lists(self) -> list[list[int]]:
-        return np.stack(np.unravel_index(self.indices(), self.group.moduli), 1).tolist()
+        return self.residue_matrix().tolist()
 
     def density(self) -> Fraction:
         return Fraction(self.size, self.group.order)
@@ -592,47 +606,56 @@ def parse_subset(text: str, group: FiniteAbelianGroup) -> GroupSubset:
     return GroupSubset.from_elements(group, elements)
 
 
-def format_subset(subset: GroupSubset) -> str:
-    if subset.group.rank == 1:
-        items = [str(e.residues[0]) for e in subset.elements()]
-    else:
-        items = ["(" + ",".join(map(str, e.residues)) + ")" for e in subset.elements()]
-    return "{" + ", ".join(items) + "}"
-
-
 def subset_to_lines(subset: GroupSubset) -> str:
     """File form: one element per line, comma-separated residues, '#' comments."""
-    lines = [f"# subset of {subset.group.literal()}, size {subset.size}"]
-    lines.extend(",".join(map(str, e.residues)) for e in subset.elements())
-    return "\n".join(lines) + "\n"
+    matrix = subset.residue_matrix()
+    row = ",".join(["%d"] * subset.group.rank) + "\n"
+    body = "".join([row] * len(matrix)) % tuple(matrix.ravel().tolist())
+    return f"# subset of {subset.group.literal()}, size {subset.size}\n{body}"
 
 
-def subset_to_json(subset: GroupSubset) -> str:
-    return json.dumps(subset.residue_lists())
+# A residue in a subset file: an optional sign and ASCII digits, with spaces
+# or tabs around it (a `\r` before a line break counts as a space).
+_RESIDUE = r"[ \t\r]*[-+]?[0-9]+[ \t\r]*"
+_RESIDUE_RE = re.compile(_RESIDUE)
+_COMMENT_RE = re.compile(r"#[^\n]*")
+
+
+def _lines_re(rank: int) -> re.Pattern:
+    """Lines that are blank or hold `rank` comma-separated residues; a match
+    from the start ends in the first line that does not (`re` caches the
+    compiled pattern)."""
+    line = rf"(?:{_RESIDUE}(?:,{_RESIDUE}){{{rank - 1}}}|[ \t\r]*)"
+    return re.compile(rf"(?:{line}\n)*{line}")
 
 
 def parse_subset_file(text: str, group: FiniteAbelianGroup) -> GroupSubset:
     """Parse subset file content: line format, or a JSON array of residue arrays."""
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        rows = json.loads(text)
-        return GroupSubset.from_residues(
-            group, [[int(v) for v in row] for row in rows]
-        )
-    tuples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    if text.lstrip().startswith("["):
         try:
-            residues = [int(p.strip()) for p in line.split(",")]
-        except ValueError:
-            raise ParseError("malformed residue line", lineno, 1) from None
-        if len(residues) != group.rank:
-            raise ParseError(
-                f"element has {len(residues)} residues, group has rank {group.rank}",
-                lineno,
-                1,
-            )
-        tuples.append(residues)
-    return GroupSubset.from_residues(group, tuples)
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        if not all(isinstance(r, list) and all(type(v) is int for v in r) for r in rows):
+            raise ParseError("JSON residues must be integers")
+        return GroupSubset.from_residues(group, rows)
+    body = _COMMENT_RE.sub("", text) if "#" in text else text
+    pattern = _lines_re(group.rank)
+    if not pattern.fullmatch(body):
+        raise _bad_line(body, pattern.match(body).end(), group.rank)
+    tokens = body.replace(",", " ").split()
+    try:
+        table = np.array(tokens, dtype=np.int64)
+    except OverflowError:  # Python integers keep residues beyond int64 exact
+        table = np.array([int(t) for t in tokens], dtype=object)
+    return GroupSubset.from_residues(group, table.reshape(-1, group.rank))
+
+
+def _bad_line(body: str, stop: int, rank: int) -> ParseError:
+    """The error for the line of `body` that holds offset `stop`."""
+    start = body.rfind("\n", 0, stop) + 1
+    lineno = body.count("\n", 0, start) + 1
+    parts = body[start:].split("\n", 1)[0].split(",")
+    if not all(_RESIDUE_RE.fullmatch(p) for p in parts):
+        return ParseError("malformed residue line", lineno, 1)
+    return ParseError(f"element has {len(parts)} residues, group has rank {rank}", lineno, 1)

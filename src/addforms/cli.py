@@ -63,7 +63,7 @@ def _subset_json(subset: GroupSubset) -> dict:
         "group": subset.group.literal(),
         "size": subset.size,
         "density": rational_json(subset.density()),
-        "elements": subset.residue_lists(),
+        "elements": subset.residue_matrix(),
     }
 
 
@@ -280,7 +280,7 @@ def _cmd_witness(args):
     report["witness"] = spec.to_dict(subset_file)
     report["group_order"] = spec.group.order
     if subset_file is None:
-        report["subset"] = spec.subset.residue_lists()
+        report["subset"] = spec.subset.residue_matrix()
     return report, False
 
 

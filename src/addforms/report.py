@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+
+# numpy is loaded by `abelian` before any report is written
+import numpy as np
 
 SCHEMA = "addforms/1"
 
@@ -45,5 +49,55 @@ def make_report(kind: str, **fields) -> dict:
     return report
 
 
+# Scalars render through json's C encoder; `indent` would select its
+# pure-Python encoder for the whole tree.
+_encode = json.JSONEncoder().encode
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly the bytes of `json.dumps(obj, sort_keys=True, indent=2) + "\n"`,
+    except that a 2-D integer ndarray is also accepted and written as its list
+    of rows.  Dict keys must be strings."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append `obj` at the nesting level whose line break and indent is
+    `newline`."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu":
+        if not obj.size:
+            _write(obj.tolist(), newline, out)
+            return
+        # one %d template for all rows, filled from Python ints
+        inner = newline + "  "
+        innermost = inner + "  "
+        row = "[" + innermost + ("," + innermost).join(["%d"] * obj.shape[1]) + inner + "]"
+        rows = ("," + inner).join([row] * obj.shape[0])
+        out.append("[" + inner + rows % tuple(obj.ravel().tolist()) + newline + "]")
+    else:
+        out.append(_encode(obj))

@@ -282,6 +282,14 @@ def test_subset_file_input(capsys, tmp_path):
 _OUTSIDE_BOX = "error: point outside the unit box"
 
 
+class _File(str):
+    """An argv entry that the test writes to a file and replaces by its path."""
+
+
+def _energy_of_file(group, text):
+    return ["energy", "--group", group, "--set-file", _File(text)]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -301,9 +309,22 @@ _OUTSIDE_BOX = "error: point outside the unit box"
             ["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "5"],
             "not allowed with argument --exhaustive",
         ),
+        (_energy_of_file("Z3xZ2", "[[1.7, 0], [true, 1]]"), "parse error: JSON residues"),
+        (_energy_of_file("Z3xZ2", "[[0, 0], [true, 1]]"), "parse error: JSON residues"),
+        (_energy_of_file("Z3xZ2", "[1, 2]"), "parse error: JSON residues"),
+        (_energy_of_file("Z3xZ2", "[[0, 0]"), "parse error: malformed JSON"),
+        (_energy_of_file("Z16", "# residues\n0\n1_0\n"), "malformed residue line (line 3, column 1)"),
+        (_energy_of_file("Z16", "0\n\u0661\n"), "malformed residue line (line 2, column 1)"),
+        (_energy_of_file("Z16", "0\n1.0\n"), "malformed residue line (line 2, column 1)"),
+        (_energy_of_file("Z16", "0 # a, b\n1,2\n"), "element has 2 residues, group has rank 1 (line 2"),
     ],
 )
-def test_usage_errors_exit_2_without_traceback(argv, message):
+def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, _File):
+            (tmp_path / f"{i}.subset").write_text(arg)
+            argv[i] = str(tmp_path / f"{i}.subset")
     # a fresh process with a timeout, so a hang fails the test instead of the run
     path = [_SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -474,3 +495,84 @@ def test_parser_is_not_built_at_import():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.stdout.strip() == "0", proc.stderr
+
+
+def _random_set(rng, moduli, density):
+    order = int(np.prod(moduli))
+    return np.sort(rng.choice(order, round(order * density), replace=False))
+
+
+def _coset_union(rng, moduli, density, period):
+    """A union of cosets of {x : x_t = 0 mod period_t}, as flat indices."""
+    chosen = np.zeros(int(np.prod(period)), dtype=bool)
+    chosen[_random_set(rng, period, density)] = True
+    residues = np.unravel_index(np.arange(int(np.prod(moduli))), moduli)
+    classes = np.ravel_multi_index(tuple(r % p for r, p in zip(residues, period)), period)
+    return np.flatnonzero(chosen[classes])
+
+
+# verb, moduli, and per subset option a density (random set) or a (density,
+# period) coset union; the sumsets are the benchmark's `kernels` sumsets
+_REPORT_CASES = {
+    "sumset Z4096": ("sumset", (4096,), {"set-a": 0.05, "set-b": 0.05}),
+    "sumset Z64xZ64": ("sumset", (64, 64), {"set-a": 0.25, "set-b": 0.01}),
+    "sumset Z2^12": ("sumset", (2,) * 12, {"set-a": 0.10, "set-b": 0.10}),
+    "sumset Z16384": ("sumset", (16384,), {"set-a": 0.01, "set-b": 0.25}),
+    "sumset Z256xZ256": ("sumset", (256, 256), {"set-a": 0.10, "set-b": 0.01}),
+    "sumset Z65536": ("sumset", (65536,), {"set-a": 0.10, "set-b": 0.01}),
+    "stabilizer Z4096": ("stabilizer", (4096,), {"set": (0.50, (1024,))}),
+    "stabilizer Z2^12": ("stabilizer", (2,) * 12, {"set": (0.25, (2,) * 10 + (1, 1))}),
+    "stabilizer Z256xZ256": ("stabilizer", (256, 256), {"set": (0.05, (128, 256))}),
+    "stabilizer Z12": ("stabilizer", (12,), {"set": (0.5, (4,))}),
+    "energy --fourier Z64xZ64": ("energy --fourier", (64, 64), {"set": 0.25}),
+    "sumset Z6 empty": ("sumset", (6,), {"set-a": 0.0, "set-b": 0.5}),
+}
+
+# sha256 of the reports above (seed 7), recorded from the `json.dumps`
+# writer and per-line subset reader that `dump_json` and
+# `parse_subset_file` replaced.
+_REPORT_DIGESTS = {
+    "sumset Z4096": "46b52e2378461d44c66f4975a388a2c5bb7f32181d0b0ee3ed97a5b2b9cd9a56",
+    "sumset Z64xZ64": "b17a3acb12c4f4e299186d7d2435f6e47a4ec431b9548d8760203aa4217d5257",
+    "sumset Z2^12": "6a22b32677886d7314140d00cdb64e6d6aa3b34afb6b83ffe6766287e7a84d3f",
+    "sumset Z16384": "324167d7b1e5be987536316682e6f479e4831db8c007fd4ddc9e156a15371c60",
+    "sumset Z256xZ256": "916fbaaf1c23fcab27df29666f146c8785a72d73b67bfc3a75df2571da698577",
+    "sumset Z65536": "3953a5f26527654a5d1262ebfd48519ba94210368413d0d083c1b95b9aadccaa",
+    "stabilizer Z4096": "19b310b44a1e3bdff5380869971707acc67809aaf845ed87f44d62ea2f7bef53",
+    "stabilizer Z2^12": "452fe0611854cf5a0a3a1b61e077ba342a9b9c5518010ccc7195d6b40f9ca871",
+    "stabilizer Z256xZ256": "1aa9dd3c76e455d56590a3ef5b83420a2752d8c27aac68fb3b7a134ef7a6c45d",
+    "stabilizer Z12": "2beda844857a0780f13c9bd56c72976e23bc9455e084adf3c1277d5e0afd4dbc",
+    "energy --fourier Z64xZ64": "26ecef9390076f10560c34fc9963f352e123a3031d8d07a391d573899441347c",
+    "sumset Z6 empty": "5064bc0d0ef659eabf6aa0e62d3bf8a6fa68cb61b185e887ffcca84e4f6e9d3e",
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORT_CASES))
+def test_subset_reports_pinned(capsys, tmp_path, name):
+    verb, moduli, sets = _REPORT_CASES[name]
+    rng = np.random.default_rng(7)
+    argv = [*verb.split(), "--group", "x".join(f"Z{n}" for n in moduli)]
+    for option, spec in sets.items():
+        idx = _random_set(rng, moduli, spec) if isinstance(spec, float) else _coset_union(rng, moduli, *spec)
+        rows = np.stack(np.unravel_index(idx, moduli), 1).tolist()
+        path = tmp_path / f"{option}.subset"
+        path.write_text("# input\n" + "".join(", ".join(map(str, r)) + "\n" for r in rows))
+        argv += [f"--{option}-file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_DIGESTS[name]
+
+
+def test_witness_reports_and_file_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["witness", "--k", "2", "--n", "3,3"]
+    code, with_file, _ = run_cli(capsys, *argv, "--subset-file", "w.subset")
+    assert code == 0
+    code, inline, _ = run_cli(capsys, *argv)
+    assert code == 0
+    texts = (with_file, Path("w.subset").read_text(), inline)
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [
+        "280c5d5e6a786653d4c99abc3981b58acf19cf28eb0f19451826d1d5a2750784",
+        "4f6bfb60136f889d876ddb0e1409919fdc274f7bd7d625e7edaa6f7bca1bcea7",
+        "90751d62debd59b356b3e7e49af245eb868f7ee6a3547512e25b478fe8c768ba",
+    ]

@@ -25,19 +25,18 @@ MAX_ORDER_ENV = "ADDFORMS_MAX_ORDER"
 # Row cap for temporary pairwise tables (sumset, representation counts).
 _CHUNK = 1 << 21
 
-# Pair counts of A + B take the FFT path once |A|*|B| reaches both bounds
-# below, and are counted pairwise otherwise (timings in CHANGES.md).  A
-# transform costs a fixed ~40 us, about as much as 4096 pairs, plus a share
-# that grows with |G| (and with the rank: Z2^20 takes over a second), so small
-# products and sparse sets in large groups stay pairwise.
-_FFT_MIN_PAIRS = 1 << 12
-_FFT_PAIRS_PER_ELEMENT = 16
-
-# Row-wise pair counts (`pair_count_rows`) loop over the columns of the
-# |G| x |G| difference table when |G| <= _TABLE_ORDER_PER_AXIS * rank, and
-# take one batched FFT otherwise.  numpy's n-dimensional FFT pays a pass per
-# axis, so the loop wins on many short axes (Z2^6, Z4^3) and on one axis up
-# to about |G| = 32 (timings in CHANGES.md).
+# `pair_count_rows` counts the rows of a call pairwise or batched, whichever
+# its cost rule, in units of one pair counted pairwise, finds cheaper (timings
+# in CHANGES.md): pairwise, a row costs _PAIRWISE_ROW_PAIRS + |A_i|*|B_i|;
+# batched, the call costs _BATCH_CALL_PAIRS and each row
+# _BATCH_PAIRS_PER_ELEMENT * |G|.  So a lone small row is counted pairwise,
+# and the same row in a large batch is not.  The batched path is the
+# difference-table loop when |G| <= _TABLE_ORDER_PER_AXIS * rank (numpy's
+# n-dimensional FFT pays a pass per axis, so the loop wins on many short axes
+# and on one axis up to about |G| = 32), and one certified FFT otherwise.
+_PAIRWISE_ROW_PAIRS = 1 << 10
+_BATCH_PAIRS_PER_ELEMENT = 8
+_BATCH_CALL_PAIRS = 1 << 12
 _TABLE_ORDER_PER_AXIS = 32
 # A row of `pair_count_rows` holds up to about 48 bytes of temporaries per
 # group element (measured); `batch_rows` keeps a batch near this many bytes,
@@ -62,7 +61,7 @@ class FiniteAbelianGroup:
     factor slowest.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("moduli", "order", "_res_tables")
+    __slots__ = ("moduli", "order", "_tables")
 
     def __init__(self, moduli: Sequence[int], max_order: int | None = None):
         mods = tuple(int(n) for n in moduli)
@@ -81,7 +80,7 @@ class FiniteAbelianGroup:
             )
         object.__setattr__(self, "moduli", mods)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_res_tables", {})
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FiniteAbelianGroup is immutable")
@@ -134,14 +133,24 @@ class FiniteAbelianGroup:
 
     def residue_table(self, t: int) -> np.ndarray:
         """int64 array: residue of each element index in component t."""
-        table = self._res_tables.get(t)
+        table = self._tables.get(t)
         if table is None:
             shape = [1] * self.rank
             shape[t] = self.moduli[t]
             axis = np.arange(self.moduli[t], dtype=np.int64).reshape(shape)
             table = np.broadcast_to(axis, self.moduli).ravel()
             table.flags.writeable = False
-            self._res_tables[t] = table
+            self._tables[t] = table
+        return table
+
+    def difference_table(self) -> np.ndarray:
+        """int64 |G| x |G| array: entry [g, x] is the index of g - x."""
+        table = self._tables.get("diff")
+        if table is None:
+            idx = np.arange(self.order)
+            table = self.combine(((1, idx[:, None]), (-1, idx[None, :])))
+            table.flags.writeable = False
+            self._tables["diff"] = table
         return table
 
     def combine(self, terms, offsets: Sequence[int] | None = None):
@@ -259,7 +268,7 @@ class GroupSubset:
         bits.flags.writeable = False
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "size", int(bits.sum()))
+        object.__setattr__(self, "size", int(np.count_nonzero(bits)))
         object.__setattr__(self, "_indices", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -301,7 +310,8 @@ class GroupSubset:
         cls, group: FiniteAbelianGroup, tuples: Iterable[Sequence[int]] | np.ndarray
     ) -> "GroupSubset":
         """The subset of the given residue rows, each reduced mod the moduli;
-        `tuples` may also be an (n, rank) integer matrix."""
+        `tuples` may also be an (n, rank) integer matrix.  Residues must be
+        integers: bools, floats and non-integer arrays raise `ValueError`."""
         if isinstance(tuples, np.ndarray):
             table = tuples
         else:
@@ -312,6 +322,11 @@ class GroupSubset:
             table = np.array(rows, dtype=object).reshape(-1, group.rank)
         if table.ndim != 2 or table.shape[1] != group.rank:
             raise ValueError(f"every element needs {group.rank} residues")
+        if not np.issubdtype(table.dtype, np.integer) and not (
+            table.dtype == object
+            and all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in table.flat)
+        ):
+            raise ValueError("residues must be integers")
         table = (table % np.array(group.moduli, dtype=np.int64)).astype(np.int64)
         bits = np.zeros(group.order, dtype=bool)
         bits[np.ravel_multi_index(tuple(table.T), group.moduli)] = True
@@ -357,9 +372,7 @@ class GroupSubset:
 
     def negate(self) -> "GroupSubset":
         """The reflection -A."""
-        bits = np.zeros(self.group.order, dtype=bool)
-        bits[self.group.combine(((-1, self.indices()),))] = True
-        return GroupSubset(self.group, bits)
+        return GroupSubset(self.group, _negated_rows(self.group, self.bits[None])[0])
 
     def __and__(self, other: "GroupSubset") -> "GroupSubset":
         _same_group(self, other)
@@ -393,6 +406,19 @@ def _pairwise_counts(group: FiniteAbelianGroup, ia: np.ndarray, ib: np.ndarray) 
     return counts
 
 
+def _table_counts(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pair counts of the rows of two (rows, |G|) indicator matrices as the
+    sum of a[:, x] & b[:, g - x] over x, in integers, one column of the
+    difference table at a time, element-major."""
+    diff = group.difference_table()
+    at = a.T.copy()  # a row per element
+    bt = at if b is a else b.T.copy()
+    counts = np.zeros(bt.shape, dtype=np.min_scalar_type(group.order))
+    for x in range(group.order):
+        counts += at[x] & bt[diff[:, x]]
+    return counts.T.astype(np.int64)
+
+
 def _certified_fft(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs):
     """Pair counts of the rows of two (rows, |G|) indicator matrices by one
     real FFT convolution over the group axes (the C-order index makes
@@ -410,23 +436,6 @@ def _certified_fft(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pair
     return counts.astype(np.int64), ok
 
 
-def _pair_counts(a: "GroupSubset", b: "GroupSubset") -> np.ndarray:
-    """int64 array over element indices: #{(x, y) in A x B : x + y = g}.
-
-    Large products take the certified FFT convolution; small products, and
-    any result the certificate rejects, are counted pairwise, so the counts
-    are exact.
-    """
-    group = _same_group(a, b)
-    pairs = a.size * b.size
-    if pairs >= _FFT_MIN_PAIRS and pairs >= _FFT_PAIRS_PER_ELEMENT * group.order:
-        bits = a.bits[None]
-        counts, ok = _certified_fft(group, bits, bits if b is a else b.bits[None], pairs)
-        if ok[0]:
-            return counts[0]
-    return _pairwise_counts(group, a.indices(), b.indices())
-
-
 def batch_rows(group: FiniteAbelianGroup) -> int:
     """Rows per `pair_count_rows` call that keep its temporaries near
     `_BATCH_BYTES`."""
@@ -437,26 +446,37 @@ def pair_count_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> 
     """Row-wise pair counts of two boolean (rows, |G|) matrices: int64
     (rows, |G|) with entry [i, g] = #{(x, y) in A_i x B_i : x + y = g}.
 
-    Exact on both paths: small groups sum a[:, x] & b[:, g - x] over x in
-    integers, a column of the difference table of `combine` at a time; the
-    others take one certified FFT convolution, and the rows it rejects are
-    counted pairwise.  Pass `b is a` for A + A; batches of
-    `batch_rows(group)` rows keep the temporaries near `_BATCH_BYTES`.
+    The one pair counter.  The cost rule above picks, from |A_i| * |B_i|,
+    |G|, the rank and the number of rows, one exact path for the call: the
+    difference-table loop, one certified FFT convolution whose rejected rows
+    are counted pairwise, or pairwise counting.  Pass `b is a` for A + A;
+    batches of `batch_rows(group)` rows keep the temporaries near
+    `_BATCH_BYTES`.
     """
-    n = group.order
-    if n <= _TABLE_ORDER_PER_AXIS * group.rank:
-        idx = np.arange(n)
-        diff = group.combine(((1, idx[:, None]), (-1, idx[None, :])))  # g - x
-        at = a.T.copy()  # element-major: a row per element
-        bt = at if b is a else b.T.copy()
-        counts = np.zeros(bt.shape, dtype=np.min_scalar_type(n))
-        for x in range(n):
-            counts += at[x] & bt[diff[:, x]]
-        return counts.T.astype(np.int64)
-    counts, ok = _certified_fft(group, a, b, a.sum(axis=1) * b.sum(axis=1))
-    for i in np.flatnonzero(~ok):
-        counts[i] = _pairwise_counts(group, np.flatnonzero(a[i]), np.flatnonzero(b[i]))
+    sizes = a.sum(axis=1)
+    pairs = sizes * (sizes if b is a else b.sum(axis=1))
+    pairwise_cost = (pairs + _PAIRWISE_ROW_PAIRS).sum()
+    if pairwise_cost < _BATCH_CALL_PAIRS + len(a) * _BATCH_PAIRS_PER_ELEMENT * group.order:
+        counts, recount = np.empty(a.shape, dtype=np.int64), range(len(a))
+    elif group.order <= _TABLE_ORDER_PER_AXIS * group.rank:
+        counts, recount = _table_counts(group, a, b), ()
+    else:
+        counts, ok = _certified_fft(group, a, b, pairs)
+        recount = np.flatnonzero(~ok)
+    for i in recount:
+        counts[i] = _pairwise_counts(group, a[i].nonzero()[0], b[i].nonzero()[0])
     return counts
+
+
+def _negated_rows(group: FiniteAbelianGroup, s: np.ndarray) -> np.ndarray:
+    """Row-wise -S_i, by one gather per axis longer than 2; on Z2 and Z1
+    -x = x, so there it is `s` itself and S + (-S) runs one FFT."""
+    negated = s
+    for axis, n in enumerate(group.moduli, 1):
+        if n > 2:
+            shaped = negated.reshape(len(s), *group.moduli)
+            negated = shaped.take(-np.arange(n) % n, axis=axis).reshape(s.shape)
+    return negated
 
 
 def sumset_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,58 +484,66 @@ def sumset_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.n
     return pair_count_rows(group, a, b) > 0
 
 
+def signed_iterated_sumset_rows(
+    group: FiniteAbelianGroup, b: np.ndarray, r: int, s: int
+) -> np.ndarray:
+    """Row-wise rB_i - sB_i as a boolean (rows, |G|) matrix."""
+    if r < 0 or s < 0:
+        raise ValueError("fold counts must be nonnegative")
+    if r + s < 1:
+        raise ValueError("need r + s >= 1")
+    folded = np.zeros_like(b)
+    folded[:, 0] = True
+    for _ in range(r):
+        folded = sumset_rows(group, folded, b)
+    negated = _negated_rows(group, b)
+    for _ in range(s):
+        folded = sumset_rows(group, folded, negated)
+    return folded
+
+
 def stabilizer_rows(group: FiniteAbelianGroup, s: np.ndarray) -> np.ndarray:
     """Row-wise stabilizers as a boolean (rows, |G|) matrix: |S & (S + g)|
     equals |S| exactly when g stabilizes S, which makes the rows of empty
-    and full sets the full group, as in `stabilizer`."""
-    negated = s[:, group.combine(((-1, np.arange(group.order)),))]
-    return pair_count_rows(group, s, negated) == s.sum(axis=1)[:, None]
+    and full sets the full group."""
+    return pair_count_rows(group, s, _negated_rows(group, s)) == s.sum(axis=1)[:, None]
 
 
 def additive_energy_rows(group: FiniteAbelianGroup, counts: np.ndarray) -> np.ndarray:
     """Row-wise `additive_energy_raw` from the representation counts
     `pair_count_rows(group, a, a)`, exact: int64 while |G|^3 fits, an array
     of Python integers beyond it."""
-    if group.order**3 < 2**63:
-        return (counts * counts).sum(axis=1)
-    return np.array([_sum_of_squares(row, group.order) for row in counts], dtype=object)
+    if group.order**3 >= 2**63:
+        counts = counts.astype(object)
+    return (counts * counts).sum(axis=1)
+
+
+def _one_row(rows_fn, *subsets, **kwargs):
+    """`rows_fn(group, *rows, **kwargs)` on the subsets as one-row bit
+    matrices; a subset given twice is one matrix, so A + A runs one FFT."""
+    group = _same_group(*subsets)
+    rows = {id(s): s.bits[None] for s in subsets}
+    return rows_fn(group, *(rows[id(s)] for s in subsets), **kwargs)
 
 
 def sumset(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     """A + B = {x + y : x in A, y in B}; empty if either side is empty."""
-    return GroupSubset(a.group, _pair_counts(a, b) > 0)
+    return GroupSubset(a.group, _one_row(sumset_rows, a, b)[0])
 
 
 def signed_iterated_sumset(b: GroupSubset, r: int, s: int) -> GroupSubset:
     """r-fold sum of B minus s-fold sum of B (B + ... + B - B - ... - B)."""
-    if r < 0 or s < 0:
-        raise ValueError("fold counts must be nonnegative")
-    if r + s < 1:
-        raise ValueError("need r + s >= 1")
-    acc = GroupSubset.from_indices(b.group, [0])
-    for _ in range(r):
-        acc = sumset(acc, b)
-    if s:
-        neg = b.negate()
-        for _ in range(s):
-            acc = sumset(acc, neg)
-    return acc
+    return GroupSubset(b.group, _one_row(signed_iterated_sumset_rows, b, r=r, s=s)[0])
 
 
 def stabilizer(s: GroupSubset) -> GroupSubset:
-    """{g : g + S = S}; a subgroup.  Defined as the full group for S empty or S = G.
-
-    g + S = S exactly when |S & (S + g)| = (1_S * 1_{-S})(g) equals |S|.
-    """
-    group = s.group
-    if s.size == 0 or s.size == group.order:
-        return GroupSubset.full(group)
-    return GroupSubset(group, _pair_counts(s, s.negate()) == s.size)
+    """{g : g + S = S}; a subgroup, the full group for S empty or S = G."""
+    return GroupSubset(s.group, _one_row(stabilizer_rows, s)[0])
 
 
 def representation_vector(a: GroupSubset) -> np.ndarray:
     """int64 array over element indices: r_A(x) = #{(a1,a2) in A^2 : a1+a2 = x}."""
-    return _pair_counts(a, a)
+    return _one_row(pair_count_rows, a, a)[0]
 
 
 def representation_counts(a: GroupSubset) -> dict[GroupElement, int]:
@@ -524,18 +552,9 @@ def representation_counts(a: GroupSubset) -> dict[GroupElement, int]:
     return {a.group.from_index(i): int(vec[i]) for i in range(a.group.order)}
 
 
-def _sum_of_squares(vec: np.ndarray, size: int) -> int:
-    """Exact sum of vec**2 for the representation vector of a `size`-element
-    set, which is at most size**3: int64 while that bound fits, Python
-    integers beyond it."""
-    if size**3 < 2**63:
-        return int((vec * vec).sum())
-    return sum(v * v for v in vec.tolist())
-
-
 def additive_energy_raw(a: GroupSubset) -> int:
     """Number of quadruples (a1,a2,a3,a4) in A^4 with a1 + a2 = a3 + a4."""
-    return _sum_of_squares(representation_vector(a), a.size)
+    return int(additive_energy_rows(a.group, _one_row(pair_count_rows, a, a))[0])
 
 
 def additive_energy(a: GroupSubset) -> Fraction:

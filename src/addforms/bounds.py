@@ -17,14 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import abelian
-from .abelian import (
-    FiniteAbelianGroup,
-    GroupSubset,
-    additive_energy_raw,
-    signed_iterated_sumset,
-    stabilizer,
-    sumset,
-)
+from .abelian import FiniteAbelianGroup, GroupSubset
 
 
 @dataclass(frozen=True)
@@ -282,11 +275,11 @@ def verify_delta_derivative_claims(
 # Classical inequality checkers (exact left-hand sides).
 #
 # Each inequality is written once, as an integer numerator of its left-hand
-# side over a power of |G|.  The scalar `check_*` evaluate it on the counts of
-# one instance; the `*_rows` functions on a batch of instances, given as
-# boolean (rows, |G|) matrices, returning (numerators, denominator).  In a
-# batch, a vacuous instance (an empty A where the inequality needs a nonempty
-# one) has numerator 0.
+# side over a power of |G|.  The `*_rows` functions evaluate it on a batch of
+# instances, given as boolean (rows, |G|) matrices, returning (numerators,
+# denominator); the scalar `check_*` are one-row calls of them.  In a batch, a
+# vacuous instance (an empty A where the inequality needs a nonempty one) has
+# numerator 0.
 
 
 def _kneser(sum_size, a_size, b_size, stab_size):
@@ -310,8 +303,11 @@ def _energy_bound(energy, a_size, rest, order):
     return order * a_size**3 - a_size**3 * rest + a_size**2 * rest**2 - order * energy
 
 
-def _verdict(numerator: int, denominator: int) -> tuple[Fraction, bool]:
-    lhs = Fraction(numerator, denominator)
+def _verdict(rows_fn, *subsets, **kwargs) -> tuple[Fraction, bool]:
+    """The left-hand side of one instance and whether it holds, as a one-row
+    call of its `*_rows` numerator."""
+    numerators, denominator = abelian._one_row(rows_fn, *subsets, **kwargs)
+    lhs = Fraction(int(numerators[0]), denominator)
     return lhs, lhs >= 0
 
 
@@ -325,8 +321,7 @@ def _exact(bound: int, *columns) -> list[np.ndarray]:
 
 def check_kneser(a: GroupSubset, b: GroupSubset) -> tuple[Fraction, bool]:
     """alpha(A+B) - alpha(A) - alpha(B) + alpha(stabilizer(A+B)) >= 0."""
-    s = sumset(a, b)
-    return _verdict(_kneser(s.size, a.size, b.size, stabilizer(s).size), a.group.order)
+    return _verdict(kneser_rows, a, b)
 
 
 def kneser_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray):
@@ -336,38 +331,18 @@ def kneser_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray):
     return _kneser(*(m.sum(axis=1) for m in (s, a, b, h))), group.order
 
 
-def _check_folds(r: int, s: int) -> None:
-    if r + s < 1:
-        raise ValueError("need r + s >= 1")
-    if r < 0 or s < 0:
-        raise ValueError("fold counts must be nonnegative")
-
-
 def check_plunnecke_ruzsa(
     a: GroupSubset, b: GroupSubset, r: int, s: int
 ) -> tuple[Fraction, bool]:
     """alpha(A+B)^(r+s) - alpha(A)^(r+s-1) * alpha(rB - sB) >= 0."""
     if a.size == 0:
         raise ValueError("A must be nonempty")
-    _check_folds(r, s)
-    numerator = _plunnecke_ruzsa(
-        sumset(a, b).size, a.size, signed_iterated_sumset(b, r, s).size, r + s
-    )
-    return _verdict(numerator, a.group.order ** (r + s))
+    return _verdict(plunnecke_ruzsa_rows, a, b, r=r, s=s)
 
 
 def plunnecke_ruzsa_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, r: int, s: int):
     """Plunnecke-Ruzsa numerators of the row pairs (A_i, B_i), over |G|^(r+s)."""
-    if not a.any():  # every instance is vacuous, whatever the folds
-        return np.zeros(len(a), dtype=np.int64), 1
-    _check_folds(r, s)
-    folded = np.zeros_like(b)
-    folded[:, 0] = True
-    for _ in range(r):
-        folded = abelian.sumset_rows(group, folded, b)
-    negated = b[:, group.combine(((-1, np.arange(group.order)),))]
-    for _ in range(s):
-        folded = abelian.sumset_rows(group, folded, negated)
+    folded = abelian.signed_iterated_sumset_rows(group, b, r, s)
     n = group.order
     sum_size, a_size, folded_size = _exact(
         2 * n ** (r + s),
@@ -381,8 +356,7 @@ def plunnecke_ruzsa_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray
 
 def check_energy_doubling(a: GroupSubset) -> tuple[Fraction, bool]:
     """normalized_energy(A) * alpha(A+A) - alpha(A)^4 >= 0."""
-    numerator = _energy_doubling(additive_energy_raw(a), a.size, sumset(a, a).size)
-    return _verdict(numerator, a.group.order**4)
+    return _verdict(energy_doubling_rows, a)
 
 
 def energy_doubling_rows(group: FiniteAbelianGroup, a: np.ndarray):
@@ -402,8 +376,7 @@ def check_energy_bound(a: GroupSubset) -> tuple[Fraction, bool]:
     """Slack energy_upper_bound(alpha(A)) - normalized_energy(A) >= 0."""
     if a.size == 0:
         raise ValueError("A must be nonempty")
-    n = a.group.order
-    return _verdict(_energy_bound(additive_energy_raw(a), a.size, n % a.size, n), n**4)
+    return _verdict(energy_bound_rows, a)
 
 
 def energy_bound_rows(group: FiniteAbelianGroup, a: np.ndarray):

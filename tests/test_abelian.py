@@ -301,6 +301,23 @@ def test_subset_serialization_round_trips():
         parse_subset_file("[[0, 0], [1]]", g)
 
 
+def test_from_residues_refuses_non_integer_residues():
+    g = FiniteAbelianGroup([3, 2])
+    for bad in (
+        [(1.7, 0), (True, 1)],
+        [(0, 0), (True, 1)],
+        [(1.0, 0)],
+        np.array([[1.5, 0.2]]),
+        np.array([[True, False]]),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            GroupSubset.from_residues(g, bad)
+    a = subset_from_tuples(g, [(1, 1), (2, 0)])
+    assert GroupSubset.from_residues(g, [(4, -1), (np.int64(2), 10**30)]) == a
+    assert GroupSubset.from_residues(g, np.array([[4, -1], [2, 0]], dtype=np.int8)) == a
+    assert GroupSubset.from_residues(g, np.array([[4, -1], [2, 2**70]], dtype=object)) == a
+
+
 def test_subset_immutability():
     z4 = FiniteAbelianGroup([4])
     a = subset_from_tuples(z4, [(0,)])

@@ -286,6 +286,10 @@ class _File(str):
     """An argv entry that the test writes to a file and replaces by its path."""
 
 
+# the folds are refused even where every instance would be vacuous
+_PR_EMPTY_A = ["check", "--plunnecke-ruzsa", "--group", "Z5", "--set-a", "{}", "--set-b", "{0}"]
+
+
 def _energy_of_file(group, text):
     return ["energy", "--group", group, "--set-file", _File(text)]
 
@@ -317,6 +321,8 @@ def _energy_of_file(group, text):
         (_energy_of_file("Z16", "0\n\u0661\n"), "malformed residue line (line 2, column 1)"),
         (_energy_of_file("Z16", "0\n1.0\n"), "malformed residue line (line 2, column 1)"),
         (_energy_of_file("Z16", "0 # a, b\n1,2\n"), "element has 2 residues, group has rank 1 (line 2"),
+        (_PR_EMPTY_A + ["--r", "-1", "--s", "0"], "error: fold counts must be nonnegative"),
+        (_PR_EMPTY_A + ["--r", "0", "--s", "0"], "error: need r + s >= 1"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):

@@ -1,8 +1,9 @@
 """Property tests of the element index, the vectorized set kernels, their
 row-wise batched forms and the Fourier module against the brute-force
-oracles, on both sides of the pairwise/FFT crossover and of the table/FFT
-crossover of the row kernels, plus the certificate fallbacks and the exact
-energy sum."""
+oracles, on each of the three exact paths of the one pair counter (the
+difference table, the certified FFT and pairwise counting), plus the rule
+that chooses between them, the certificate fallbacks and the exact energy
+sum."""
 
 from collections import Counter
 from unittest import mock
@@ -31,11 +32,16 @@ from addforms.fourier import convolve, fourier_transform
 
 TOL = 1e-9
 PRESENTATIONS = oracles.group_presentations(24)
-# Crossover bounds that force every pair count through one path.
+# Rule constants that send every row of `pair_count_rows` to one path.
 PATHS = {
-    "pairwise": {"_FFT_MIN_PAIRS": float("inf")},
-    "fft": {"_FFT_MIN_PAIRS": 0, "_FFT_PAIRS_PER_ELEMENT": 0},
+    "table": {"_PAIRWISE_ROW_PAIRS": float("inf"), "_TABLE_ORDER_PER_AXIS": float("inf")},
+    "fft": {"_PAIRWISE_ROW_PAIRS": float("inf"), "_TABLE_ORDER_PER_AXIS": 0},
+    "pairwise": {"_BATCH_CALL_PAIRS": float("inf")},
 }
+
+
+def forced(path):
+    return mock.patch.multiple(abelian, **PATHS[path])
 
 
 @st.composite
@@ -58,19 +64,6 @@ def residue_set(subset):
     return {e.residues for e in subset.elements()}
 
 
-def forced(path):
-    return mock.patch.multiple(abelian, **PATHS[path])
-
-
-# Row kernels: the difference-table loop on every group, or the FFT on every
-# group.
-ROW_PATHS = {"table": float("inf"), "fft": 0}
-
-
-def forced_rows(path):
-    return mock.patch.object(abelian, "_TABLE_ORDER_PER_AXIS", ROW_PATHS[path])
-
-
 def bit_rows(moduli, tuple_sets):
     """Boolean (rows, |G|) matrix of subsets given as sets of tuples."""
     return np.array([[t in s for t in oracles.all_tuples(moduli)] for s in tuple_sets])
@@ -82,13 +75,13 @@ def oracle_pair_counts(moduli, a_set, b_set):
 
 
 @settings(max_examples=60, deadline=None)
-@given(subsets(count=6), st.sampled_from(sorted(ROW_PATHS)))
+@given(subsets(count=6), st.sampled_from(sorted(PATHS)))
 def test_row_kernels_match_single_subset_kernels_and_oracle(drawn, path):
     moduli, sets = drawn
     group = FiniteAbelianGroup(moduli)
     a_sets, b_sets = sets[:3], sets[3:]
     a, b = bit_rows(moduli, a_sets), bit_rows(moduli, b_sets)
-    with forced_rows(path):
+    with forced(path):
         counts = pair_count_rows(group, a, b)
         sums = sumset_rows(group, a, b)
         stabs = stabilizer_rows(group, a)
@@ -236,24 +229,56 @@ def _dense_pair(moduli, density=0.9, seed=0):
     return [GroupSubset(group, rng.random(group.order) < density) for _ in range(2)]
 
 
+def _path_spy(monkeypatch):
+    """Record (path, rows) for every call of each of the three counters."""
+    calls = []
+    for path, name in (
+        ("table", "_table_counts"),
+        ("fft", "_certified_fft"),
+        ("pairwise", "_pairwise_counts"),
+    ):
+
+        def spy(*args, original=getattr(abelian, name), path=path):
+            calls.append((path, 1 if path == "pairwise" else len(args[1])))
+            return original(*args)
+
+        monkeypatch.setattr(abelian, name, spy)
+    return calls
+
+
 def test_crossover_sides(monkeypatch):
-    calls = _spy(monkeypatch)
-    # Z256 at density 0.9: about 53k pairs, above both FFT bounds
-    a, b = _dense_pair((256,))
-    assert a.size * b.size >= max(abelian._FFT_MIN_PAIRS, abelian._FFT_PAIRS_PER_ELEMENT * 256)
-    above = sumset(a, b)
-    assert calls == []
-    # Z16 at density 0.9: at most 256 pairs, below the fixed bound
+    calls = _path_spy(monkeypatch)
+    # a lone small row: Z16 at density 0.9, at most 256 pairs
     c, d = _dense_pair((16,))
-    below = sumset(c, d)
-    assert len(calls) == 1
-    # Z2^14 with 100 points: 10^4 pairs, above 4096 but sparse for the group
-    sparse = GroupSubset.from_indices(FiniteAbelianGroup((2,) * 14), range(0, 10000, 100))
-    representation_vector(sparse)
-    assert len(calls) == 2
-    with forced("pairwise"):
-        assert above == sumset(a, b)
-        assert below == sumset(c, d)
+    lone_small = sumset(c, d)
+    assert calls == [("pairwise", 1)]
+    # a lone dense row: Z256 at density 0.9, about 53k pairs
+    a, b = _dense_pair((256,))
+    lone_dense = sumset(a, b)
+    assert calls[1:] == [("fft", 1)]
+    # a small group's batch: 64 rows of Z12, where |G| <= 32 * rank
+    z12 = FiniteAbelianGroup((12,))
+    rows = np.random.Generator(np.random.Philox(key=3)).random((64, 12)) < 0.5
+    small_batch = pair_count_rows(z12, rows, rows)
+    assert calls[2:] == [("table", 64)]
+    # 64 elements of Z256: 4096 pairs, pairwise alone but batched among 8 rows
+    z256 = FiniteAbelianGroup((256,))
+    spread = np.zeros((8, 256), dtype=bool)
+    for i in range(8):
+        spread[i, i % 4 :: 4] = True
+    alone = pair_count_rows(z256, spread[:1], spread[:1])
+    assert calls[3:] == [("pairwise", 1)]
+    batch = pair_count_rows(z256, spread, spread)
+    assert calls[4:] == [("fft", 8)]
+    # the forcing helper sends everything down its path, with the same counts
+    for path in PATHS:
+        del calls[:]
+        with forced(path):
+            assert sumset(c, d) == lone_small and sumset(a, b) == lone_dense
+            assert np.array_equal(pair_count_rows(z12, rows, rows), small_batch)
+            assert np.array_equal(pair_count_rows(z256, spread, spread), batch)
+        assert {p for p, _ in calls} == {path}
+    assert np.array_equal(alone, batch[:1])
 
 
 @pytest.mark.parametrize("defect", ["roundoff", "sum"])
@@ -284,7 +309,7 @@ def test_row_certificate_failure_recounts_the_rejected_row(monkeypatch, defect):
     group = FiniteAbelianGroup((12, 20))
     rng = np.random.Generator(np.random.Philox(key=2))
     a, b = rng.random((2, 4, group.order)) < 0.5
-    with forced_rows("table"):
+    with forced("pairwise"):
         want = pair_count_rows(group, a, b)
     irfftn = np.fft.irfftn
 
@@ -298,7 +323,7 @@ def test_row_certificate_failure_recounts_the_rejected_row(monkeypatch, defect):
 
     monkeypatch.setattr(np.fft, "irfftn", broken)
     calls = _spy(monkeypatch)
-    with forced_rows("fft"):
+    with forced("fft"):
         got = pair_count_rows(group, a, b)
     assert len(calls) == 1
     assert calls[0][1].tolist() == np.flatnonzero(a[2]).tolist()
@@ -306,10 +331,13 @@ def test_row_certificate_failure_recounts_the_rejected_row(monkeypatch, defect):
 
 
 def test_sum_of_squares_beyond_int64():
-    vec = np.array([3 << 31, 1 << 32, 5], dtype=np.int64)
-    exact = (3 << 31) ** 2 + (1 << 32) ** 2 + 25
-    assert exact >= 2**63
-    assert int((vec * vec).sum()) != exact  # int64 wraps
-    assert abelian._sum_of_squares(vec, 1 << 33) == exact
-    small = np.array([3, 4], dtype=np.int64)
-    assert abelian._sum_of_squares(small, 4) == 25
+    # A = G in Z_{2^21}: r_A = |G| everywhere and E(A) = |G|^3 = 2^63, one
+    # past int64, so the energy rows leave int64 for Python integers
+    group = FiniteAbelianGroup((1 << 21,), max_order=1 << 21)
+    reps = np.full((1, group.order), group.order, dtype=np.int64)
+    assert int((reps * reps).sum()) != 2**63  # int64 wraps
+    energy = additive_energy_rows(group, reps)
+    assert energy.dtype == object and energy[0] == 2**63
+    z4 = FiniteAbelianGroup((4,))
+    small = additive_energy_rows(z4, np.array([[4, 4, 4, 4], [1, 0, 0, 0]]))
+    assert small.dtype == np.int64 and small.tolist() == [64, 1]

@@ -446,15 +446,34 @@ def pair_count_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> 
     """Row-wise pair counts of two boolean (rows, |G|) matrices: int64
     (rows, |G|) with entry [i, g] = #{(x, y) in A_i x B_i : x + y = g}.
 
-    The one pair counter.  The cost rule above picks, from |A_i| * |B_i|,
-    |G|, the rank and the number of rows, one exact path for the call: the
-    difference-table loop, one certified FFT convolution whose rejected rows
-    are counted pairwise, or pairwise counting.  Pass `b is a` for A + A;
-    batches of `batch_rows(group)` rows keep the temporaries near
-    `_BATCH_BYTES`.
+    The one pair counter.  A row with an empty operand counts 0 everywhere,
+    and a row with a full operand counts the other operand's size
+    everywhere; those rows are answered so and left out of the rest.  For
+    the others the cost rule above picks, from |A_i| * |B_i|, |G|, the rank
+    and the number of rows, one exact path: the difference-table loop, one
+    certified FFT convolution whose rejected rows are counted pairwise, or
+    pairwise counting.  Pass `b is a` for A + A; batches of
+    `batch_rows(group)` rows keep the temporaries near `_BATCH_BYTES`.
     """
+    n = group.order
     sizes = a.sum(axis=1)
-    pairs = sizes * (sizes if b is a else b.sum(axis=1))
+    other = sizes if b is a else b.sum(axis=1)
+    pairs = sizes * other
+    ruled = (pairs > 0) & (sizes < n) & (other < n)
+    if ruled.all():
+        return _ruled_counts(group, a, b, pairs)
+    closed = np.where(pairs == 0, 0, np.where(sizes == n, other, sizes))
+    counts = np.repeat(closed[:, None], n, axis=1)
+    rest = np.flatnonzero(ruled)
+    if rest.size:
+        ar = a[rest]
+        counts[rest] = _ruled_counts(group, ar, ar if b is a else b[rest], pairs[rest])
+    return counts
+
+
+def _ruled_counts(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
+    """`pair_count_rows` of rows whose operands are neither empty nor full,
+    by the path the cost rule picks; `pairs` holds |A_i| * |B_i|."""
     pairwise_cost = (pairs + _PAIRWISE_ROW_PAIRS).sum()
     if pairwise_cost < _BATCH_CALL_PAIRS + len(a) * _BATCH_PAIRS_PER_ELEMENT * group.order:
         counts, recount = np.empty(a.shape, dtype=np.int64), range(len(a))

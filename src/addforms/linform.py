@@ -2,13 +2,17 @@
 Monte-Carlo evaluation of their satisfaction densities.
 
 A system is a list of forms sum_i c_i * g_i, each required to land inside a
-subset (or outside it, when negated).  The exact evaluator, `solve_rows`,
-takes a matrix of pinned prefixes, one row per prefix, and enumerates the
-remaining variables level by level for all rows at once, testing every form
-as soon as its last variable is bound, so unsatisfiable prefixes are pruned
-early; the per-level work is vectorized.  The density, enumeration and
-quantum functions are 1-row calls of it.  Counts are exact integers and
-densities exact rationals.
+subset (or outside it, when negated).  Both exact evaluators take a matrix
+of pinned prefixes, one row per prefix.  `count_rows` counts the
+completions of every row by variable elimination: forms are grouped into
+tables by the direction of their free coefficients and the free variables
+are summed out one rule at a time, pair counts through
+`abelian.pair_count_rows`.  `solve_rows` lists the completions: it
+enumerates the free variables level by level for all rows at once, testing
+every form as soon as its last variable is bound, so unsatisfiable prefixes
+are pruned early.  The density and quantum functions are 1-row calls of
+`count_rows`, `enumerate_satisfying` of `solve_rows`.  Counts are exact
+integers and densities exact rationals.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._scan import Scanner
-from .abelian import GroupElement, GroupSubset
+from .abelian import GroupElement, GroupSubset, _negated_rows, pair_count_rows
 from .errors import CapExceeded, GroupMismatchError
 
 DEFAULT_WORK_BUDGET = 10**9
@@ -69,6 +73,11 @@ class LinearSystem:
             raise ValueError("a system needs at least one form")
         if any(f.arity != self.arity for f in self.forms):
             raise ValueError("all forms must share the system arity")
+        # systems key the evaluators' caches, so the hash is computed once
+        object.__setattr__(self, "_hash", hash((self.arity, self.forms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, forms: Sequence[LinearForm], arity: int | None = None) -> "LinearSystem":
@@ -118,10 +127,41 @@ def _check_budget(order: int, kfree: int, nforms: int, budget: int | None) -> No
     limit = DEFAULT_WORK_BUDGET if budget is None else int(budget)
     predicted = (order**kfree) * nforms
     if predicted > limit:
+        # a long work figure is written as its power: its decimal digits can
+        # be more than Python converts to a string
+        work = predicted if predicted.bit_length() <= 64 else f"{order}^{kfree} * {nforms}"
         raise CapExceeded(
-            f"predicted work {predicted} exceeds budget {limit}; raise the budget "
+            f"predicted work {work} exceeds budget {limit}; raise the budget "
             "or use estimate_density for a Monte Carlo estimate"
         )
+
+
+def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np.ndarray, int]:
+    """The prefixes as an int64 (rows, nfix) matrix and the number of free
+    variables, after the shape, budget and index checks."""
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    if prefixes.ndim != 2:
+        raise ValueError("prefixes must be a (rows, nfix) index matrix")
+    if prefixes.shape[1] > system.arity:
+        raise ValueError("more fixed values than variables")
+    kfree = system.arity - prefixes.shape[1]
+    _check_budget(group.order, kfree, len(system.forms), budget)
+    if prefixes.size and (prefixes.min() < 0 or prefixes.max() >= group.order):
+        raise ValueError("prefix index out of range")
+    return prefixes, kfree
+
+
+def _pinned_terms(coeffs: np.ndarray) -> tuple:
+    """`combine` terms for the pinned parts of the rows of an int64 (forms,
+    nfix) coefficient matrix: (variable, coefficient) for every variable a
+    row uses, the coefficient an int when all rows share it and otherwise a
+    (forms, 1) array."""
+    coeffs.flags.writeable = False
+    return tuple(
+        (i, int(col[0]) if (col == col[0]).all() else col[:, None])
+        for i, col in enumerate(coeffs.T)
+        if col.any()
+    )
 
 
 def _level(forms: Sequence[LinearForm], nfix: int, exponent: int):
@@ -131,14 +171,10 @@ def _level(forms: Sequence[LinearForm], nfix: int, exponent: int):
     int64 array with one entry per form, and free lists each form's (free
     terms, negated) with free variables numbered from 0.  Coefficients are
     reduced mod the group exponent."""
-    coeffs = np.array(
-        [[c % exponent for c in f.coefficients[:nfix]] for f in forms], dtype=np.int64
-    ).reshape(len(forms), nfix)
-    coeffs.flags.writeable = False
-    pinned = tuple(
-        (i, int(col[0]) if (col == col[0]).all() else col[:, None])
-        for i, col in enumerate(coeffs.T)
-        if col.any()
+    pinned = _pinned_terms(
+        np.array(
+            [[c % exponent for c in f.coefficients[:nfix]] for f in forms], dtype=np.int64
+        ).reshape(len(forms), nfix)
     )
     free = tuple(
         (
@@ -268,17 +304,8 @@ def solve_rows(
     rows, the first free variable of a chunk of prefix rows included.
     """
     group = subset.group
-    prefixes = np.asarray(prefixes, dtype=np.int64)
-    if prefixes.ndim != 2:
-        raise ValueError("prefixes must be a (rows, nfix) index matrix")
+    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
     rows, nfix = prefixes.shape
-    if nfix > system.arity:
-        raise ValueError("more fixed values than variables")
-    kfree = system.arity - nfix
-    _check_budget(group.order, kfree, len(system.forms), budget)
-    if prefixes.size and (prefixes.min() < 0 or prefixes.max() >= group.order):
-        raise ValueError("prefix index out of range")
-
     levels = _prepare(system, nfix, math.lcm(*group.moduli))
     memb = subset.bits
     n = group.order
@@ -314,6 +341,255 @@ def solve_rows(
     return np.concatenate(owners), np.concatenate(frees, axis=0)
 
 
+# The elimination engine behind `count_rows`.
+
+# Float64 products of 0/1 matrices are exact while every path count (at most
+# m) and every partial sum of one is an integer below 2^53.
+_F64_EXACT = 1 << 53
+
+def _cycle_counts(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """trace(X @ Y @ Z), int64 per row, of three boolean (rows, m, m)
+    stacks: the sum of (X @ Y) * Z^T, the product in float64 under the
+    guard."""
+    if x.shape[1] < _F64_EXACT:
+        fx = x.astype(np.float64)
+        paths = np.matmul(fx, fx if y is x else y.astype(np.float64)).astype(np.int64)
+    else:
+        paths = np.matmul(x.astype(np.int64), y.astype(np.int64))
+    return (paths * z.transpose(0, 2, 1)).sum(axis=(1, 2))
+
+
+def _symmetric(coeffs: Sequence[int], exponent: int) -> list[int]:
+    """The coefficients with the same action on the group: 0 for multiples
+    of the exponent, a coefficient within exponent/2 of 0 as it is, any
+    other taken in (-exponent/2, exponent/2]."""
+    out = []
+    for c in coeffs:
+        if c % exponent == 0:
+            c = 0
+        elif 2 * abs(c) > exponent:
+            c %= exponent
+            c -= exponent if 2 * c > exponent else 0
+        out.append(c)
+    return out
+
+
+def _primitive(coeffs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(m, d) with coeffs = m * d, d divided by the gcd over Z and its first
+    nonzero entry positive; coeffs must not all be 0."""
+    m = math.gcd(*coeffs)
+    if next(c for c in coeffs if c) < 0:
+        m = -m
+    return m, tuple(c // m for c in coeffs)
+
+
+def _stack(entries, multipliers, parts: dict, ndim: int):
+    """Forms tested by one gather, given as (pinned coefficients, negated)
+    entries: (rows, multipliers, negated), rows[f] the row of form f's
+    pinned coefficients in `parts` (coefficients -> row, extended when new).
+    A multiplier or negation that every form shares is a Python scalar, any
+    other an array over the forms with `ndim` more axes of length 1."""
+    shape = (len(entries),) + (1,) * ndim
+
+    def shaped(x):
+        x = np.asarray(x)
+        return x.flat[0].item() if (x == x.flat[0]).all() else x.reshape(shape)
+
+    rows = [parts.setdefault(pinned, len(parts)) for pinned, _ in entries]
+    return np.array(rows, dtype=np.int64), shaped(multipliers), shaped([n for _, n in entries])
+
+
+def _triangle(live: set[int], factors: set[tuple[int, ...]]):
+    """((a, b, d_ab), (b, c, d_bc), (c, a, d_ca)) when the three live
+    variables are joined pairwise by the three tables; None otherwise."""
+    if len(live) != 3 or len(factors) != 3:
+        return None
+    pairs = {frozenset(i for i, c in enumerate(d) if c): d for d in factors}
+    a, b, c = sorted(live)
+    chain = tuple((p, q, pairs.get(frozenset((p, q)))) for p, q in ((a, b), (b, c), (c, a)))
+    return None if any(d is None for _, _, d in chain) else chain
+
+
+def _eliminate(kfree: int, directions) -> tuple | None:
+    """The elimination steps over free variables 0..kfree-1 and tables of
+    the given primitive `directions` (a one-variable direction is that
+    variable's unary table), or None when a state is reached that no rule
+    covers.  Tables start boolean; pair counts make integer ones.  The
+    rules, tried in this order:
+
+    (a) "sum": a variable in no multi-variable table is summed out, the row
+        sum of its unary;
+    (c) "edge": two variables joined only by one table h, with coefficients
+        +-1 and boolean unaries: the sum over w of h(w) times the pair count
+        of u_a and +-u_b at w, from `pair_count_rows`;
+    (b) "pair": a variable with coefficient +-1 in exactly one table h, both
+        boolean: the pair count of h and -+u is a table over h's other
+        variables, folded into a unary when one is left;
+    (d) "grid" for two variables, chunked gathers of every table; "triangle"
+        for three variables joined pairwise by three boolean tables, one
+        (rows, |G|, |G|) matrix product.
+    """
+    live = set(range(kfree))
+    factors = {d for d in directions if sum(map(bool, d)) > 1}
+    ints: set = set()  # variables and directions whose tables hold integers
+    steps: list[tuple] = []
+    while live:
+        touching = {v: [d for d in factors if d[v]] for v in live}
+        alone = sorted(v for v in live if not touching[v])
+        if alone:
+            steps += [("sum", v) for v in alone]
+            live.difference_update(alone)
+            continue
+        if len(live) == 2 and len(factors) == 1:
+            a, b = sorted(live)
+            (d,) = factors
+            if abs(d[a]) == abs(d[b]) == 1 and not ints & {a, b}:
+                steps.append(("edge", a, b, d))
+                break
+        for v in sorted(live):
+            d, *more = touching[v]
+            if not more and abs(d[v]) == 1 and not ints & {v, d}:
+                m, rest = _primitive([0 if i == v else c for i, c in enumerate(d)])
+                target = rest.index(1) if sum(map(bool, rest)) == 1 else rest
+                steps.append(("pair", v, d, m, target))
+                live.discard(v)
+                factors.discard(d)
+                if isinstance(target, tuple):
+                    factors.add(target)
+                ints.add(target)
+                break
+        else:
+            if len(live) == 2:
+                steps.append(("grid", *sorted(live), tuple(sorted(factors))))
+                break
+            chain = _triangle(live, factors)
+            if chain is None or ints & (live | factors):
+                return None
+            steps.append(("triangle", chain))
+            break
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
+    """The elimination plan of `count_rows`, cached like `_prepare`:
+    (pinned, filters, tables, keys, bounds, steps).  `pinned` gives the
+    distinct pinned parts of the forms to one `combine`, as `_level` does.
+    `filters` stacks the forms without a free variable (None when there
+    are none), `tables` the others (`_stack`), grouped by the primitive
+    direction d of their free coefficients, each with the multiplier m that
+    gives its free part as m * d.  Group t is forms bounds[t] to
+    bounds[t + 1]; its table holds at w when every form f of it lands in A
+    (outside A when negated) at its pinned part plus m_f * w.  keys[t] is
+    the variable of a one-variable d and d itself otherwise.  `steps` come
+    from `_eliminate`; None means counting by `solve_rows`."""
+    filters, groups, parts = [], {}, {}
+    for form in system.forms:
+        pinned = tuple(c % exponent for c in form.coefficients[:nfix])
+        free = _symmetric(form.coefficients[nfix:], exponent)
+        if any(free):
+            m, d = _primitive(free)
+            groups.setdefault(d, []).append(((pinned, form.negated), m))
+        else:
+            filters.append((pinned, form.negated))
+    stacked = [x for members in groups.values() for x in members]
+    filters = _stack(filters, 0, parts, 1) if filters else None
+    tables = _stack(*zip(*stacked), parts, 2) if stacked else None
+    coeffs = np.array(list(parts), dtype=np.int64).reshape(len(parts), nfix)
+    return (
+        _pinned_terms(coeffs),
+        filters,
+        tables,
+        tuple(d.index(1) if sum(map(bool, d)) == 1 else d for d in groups),
+        np.cumsum([0] + [len(members) for members in groups.values()]),
+        _eliminate(system.arity - nfix, groups),
+    )
+
+
+def _unary(tabs: dict, v: int, rows: int, n: int) -> np.ndarray:
+    """Variable v's unary table, taken out of `tabs`; all True when no form
+    constrains v alone."""
+    u = tabs.pop(v, None)
+    return np.ones((rows, n), dtype=bool) if u is None else u
+
+
+def _grid_counts(group, tabs: dict, a: int, b: int, dirs, rows: int, wide: bool) -> np.ndarray:
+    """Per-row sums over (y_a, y_b) of u_a(y_a) * u_b(y_b) times every table
+    of `dirs` at d . y, by gathers over chunks of the (row, y_a) with
+    u_a(y_a) nonzero against the y_b that some row's u_b admits; no
+    assignment is listed."""
+    n = group.order
+    every = np.arange(n, dtype=np.int64)
+    ua, ub = _unary(tabs, a, rows, n), tabs.pop(b, None)
+    own, ya = np.nonzero(ua)
+    weight = None if ua.dtype == bool else ua[own, ya]
+    yb = every if ub is None else np.flatnonzero(ub.any(axis=0))
+    # with one row a boolean u_b is all True on its support
+    ub = None if ub is None or (rows == 1 and ub.dtype == bool) else ub[:, yb]
+    parts = [
+        (group.combine([(d[a], every)]), group.combine([(d[b], yb)]), tabs.pop(d))
+        for d in dirs
+    ]
+    total = np.zeros(rows, dtype=object if wide else np.int64)
+    step = max(1, _ENUM_CHUNK // max(1, yb.size))
+    for s in range(0, ya.size, step):
+        o, y = own[s : s + step], ya[s : s + step]
+        acc = None if ub is None else ub[o]
+        for xa, xb, table in parts:
+            idx = group.combine([(1, xa[y, None]), (1, xb[None, :])])
+            hit = table[0][idx] if rows == 1 else table[o[:, None], idx]
+            acc = hit if acc is None else acc * hit
+        sums = acc.sum(axis=1)
+        np.add.at(total, o, sums if weight is None else sums * weight[s : s + step])
+    return total
+
+
+def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
+    """Per-row counts of the elimination `steps` over the (rows, |G|) tables
+    `tabs`, which they consume: int64, or Python integers when `wide`."""
+    n = group.order
+    count = np.ones(rows, dtype=object if wide else np.int64)
+    for step in steps:
+        kind = step[0]
+        if kind == "sum":
+            u = tabs.pop(step[1], None)
+            count = count * (n if u is None else u.sum(axis=1))
+        elif kind == "edge":
+            _, a, b, d = step
+            ua, ub = _unary(tabs, a, rows, n), _unary(tabs, b, rows, n)
+            # (y_a, y_b) with y_a + d_b * y_b = w are the pairs of u_a and d_b * u_b
+            pairs = pair_count_rows(group, ua, ub if d[b] == 1 else _negated_rows(group, ub))
+            count = count * (pairs * tabs.pop(d)).sum(axis=1)
+        elif kind == "pair":
+            _, v, d, m, target = step
+            u = _unary(tabs, v, rows, n)
+            # sum over y of u(y) h(w + s*y) counts the pairs of h and -s*u summing to w
+            u = u if d[v] == -1 else _negated_rows(group, u)
+            table = pair_count_rows(group, tabs.pop(d), u)
+            if m != 1:
+                table = table[:, group.combine([(m, np.arange(n, dtype=np.int64))])]
+            if wide:
+                table = table.astype(object)
+            old = tabs.get(target)
+            tabs[target] = table if old is None else old * table
+        elif kind == "grid":
+            count = count * _grid_counts(group, tabs, *step[1:], rows, wide)
+        else:
+            every = np.arange(n, dtype=np.int64)
+            mats = []
+            for p, q, d in step[1]:
+                if n * n <= _ENUM_CHUNK and abs(d[p]) == 1 and d[q] == -d[p]:
+                    grid = group.difference_table()  # cached by the group
+                    grid = grid if d[p] == 1 else grid.T
+                else:
+                    grid = group.combine([(d[p], every[:, None]), (d[q], every[None, :])])
+                mat = tabs[d][:, grid]
+                u = tabs.get(p)
+                mats.append(mat if u is None else mat & u[:, :, None])
+            count = count * _cycle_counts(*mats)
+    return count
+
+
 def count_rows(
     system: LinearSystem,
     subset: GroupSubset,
@@ -323,19 +599,71 @@ def count_rows(
     threads: int = 1,
     masks: bool = False,
 ):
-    """Per-row satisfying counts (int64, one per prefix row) of the
-    completions that `solve_rows` lists; with `masks`, also the boolean
-    (rows, |G|) matrix of satisfying values when one variable is left free."""
-    owner, free = solve_rows(system, subset, prefixes, budget=budget, threads=threads)
-    rows = len(prefixes)
-    counts = np.bincount(owner, minlength=rows)
-    if not masks:
-        return counts
-    if free.shape[1] != 1:
+    """Per-row satisfying counts, one per prefix row, of the completions
+    that `solve_rows` lists, without listing them; with `masks`, also the
+    boolean (rows, |G|) matrix of satisfying values when one variable is
+    left free.  Counts are int64 while |G|^kfree < 2^63 and Python integers
+    beyond.
+
+    Per chunk of rows: one `combine` gives the pinned offsets of all forms;
+    forms without a free variable filter rows; the others become one table
+    per direction of their free coefficients (`_plan`), and the free
+    variables are summed out by the rules of `_eliminate`.  A system that
+    no rule covers is counted from `solve_rows`, the only use of `threads`,
+    which leaves every count unchanged.  The budget is checked as in
+    `solve_rows`."""
+    group = subset.group
+    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
+    if masks and kfree != 1:
         raise ValueError("masks need exactly one free variable")
-    out = np.zeros((rows, subset.group.order), dtype=bool)
-    out[owner, free[:, 0]] = True
-    return counts, out
+    rows, n = len(prefixes), group.order
+    pinned, filters, tables, keys, bounds, steps = _plan(
+        system, prefixes.shape[1], math.lcm(*group.moduli)
+    )
+    wide = n**kfree >= 1 << 63
+    counts = np.zeros(rows, dtype=object if wide else np.int64)
+    if steps is None:
+        owner, _ = solve_rows(system, subset, prefixes, budget=budget, threads=threads)
+        counts += np.bincount(owner, minlength=rows)
+        return counts
+    out = np.zeros((rows, n), dtype=bool) if masks else None
+    memb = subset.bits
+    every = np.arange(n, dtype=np.int64)[None, None, :]
+    # a triangle holds a few (rows, |G|, |G|) stacks, float64 among them
+    width = 8 * n * n if steps and steps[-1][0] == "triangle" else n * max(1, bounds[-1])
+    step = max(1, _ENUM_CHUNK // width)
+    for start in range(0, rows, step):
+        part = prefixes[start : start + step]
+        # the pinned parts, (distinct parts, rows), or None when all are 0
+        off = group.combine([(c, part[None, :, i]) for i, c in pinned]) if pinned else None
+        live = np.arange(len(part))
+        if filters is not None:
+            at, _, neg = filters
+            hit = memb[0 if off is None else off[at]] != neg
+            ok = hit.all(axis=0) if np.ndim(hit) == 2 else hit
+            live = live[np.broadcast_to(ok, live.shape)]
+            off = None if off is None else off[:, live]
+        if live.size == 0:
+            continue
+        tabs = {}
+        if tables is not None:
+            at, m, neg = tables
+            terms = [(m, every)] + ([] if off is None else [(1, off[at][:, :, None])])
+            hit = memb[group.combine(terms)] != neg
+            if len(hit) < bounds[-1]:
+                # with no pinned parts and one multiplier and negation, the
+                # forms share one entry
+                hit = np.broadcast_to(hit, (bounds[-1], *hit.shape[1:]))
+            for key, lo, hi in zip(keys, bounds, bounds[1:]):
+                table = hit[lo:hi].all(axis=0)
+                # without pinned parts a table is the same for every row
+                if len(table) < live.size:
+                    table = np.broadcast_to(table, (live.size, n))
+                tabs[key] = table
+        if masks:
+            out[start + live] = tabs.get(0, True)
+        counts[start + live] = _run(group, steps, tabs, live.size, wide)
+    return (counts, out) if masks else counts
 
 
 def prefix_row(subset: GroupSubset, fixed: Sequence[GroupElement]) -> np.ndarray:
@@ -479,14 +807,16 @@ def quantum_sum_rows(
             live = np.flatnonzero(num)
             if live.size == 0:
                 break
-            got = counts.setdefault(factor, np.full(rows, -1, dtype=np.int64))
+            size = order ** (factor.arity - prefixes.shape[1])
+            dtype = object if size >= 1 << 63 else np.int64  # as count_rows returns them
+            got = counts.setdefault(factor, np.full(rows, -1, dtype=dtype))
             todo = live[got[live] < 0]
             if todo.size:
                 got[todo] = count_rows(
                     factor, subset, prefixes[todo], budget=budget, threads=threads
                 )
             num[live] *= got[live].astype(object)
-            den *= order ** (factor.arity - prefixes.shape[1])
+            den *= size
         total += coeff * Fraction(int(num.sum()), den)
     return total
 

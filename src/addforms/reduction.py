@@ -208,9 +208,6 @@ class DirectedCayleyGraph:
         )
 
 
-# Float64 products of 0/1 matrices are exact while every path count (at most
-# m) and every partial sum of one is an integer below 2^53.
-_F64_EXACT = 1 << 53
 # Cap on the entries of one (rows, m, m) stack of adjacency matrices.
 _EDGE_CHUNK = 1 << 19
 
@@ -218,16 +215,9 @@ _EDGE_CHUNK = 1 << 19
 def _pair_and_cycle_counts(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordered pair and directed 3-cycle counts, int64 per row, of a boolean
     (rows, m, m) stack of adjacency matrices: sum E and trace E^3, the
-    latter as the int64 sum of (E @ E) * E^T."""
+    latter from the float64 product under `linform`'s exactness guard."""
     pairs = edges.sum(axis=(1, 2), dtype=np.int64)
-    if edges.shape[1] < _F64_EXACT:
-        e = edges.astype(np.float64)
-        paths = np.matmul(e, e).astype(np.int64)
-    else:
-        e = edges.astype(np.int64)
-        paths = np.matmul(e, e)
-    cycles = (paths * edges.transpose(0, 2, 1)).sum(axis=(1, 2))
-    return pairs, cycles
+    return pairs, linform._cycle_counts(edges, edges, edges)
 
 
 def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:

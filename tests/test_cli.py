@@ -253,6 +253,18 @@ def test_exit_code_cap(capsys):
     assert "estimate_density" in err2
 
 
+@pytest.mark.parametrize("arity", [3000, 99999])
+def test_cap_on_huge_predicted_work_exits_3(capsys, arity):
+    # 5^arity has 2 097 and 69 897 digits: the message writes the power,
+    # and the larger one is past what Python converts to a string
+    code, out, err = run_cli(
+        capsys, "density", "--group", "Z5", "--set", "{1}", "--system", f"[g{arity}]",
+        "--max-work", "100000000000000000000000000",
+    )
+    assert code == 3 and out == ""
+    assert f"predicted work 5^{arity} * 1 exceeds budget 100000000000000000000000000" in err
+
+
 def test_exit_code_usage(capsys):
     code = main(["density", "--group", "Z4"])
     capsys.readouterr()

@@ -1,0 +1,198 @@
+"""The elimination engine behind `linform.count_rows` against the brute-force
+oracles: a property over small group presentations and random systems,
+one case per elimination rule (seen by spying on the steps it runs),
+the benchmark's systems, which no rule may leave to the fallback, and
+counts beyond int64."""
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+
+from addforms import linform
+from addforms.abelian import FiniteAbelianGroup, GroupSubset
+from addforms.linform import (
+    LinearForm,
+    LinearSystem,
+    count_rows,
+    eval_density,
+    eval_density_fixed,
+    parse_system,
+)
+from addforms.reduction import build_E, build_M, build_T, build_V
+
+PRESENTATIONS = oracles.group_presentations(8)  # Z1 and Z2 to Z2xZ2xZ2
+# completions per prefix row the oracle enumerates, at most
+_ORACLE_WORK = 512
+COEFFICIENTS = [-3, -2, -1, 0, 0, 1, 1, 2, 3, 4, 6]
+
+
+@st.composite
+def instances(draw, moduli):
+    """(system, subset bits, prefixes) on the group of `moduli`: arity at
+    most 4, up to three prefix rows, forms with zero, non-unit, negative,
+    repeated and proportional coefficients, some negated."""
+    order = math.prod(moduli)
+    arity = draw(st.integers(1, 4))
+    # pin enough variables that the oracle stays small
+    least = max(0, arity - int(math.log(_ORACLE_WORK, order))) if order > 1 else 0
+    nfix = draw(st.integers(least, arity))
+    coeffs = st.tuples(*[st.sampled_from(COEFFICIENTS)] * arity)
+    forms = draw(st.lists(st.tuples(coeffs, st.booleans()), min_size=1, max_size=4))
+    for scale in draw(st.lists(st.sampled_from([1, -1, 2, -2, 3]), max_size=2)):
+        base, negated = forms[draw(st.integers(0, len(forms) - 1))]
+        forms.append((tuple(scale * c for c in base), draw(st.booleans()) and negated))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=order, max_size=order)))
+    rows = draw(st.integers(1, 3))
+    flat = draw(st.lists(st.integers(0, order - 1), min_size=rows * nfix, max_size=rows * nfix))
+    system = LinearSystem(arity, tuple(LinearForm(arity, c, neg) for c, neg in forms))
+    return system, bits, np.array(flat, dtype=np.int64).reshape(rows, nfix)
+
+
+def _oracle(group, system, bits, prefixes):
+    """The oracle's completions of every prefix row."""
+    a_set = {group.from_index(i).residues for i in np.flatnonzero(bits)}
+    forms = [(f.coefficients, f.negated) for f in system.forms]
+    return [
+        oracles.oracle_completions(
+            group.moduli, forms, a_set, [group.from_index(int(i)).residues for i in row],
+            system.arity,
+        )
+        for row in prefixes
+    ]
+
+
+@pytest.mark.parametrize("moduli", PRESENTATIONS, ids=lambda m: "x".join(f"Z{n}" for n in m))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_counts_masks_and_densities_match_the_oracle(moduli, data):
+    system, bits, prefixes = data.draw(instances(moduli))
+    group = FiniteAbelianGroup(moduli)
+    a = GroupSubset(group, bits)
+    want = _oracle(group, system, bits, prefixes)
+    kfree = system.arity - prefixes.shape[1]
+    fixed = [group.from_index(int(i)) for i in prefixes[0]]
+    for threads in (1, 2):
+        counts = count_rows(system, a, prefixes, threads=threads)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [len(w) for w in want]
+        density = eval_density_fixed(system, a, fixed, threads=threads)
+        assert density == Fraction(len(want[0]), group.order**kfree)
+        if kfree == 1:
+            again, masks = count_rows(system, a, prefixes, threads=threads, masks=True)
+            assert again.tolist() == counts.tolist()
+            for row, completions in zip(masks, want):
+                assert np.flatnonzero(row).tolist() == sorted(
+                    group.index_of(t) for (t,) in completions
+                )
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """A Counter of the elimination steps `count_rows` runs, by rule, and
+    "fallback" for each count it leaves to `solve_rows`."""
+    seen = Counter()
+    run, solve = linform._run, linform.solve_rows
+
+    def spy_run(group, steps, *args):
+        seen.update(step[0] for step in steps)
+        return run(group, steps, *args)
+
+    def spy_solve(*args, **kwargs):
+        seen["fallback"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(linform, "_run", spy_run)
+    monkeypatch.setattr(linform, "solve_rows", spy_solve)
+    return seen
+
+
+# (system, pinned prefix length, rules the engine takes for it)
+_RULE_CASES = [
+    ("[g1; !(2g2)]", 0, {"sum": 2}),  # (a)
+    ("[g1+g2; g2-g3; g1]", 0, {"pair": 2, "sum": 1}),  # (b), folded twice into g2
+    ("[g1; g2; g3; g1+g2-g3]", 0, {"pair": 1, "edge": 1}),  # (b) then (c)
+    ("[g1; g2; !(g1+g2)]", 0, {"edge": 1}),  # (c)
+    ("[g1; g2; g1+g2; g1+2g2]", 0, {"grid": 1}),  # (d), two variables
+    ("[g1+g2; g2+g3; g2+2g3; g1]", 0, {"pair": 1, "grid": 1}),  # integer u_a
+    ("[g2+g3; g1+g2; g1+2g2; g3]", 0, {"pair": 1, "grid": 1}),  # integer u_b
+    ("[g1; g2-g3+g1; g3-g4; g4-g2; g2; g3; g4]", 1, {"triangle": 1}),  # (d), three
+    ("[g1+g2+g3; g1-g2+2g3]", 0, {"fallback": 1}),  # (e)
+]
+
+
+@pytest.mark.parametrize("text, nfix, rules", _RULE_CASES)
+@pytest.mark.parametrize("moduli", [(6,), (2, 4)])
+def test_each_rule_runs_and_matches_the_oracle(ran, text, nfix, rules, moduli):
+    system = parse_system(text)
+    group = FiniteAbelianGroup(moduli)
+    bits = np.arange(group.order) % 3 != 1
+    prefixes = np.arange(2 * nfix, dtype=np.int64).reshape(2, nfix) % group.order
+    counts = count_rows(system, GroupSubset(group, bits), prefixes)
+    assert counts.tolist() == [len(w) for w in _oracle(group, system, bits, prefixes)]
+    # the steps run once per call, for all rows together
+    assert ran == Counter(rules)
+
+
+def _benchmark_systems():
+    """(system, group, prefix length) of every count the benchmark's forms
+    workload makes: the densities, and M, V_j, E_j, T_j with g pinned on the
+    homdensity and witness groups."""
+    out = [
+        (parse_system(text), FiniteAbelianGroup(moduli), 0)
+        for text, moduli in [
+            ("[g1; g2; g3; g1+g2-g3]", (64,)),
+            ("[g1; g2; g3; g1+g2-g3]", (128,)),
+            ("[g1; g2; g3; g1+g2-g3]", (8, 8)),
+            ("[g1; g2; g1+g2]", (2000,)),
+            ("[g1; g2; !(g1+g2)]", (2000,)),
+            ("[g1; g2; g1+g2; g1+2g2]", (3000,)),
+        ]
+    ]
+    for k, moduli in [
+        (2, (9, 2)), (2, (16, 3)), (3, (9, 2)), (2, (9, 5, 5)), (2, (9, 4, 6)), (3, (16, 2, 2, 2)),
+    ]:
+        group = FiniteAbelianGroup(moduli)
+        out.append((build_M(k), group, k))
+        for j in range(1, k + 1):
+            out += [(build(k, j), group, k) for build in (build_V, build_E, build_T)]
+    return out
+
+
+def test_no_benchmark_system_falls_back(ran):
+    rng = np.random.default_rng(3)
+    for system, group, nfix in _benchmark_systems():
+        a = GroupSubset(group, rng.random(group.order) < 0.5)
+        prefixes = rng.integers(0, group.order, size=(2, nfix))
+        count_rows(system, a, prefixes if nfix else prefixes[:1, :0])
+        assert "fallback" not in ran, linform.format_system(system)
+    assert set(ran) == {"sum", "pair", "edge", "grid", "triangle"}
+
+
+def test_counts_beyond_int64_are_exact_python_integers():
+    # eight free singletons over all of Z256: 256^8 = 2^64 completions
+    group = FiniteAbelianGroup([256])
+    system = parse_system("[" + "; ".join(f"g{i}" for i in range(1, 9)) + "]")
+    full = GroupSubset.full(group)
+    counts = count_rows(system, full, np.zeros((2, 0), dtype=np.int64), budget=10**30)
+    assert counts.dtype == object and counts.tolist() == [2**64, 2**64]
+    assert type(counts[0]) is int
+    assert eval_density(system, full, budget=10**30) == 1
+    # over half of Z256, seven singletons and one negated: 128^8 = 2^56
+    half = GroupSubset.from_indices(group, range(128))
+    negated = parse_system("[" + "; ".join(f"g{i}" for i in range(1, 8)) + "; !g8]")
+    assert count_rows(negated, half, np.zeros((1, 0), dtype=np.int64), budget=10**30)[0] == 2**56
+
+
+def test_equal_systems_hash_equal():
+    built = LinearSystem.of([LinearForm(1, (1,)), LinearForm(1, (1,), negated=True)])
+    parsed = parse_system("[g1; !(g1)]")
+    assert built == parsed and hash(built) == hash(parsed)
+    assert {built: 1}[parsed] == 1
+    assert parse_system("[g1; g1]") != parsed

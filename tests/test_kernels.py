@@ -281,6 +281,43 @@ def test_crossover_sides(monkeypatch):
     assert np.array_equal(alone, batch[:1])
 
 
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_empty_and_full_rows_skip_the_forced_path(monkeypatch, path):
+    # every pairing of an empty, full, one-element and dense operand; only the
+    # rows with neither operand empty nor full reach the forced path
+    group = FiniteAbelianGroup((4, 6))
+    n = group.order
+    kinds = {
+        "empty": np.zeros(n, dtype=bool),
+        "full": np.ones(n, dtype=bool),
+        "single": np.arange(n) == 5,
+        "dense": np.arange(n) % 3 != 0,
+    }
+    pairs = [(x, y) for x in kinds for y in kinds]
+    a = np.array([kinds[x] for x, _ in pairs])
+    b = np.array([kinds[y] for _, y in pairs])
+    ruled = sum(1 for x, y in pairs if {x, y} <= {"single", "dense"})
+    calls = _path_spy(monkeypatch)
+    with forced(path):
+        counts = pair_count_rows(group, a, b)
+        same = pair_count_rows(group, a, a)
+    tuples = list(oracles.all_tuples((4, 6)))
+    for row, other, got, got_same in zip(a, b, counts, same):
+        a_set = {t for t, keep in zip(tuples, row) if keep}
+        b_set = {t for t, keep in zip(tuples, other) if keep}
+        assert got.tolist() == oracle_pair_counts((4, 6), a_set, b_set)
+        assert got_same.tolist() == oracle_pair_counts((4, 6), a_set, a_set)
+    assert {p for p, _ in calls} == {path}
+    # the pairwise path is called once per row, the batched paths per call
+    counted = [rows for p, rows in calls]
+    assert counted == ([1] * (ruled + 8) if path == "pairwise" else [ruled, 8])
+    # a call with no ruled row reaches no path
+    del calls[:]
+    with forced(path):
+        closed = pair_count_rows(group, a[:2], b[:2])
+    assert calls == [] and closed.tolist() == [[0] * n, [0] * n]
+
+
 @pytest.mark.parametrize("defect", ["roundoff", "sum"])
 def test_certificate_failure_falls_back_to_pairwise(monkeypatch, defect):
     a, b = _dense_pair((12, 20), seed=1)

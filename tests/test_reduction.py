@@ -163,7 +163,7 @@ def test_graph_densities_match_oracle():
 def test_cycle_counts_take_float64_only_under_the_guard(monkeypatch, float_path):
     # lowering the guard below every vertex count forces the int64 path
     if not float_path:
-        monkeypatch.setattr(reduction, "_F64_EXACT", 1)
+        monkeypatch.setattr(linform, "_F64_EXACT", 1)
     seen = []
     matmul = np.matmul
 

@@ -33,7 +33,9 @@ _CHUNK = 1 << 21
 # and the same row in a large batch is not.  The batched path is the
 # difference-table loop when |G| <= _TABLE_ORDER_PER_AXIS * rank (numpy's
 # n-dimensional FFT pays a pass per axis, so the loop wins on many short axes
-# and on one axis up to about |G| = 32), and one certified FFT otherwise.
+# and on one axis up to about |G| = 32); otherwise int64 Walsh-Hadamard
+# butterflies on Z2^k while |G|^3 < _I64_EXACT, and one certified FFT on
+# every other group.
 _PAIRWISE_ROW_PAIRS = 1 << 10
 _BATCH_PAIRS_PER_ELEMENT = 8
 _BATCH_CALL_PAIRS = 1 << 12
@@ -42,6 +44,9 @@ _TABLE_ORDER_PER_AXIS = 32
 # group element (measured); `batch_rows` keeps a batch near this many bytes,
 # so sweeps stay within the peak RSS of the per-subset code they replace.
 _BATCH_BYTES = 1 << 20
+# int64 holds every integer below this: pair counts, their squares' sums and
+# the butterflies' partial sums are at most |G|^3.
+_I64_EXACT = 1 << 63
 
 
 def max_order_cap(explicit: int | None = None) -> int:
@@ -436,6 +441,42 @@ def _certified_fft(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pair
     return counts.astype(np.int64), ok
 
 
+def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform of a C-contiguous array over
+    its last axis, whose length is a power of 2, written back into `x`;
+    returns `x`.  On Z2^k, whose characters are +-1, this is the DFT, and in
+    integers it is exact while every partial sum, at most 2^k times the
+    largest input, fits the dtype.  Each of the k butterfly stages maps
+    (x[2j], x[2j+1]) to (y[j], y[j + n/2]) = (sum, difference): the same
+    strides at every stage, between `x` and one scratch array, and after k
+    stages the index bits are back in order."""
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)  # a view: `x` is C-contiguous
+    src, dst = rows, np.empty_like(rows)
+    for _ in range(n.bit_length() - 1):
+        even, odd = src[:, 0::2], src[:, 1::2]
+        np.add(even, odd, out=dst[:, : n // 2])
+        np.subtract(even, odd, out=dst[:, n // 2 :])
+        src, dst = dst, src
+    if src is not rows:
+        rows[...] = src
+    return x
+
+
+def _butterflies(group: FiniteAbelianGroup) -> bool:
+    """Whether `pair_count_rows` counts on `group` by int64 butterflies: every
+    modulus is 2 (or 1), and |G|^3 < _I64_EXACT bounds every partial sum."""
+    return max(group.moduli) <= 2 and group.order**3 < _I64_EXACT
+
+
+def _butterfly_counts(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pair counts of the rows of two (rows, |G|) indicator matrices on Z2^k,
+    exactly: WHT(WHT(a) * WHT(b)) / |G| in int64.  Pass `b is a` for A + A."""
+    fa = _walsh_hadamard(a.astype(np.int64))
+    fa *= fa if b is a else _walsh_hadamard(b.astype(np.int64))
+    return _walsh_hadamard(fa) >> (group.order.bit_length() - 1)
+
+
 def batch_rows(group: FiniteAbelianGroup) -> int:
     """Rows per `pair_count_rows` call that keep its temporaries near
     `_BATCH_BYTES`."""
@@ -450,10 +491,11 @@ def pair_count_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> 
     and a row with a full operand counts the other operand's size
     everywhere; those rows are answered so and left out of the rest.  For
     the others the cost rule above picks, from |A_i| * |B_i|, |G|, the rank
-    and the number of rows, one exact path: the difference-table loop, one
-    certified FFT convolution whose rejected rows are counted pairwise, or
-    pairwise counting.  Pass `b is a` for A + A; batches of
-    `batch_rows(group)` rows keep the temporaries near `_BATCH_BYTES`.
+    and the number of rows, one exact path: the difference-table loop,
+    Walsh-Hadamard butterflies on Z2^k, one certified FFT convolution whose
+    rejected rows are counted pairwise, or pairwise counting.  Pass `b is a`
+    for A + A; batches of `batch_rows(group)` rows keep the temporaries near
+    `_BATCH_BYTES`.
     """
     n = group.order
     sizes = a.sum(axis=1)
@@ -479,6 +521,8 @@ def _ruled_counts(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs
         counts, recount = np.empty(a.shape, dtype=np.int64), range(len(a))
     elif group.order <= _TABLE_ORDER_PER_AXIS * group.rank:
         counts, recount = _table_counts(group, a, b), ()
+    elif _butterflies(group):
+        counts, recount = _butterfly_counts(group, a, b), ()
     else:
         counts, ok = _certified_fft(group, a, b, pairs)
         recount = np.flatnonzero(~ok)
@@ -532,7 +576,7 @@ def additive_energy_rows(group: FiniteAbelianGroup, counts: np.ndarray) -> np.nd
     """Row-wise `additive_energy_raw` from the representation counts
     `pair_count_rows(group, a, a)`, exact: int64 while |G|^3 fits, an array
     of Python integers beyond it."""
-    if group.order**3 >= 2**63:
+    if group.order**3 >= _I64_EXACT:
         counts = counts.astype(object)
     return (counts * counts).sum(axis=1)
 

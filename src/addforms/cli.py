@@ -316,8 +316,9 @@ def _cmd_verify_homdensity(args):
             continue
         g = tuple(group.from_index(int(i)) for i in good[int(gen.integers(0, len(good)))])
         for j in range(1, k + 1):
+            # g is one of M's solutions, so t(M) at g is 1 for every j
             rep = reduction.verify_homdensity_identity(
-                a, g, j, budget=args.max_work, threads=args.threads
+                a, g, j, budget=args.max_work, threads=args.threads, t_m=Fraction(1)
             )
             if rep.vacuous:
                 vacuous += 1

@@ -4,10 +4,15 @@ finite abelian group.
 Everything here is double precision and expectation-normalized.  The group
 index is C-order mixed radix, so a function table reshaped to the group's
 moduli is exactly the array `numpy.fft.fftn` transforms: one O(|G| log |G|)
-transform per call, up to the group-order cap.  The exact counting path in
-`abelian` stays authoritative (its FFT convolutions are certified to round
-to the exact integers, or recounted pairwise); this module verifies it
-spectrally.  The same input gives bit-identical output on repeated runs.
+transform per call, up to the group-order cap.  On Z2^k the characters are
++-1, so the transform of a subset's indicator is its integer Walsh-Hadamard
+transform (`abelian._walsh_hadamard`, int64 butterflies) divided by |G|: the
+same floats as `numpy.fft.fftn`, bit for bit, without its pass per length-2
+axis.  Other functions and groups go through `numpy.fft`.  The exact
+counting path in `abelian` stays authoritative (its FFT convolutions are
+certified to round to the exact integers, or recounted pairwise); this
+module verifies it spectrally.  The same input gives bit-identical output
+on repeated runs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup, GroupElement, GroupSubset
+from .abelian import FiniteAbelianGroup, GroupElement, GroupSubset, _walsh_hadamard
 from .errors import GroupMismatchError
 
 FunctionLike = Union[GroupSubset, Sequence[complex], np.ndarray, Callable]
@@ -85,8 +90,12 @@ def fourier_transform(f: FunctionLike, group: FiniteAbelianGroup | None = None) 
         if not isinstance(f, GroupSubset):
             raise ValueError("group required unless f is a GroupSubset")
         group = f.group
-    values = _table(group, function_values(group, f))
-    return Spectrum(group, np.fft.fftn(values).ravel() / group.order)
+    values = function_values(group, f)
+    if isinstance(f, GroupSubset) and max(group.moduli) <= 2:
+        coefficients = _walsh_hadamard(f.bits.astype(np.int64))
+    else:
+        coefficients = np.fft.fftn(_table(group, values)).ravel()
+    return Spectrum(group, coefficients / group.order)
 
 
 def convolve(f: FunctionLike, g: FunctionLike, group: FiniteAbelianGroup) -> np.ndarray:

@@ -227,7 +227,9 @@ def _holds(group, memb, level, off, columns):
     ok = None
     for f, (free, negated) in enumerate(level[1]):
         pin = None if off is None else off[f if len(off) > 1 else 0]
-        if free:
+        if pin is None and len(free) == 1 and free[0][1] == 1:
+            hit = memb[columns[free[0][0]]]  # a lone free variable is its own index
+        elif free:
             terms = [(c, columns[i]) for i, c in free]
             hit = memb[group.combine(terms if pin is None else terms + [(1, pin)])]
         else:

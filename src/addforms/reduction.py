@@ -297,14 +297,19 @@ def verify_homdensity_identity(
     *,
     budget: int | None = None,
     threads: int = 1,
+    t_m: Fraction | None = None,
 ) -> HomdensityReport:
     """Check, exactly, that the graph pair/3-cycle densities equal the
-    conditional form densities t(E_j)/t(V_j)^2 and t(T_j)/t(V_j)^3."""
+    conditional form densities t(E_j)/t(V_j)^2 and t(T_j)/t(V_j)^3.
+
+    `t_m` is t(M) at g when the caller knows it (it is the same for every
+    j); it is counted when None."""
     k = len(g)
     group = a.group
     gt = tuple(g)
     meta = dict(group=group.literal(), j=j, g=tuple(e.residues for e in gt))
-    t_m = linform.eval_density_fixed(build_M(k), a, gt, budget=budget, threads=threads)
+    if t_m is None:
+        t_m = linform.eval_density_fixed(build_M(k), a, gt, budget=budget, threads=threads)
     if t_m == 0:
         return HomdensityReport(vacuous=True, **meta)
     b, c = compute_B_C(a, gt, j, budget=budget)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from addforms import abelian, bounds, cli
+from addforms import abelian, bounds, cli, linform, reduction
 from addforms.abelian import FiniteAbelianGroup
 from addforms.cli import main
 
@@ -464,6 +464,25 @@ def test_verify_reports_pinned(capsys, argv, threads):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
 
 
+def test_verify_homdensity_counts_M_only_in_its_solution_list(capsys, monkeypatch):
+    # g is drawn from M's solutions, so t(M) at g is 1 for every j and is not
+    # counted again: each (A, g) counts B_j, E_j and T_j for j = 1..k
+    m = reduction.build_M(3)
+    systems = []
+    count_rows = linform.count_rows
+
+    def spy(system, *args, **kwargs):
+        systems.append(system)
+        return count_rows(system, *args, **kwargs)
+
+    monkeypatch.setattr(linform, "count_rows", spy)
+    argv = "homdensity --group Z9xZ2 --k 3 --pairs 30 --seed 3"
+    code, out, _ = run_cli(capsys, "verify", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
+    assert m not in systems and len(systems) == 30 * 3 * 3
+
+
 def test_witness_budget_is_per_prefix(capsys):
     # M over Z25xZ5xZ5 predicts 225^2 * 7 = 354375; each good g then pins a
     # prefix of V_j, which predicts 225 * 12 for every row of the batch
@@ -543,12 +562,16 @@ _REPORT_CASES = {
     "stabilizer Z256xZ256": ("stabilizer", (256, 256), {"set": (0.05, (128, 256))}),
     "stabilizer Z12": ("stabilizer", (12,), {"set": (0.5, (4,))}),
     "energy --fourier Z64xZ64": ("energy --fourier", (64, 64), {"set": 0.25}),
+    "energy Z2^12": ("energy", (2,) * 12, {"set": 0.10}),
+    "energy --fourier Z2^12": ("energy --fourier", (2,) * 12, {"set": 0.25}),
+    "doubling Z2^12": ("doubling", (2,) * 12, {"set": 0.25}),
     "sumset Z6 empty": ("sumset", (6,), {"set-a": 0.0, "set-b": 0.5}),
 }
 
 # sha256 of the reports above (seed 7), recorded from the `json.dumps`
 # writer and per-line subset reader that `dump_json` and
-# `parse_subset_file` replaced.
+# `parse_subset_file` replaced; the Z2^12 energy and doubling reports from
+# the certified FFT counter, before the Walsh-Hadamard butterflies.
 _REPORT_DIGESTS = {
     "sumset Z4096": "46b52e2378461d44c66f4975a388a2c5bb7f32181d0b0ee3ed97a5b2b9cd9a56",
     "sumset Z64xZ64": "b17a3acb12c4f4e299186d7d2435f6e47a4ec431b9548d8760203aa4217d5257",
@@ -561,6 +584,9 @@ _REPORT_DIGESTS = {
     "stabilizer Z256xZ256": "1aa9dd3c76e455d56590a3ef5b83420a2752d8c27aac68fb3b7a134ef7a6c45d",
     "stabilizer Z12": "2beda844857a0780f13c9bd56c72976e23bc9455e084adf3c1277d5e0afd4dbc",
     "energy --fourier Z64xZ64": "26ecef9390076f10560c34fc9963f352e123a3031d8d07a391d573899441347c",
+    "energy Z2^12": "8ee7425f9f2ca91b15f0b09052ef07d482c14702a5c0cd025bacec9d0e22562c",
+    "energy --fourier Z2^12": "c96c31e657dfa5676916c51ba9b2b257e9031bd4e736f2fe4b0f1cb89af66384",
+    "doubling Z2^12": "76eb0861e35eb5fea6f607183135eadc8f40b2e505499a59c1dbf4e1da81aa9d",
     "sumset Z6 empty": "5064bc0d0ef659eabf6aa0e62d3bf8a6fa68cb61b185e887ffcca84e4f6e9d3e",
 }
 

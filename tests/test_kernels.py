@@ -1,10 +1,11 @@
 """Property tests of the element index, the vectorized set kernels, their
 row-wise batched forms and the Fourier module against the brute-force
-oracles, on each of the three exact paths of the one pair counter (the
-difference table, the certified FFT and pairwise counting), plus the rule
-that chooses between them, the certificate fallbacks and the exact energy
-sum."""
+oracles, on each of the four exact paths of the one pair counter (the
+difference table, Walsh-Hadamard butterflies on Z2^k, the certified FFT and
+pairwise counting), plus the rule that chooses between them, the
+certificate fallbacks and the exact energy sum."""
 
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -35,13 +36,20 @@ PRESENTATIONS = oracles.group_presentations(24)
 # Rule constants that send every row of `pair_count_rows` to one path.
 PATHS = {
     "table": {"_PAIRWISE_ROW_PAIRS": float("inf"), "_TABLE_ORDER_PER_AXIS": float("inf")},
-    "fft": {"_PAIRWISE_ROW_PAIRS": float("inf"), "_TABLE_ORDER_PER_AXIS": 0},
+    "fft": {
+        "_PAIRWISE_ROW_PAIRS": float("inf"),
+        "_TABLE_ORDER_PER_AXIS": 0,
+        "_butterflies": lambda group: False,
+    },
     "pairwise": {"_BATCH_CALL_PAIRS": float("inf")},
 }
+# The butterflies run only on Z2^k (while |G|^3 < 2^63), in the certified
+# FFT's place; `butterfly` forces them there.
+BUTTERFLY = {"_PAIRWISE_ROW_PAIRS": float("inf"), "_TABLE_ORDER_PER_AXIS": 0}
 
 
 def forced(path):
-    return mock.patch.multiple(abelian, **PATHS[path])
+    return mock.patch.multiple(abelian, **(BUTTERFLY if path == "butterfly" else PATHS[path]))
 
 
 @st.composite
@@ -234,6 +242,7 @@ def _path_spy(monkeypatch):
     calls = []
     for path, name in (
         ("table", "_table_counts"),
+        ("butterfly", "_butterfly_counts"),
         ("fft", "_certified_fft"),
         ("pairwise", "_pairwise_counts"),
     ):
@@ -281,11 +290,13 @@ def test_crossover_sides(monkeypatch):
     assert np.array_equal(alone, batch[:1])
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_empty_and_full_rows_skip_the_forced_path(monkeypatch, path):
+@pytest.mark.parametrize(
+    "path, moduli", [(path, (4, 6)) for path in sorted(PATHS)] + [("butterfly", (2,) * 5)]
+)
+def test_empty_and_full_rows_skip_the_forced_path(monkeypatch, path, moduli):
     # every pairing of an empty, full, one-element and dense operand; only the
     # rows with neither operand empty nor full reach the forced path
-    group = FiniteAbelianGroup((4, 6))
+    group = FiniteAbelianGroup(moduli)
     n = group.order
     kinds = {
         "empty": np.zeros(n, dtype=bool),
@@ -301,12 +312,12 @@ def test_empty_and_full_rows_skip_the_forced_path(monkeypatch, path):
     with forced(path):
         counts = pair_count_rows(group, a, b)
         same = pair_count_rows(group, a, a)
-    tuples = list(oracles.all_tuples((4, 6)))
+    tuples = list(oracles.all_tuples(moduli))
     for row, other, got, got_same in zip(a, b, counts, same):
         a_set = {t for t, keep in zip(tuples, row) if keep}
         b_set = {t for t, keep in zip(tuples, other) if keep}
-        assert got.tolist() == oracle_pair_counts((4, 6), a_set, b_set)
-        assert got_same.tolist() == oracle_pair_counts((4, 6), a_set, a_set)
+        assert got.tolist() == oracle_pair_counts(moduli, a_set, b_set)
+        assert got_same.tolist() == oracle_pair_counts(moduli, a_set, a_set)
     assert {p for p, _ in calls} == {path}
     # the pairwise path is called once per row, the batched paths per call
     counted = [rows for p, rows in calls]
@@ -378,3 +389,94 @@ def test_sum_of_squares_beyond_int64():
     z4 = FiniteAbelianGroup((4,))
     small = additive_energy_rows(z4, np.array([[4, 4, 4, 4], [1, 0, 0, 0]]))
     assert small.dtype == np.int64 and small.tolist() == [64, 1]
+
+
+@st.composite
+def z2k_rows(draw):
+    """Z2^k for k = 1..10 and two boolean (rows, 2^k) matrices whose rows
+    are each empty, full or random."""
+    k = draw(st.integers(1, 10))
+    n, rows = 1 << k, draw(st.integers(1, 4))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**32 - 1))))
+
+    def row():
+        kind = draw(st.sampled_from(["empty", "full", "random"]))
+        if kind == "random":
+            return rng.random(n) < draw(st.floats(0, 1))
+        return np.full(n, kind == "full")
+
+    a = np.array([row() for _ in range(rows)])
+    b = np.array([row() for _ in range(rows)])
+    return FiniteAbelianGroup((2,) * k), a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(z2k_rows())
+def test_butterflies_match_pairwise_counts(drawn):
+    group, a, b = drawn
+    for other in (b, a):
+        want = [
+            abelian._pairwise_counts(group, x.nonzero()[0], y.nonzero()[0])
+            for x, y in zip(a, other)
+        ]
+        # the butterflies themselves, on every row, and `pair_count_rows`
+        # forced onto them, which answers the empty and full rows in closed form
+        raw = abelian._butterfly_counts(group, a, other)
+        with forced("butterfly"):
+            got = pair_count_rows(group, a, other)
+        assert raw.dtype == got.dtype == np.int64
+        assert np.array_equal(raw, want) and np.array_equal(got, want)
+
+
+def test_butterflies_replace_the_certified_fft_under_the_int64_guard(monkeypatch):
+    # the guard on groups built without allocating any (rows, |G|) array:
+    # |G|^3 < 2^63 holds up to Z2^20, and trivial factors change nothing
+    def z2(k):
+        return FiniteAbelianGroup((2,) * k, max_order=1 << k)
+
+    assert abelian._butterflies(z2(20)) and not abelian._butterflies(z2(21))
+    assert abelian._butterflies(FiniteAbelianGroup((1, 2, 2)))
+    assert not abelian._butterflies(FiniteAbelianGroup((2, 4)))
+    # on Z2^12 every call the rule batches reaches the butterflies alone: no
+    # certified FFT, no pairwise recount
+    group = FiniteAbelianGroup((2,) * 12)
+    rng = np.random.Generator(np.random.Philox(key=4))
+    a, b = rng.random((2, 3, group.order)) < 0.3
+    s, t = (GroupSubset(group, rng.random(group.order) < 0.25) for _ in range(2))
+    calls = _path_spy(monkeypatch)
+    counts = pair_count_rows(group, a, b)
+    singles = (sumset(s, t), representation_vector(s), stabilizer(s))
+    assert calls == [("butterfly", 3)] + [("butterfly", 1)] * 3
+    # with the guard's bound lowered to Z2^12's |G|^3 = 2^36, the same calls
+    # keep the certified FFT, and count the same
+    del calls[:]
+    monkeypatch.setattr(abelian, "_I64_EXACT", 1 << 36)
+    assert np.array_equal(pair_count_rows(group, a, b), counts)
+    assert sumset(s, t) == singles[0] and stabilizer(s) == singles[2]
+    assert np.array_equal(representation_vector(s), singles[1])
+    assert calls == [("fft", 3)] + [("fft", 1)] * 3
+
+
+def test_butterfly_temporaries_stay_within_the_batch_budget():
+    group = FiniteAbelianGroup((2,) * 12)
+    rows = abelian.batch_rows(group)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    a, b = rng.random((2, rows, group.order)) < 0.5
+    tracemalloc.start()
+    try:
+        pair_count_rows(group, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # int64 transforms of both operands and one scratch array: 24 bytes per element
+    assert 24 * rows * group.order <= peak <= abelian._BATCH_BYTES
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_fourier_transform_of_a_subset_on_z2k_is_numpys_bit_for_bit(k):
+    group = FiniteAbelianGroup((2,) * k)
+    rng = np.random.Generator(np.random.Philox(key=k))
+    for density in (0.0, 0.1, 0.5, 1.0):
+        a = GroupSubset(group, rng.random(group.order) < density)
+        want = np.fft.fftn(a.bits.reshape(group.moduli)).ravel() / group.order
+        assert fourier_transform(a).coefficients.tobytes() == want.tobytes()

@@ -291,7 +291,9 @@ def test_crossover_sides(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "path, moduli", [(path, (4, 6)) for path in sorted(PATHS)] + [("butterfly", (2,) * 5)]
+    "path, moduli",
+    [pytest.param(path, (4, 6), id=path) for path in sorted(PATHS)]
+    + [pytest.param("butterfly", (2,) * 5, id="butterfly")],
 )
 def test_empty_and_full_rows_skip_the_forced_path(monkeypatch, path, moduli):
     # every pairing of an empty, full, one-element and dense operand; only the

@@ -105,9 +105,7 @@ def _cmd_density(args):
     group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
     system = linform.parse_system(args.system)
-    value = linform.eval_density(
-        system, subset, budget=args.max_work, threads=args.threads
-    )
+    value = linform.eval_density(system, subset, budget=args.max_work)
     report = make_report(
         "density",
         params={"group": args.group, "system": linform.format_system(system)},
@@ -285,9 +283,7 @@ def _cmd_witness(args):
 
 
 def _cmd_verify_pinpoint(args):
-    result = reduction.verify_pinpoint(
-        args.k, budget=args.max_work, threads=args.threads
-    )
+    result = reduction.verify_pinpoint(args.k, budget=args.max_work)
     report = make_report("verify-pinpoint", params={"k": args.k})
     report.update(result.to_dict())
     return report, not result.ok
@@ -318,7 +314,7 @@ def _cmd_verify_homdensity(args):
         for j in range(1, k + 1):
             # g is one of M's solutions, so t(M) at g is 1 for every j
             rep = reduction.verify_homdensity_identity(
-                a, g, j, budget=args.max_work, threads=args.threads, t_m=Fraction(1)
+                a, g, j, budget=args.max_work, t_m=Fraction(1)
             )
             if rep.vacuous:
                 vacuous += 1
@@ -342,9 +338,7 @@ def _cmd_verify_homdensity(args):
 def _cmd_verify_witness(args):
     n = [int(v) for v in args.n.split(",") if v.strip()]
     spec = reduction.build_witness(args.k, n)
-    result = reduction.verify_witness(
-        spec, budget=args.max_work, threads=args.threads
-    )
+    result = reduction.verify_witness(spec, budget=args.max_work)
     report = make_report("verify-witness", params={"k": args.k, "n": n})
     report.update(result.to_dict())
     return report, not result.ok
@@ -411,7 +405,12 @@ def _cmd_estimate(args):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker count")
+    p.add_argument(
+        "--threads",
+        type=_int_at_least(1),
+        default=1,
+        help="worker count of `estimate`; the exact verbs run in one thread",
+    )
     p.add_argument(
         "--max-work",
         type=int,

@@ -2,22 +2,24 @@
 Monte-Carlo evaluation of their satisfaction densities.
 
 A system is a list of forms sum_i c_i * g_i, each required to land inside a
-subset (or outside it, when negated).  Both exact evaluators take a matrix
-of pinned prefixes, one row per prefix.  `count_rows` counts the
-completions of every row by variable elimination: forms are grouped into
-tables by the direction of their free coefficients and the free variables
-are summed out one rule at a time, pair counts through
-`abelian.pair_count_rows`.  `solve_rows` lists the completions: it
-enumerates the free variables level by level for all rows at once, testing
-every form as soon as its last variable is bound, so unsatisfiable prefixes
-are pruned early.  The density and quantum functions are 1-row calls of
-`count_rows`, `enumerate_satisfying` of `solve_rows`.  Counts are exact
-integers and densities exact rationals.
+subset (or outside it, when negated).  One exact engine serves both
+evaluators, which take a matrix of pinned prefixes, one row per prefix.
+`count_rows` counts the completions of every row by variable elimination:
+forms are grouped into tables by the direction of their free coefficients
+and the free variables are summed out one rule at a time, pair counts
+through `abelian.pair_count_rows`; a system no rule covers has its first
+free variable pinned to every value and is counted again.  `solve_rows`
+lists the completions: it binds the free variables one per level, and
+each level's `count_rows` mask of satisfying values grows the frontier of
+all rows at once, so unsatisfiable prefixes are pruned early.  The density
+and quantum functions are 1-row calls of `count_rows`,
+`enumerate_satisfying` of `solve_rows`, and `estimate_density` tests its
+samples through the same plan.  Counts are exact integers and densities
+exact rationals.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +37,9 @@ DEFAULT_WORK_BUDGET = 10**9
 
 # Cap on rows of any temporary assignment block.
 _ENUM_CHUNK = 1 << 20
+# Cap on entries of a block of `_grid_counts` gathers: its int64 index
+# blocks stay at 2 MB.
+_GRID_BLOCK = 1 << 18
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -164,127 +169,27 @@ def _pinned_terms(coeffs: np.ndarray) -> tuple:
     )
 
 
-def _level(forms: Sequence[LinearForm], nfix: int, exponent: int):
-    """Forms prepared to be tested together: (pinned, free), where pinned
-    lists (variable, coefficient) for every pinned variable one of the forms
-    uses, the coefficient an int when all forms share it and otherwise an
-    int64 array with one entry per form, and free lists each form's (free
-    terms, negated) with free variables numbered from 0.  Coefficients are
-    reduced mod the group exponent."""
-    pinned = _pinned_terms(
-        np.array(
-            [[c % exponent for c in f.coefficients[:nfix]] for f in forms], dtype=np.int64
-        ).reshape(len(forms), nfix)
-    )
-    free = tuple(
-        (
-            tuple(
-                (i - nfix, c % exponent)
-                for i, c in enumerate(f.coefficients)
-                if i >= nfix and c % exponent
-            ),
-            f.negated,
-        )
-        for f in forms
-    )
-    return pinned, free
-
-
 @functools.lru_cache(maxsize=256)
-def _prepare(system: LinearSystem, nfix: int, exponent: int) -> tuple:
-    """The forms grouped by level, each level prepared by `_level` (None when
-    empty): level 0 holds the forms without a free variable, level i + 1 the
-    forms whose last free variable is free variable i.  Cached: the
-    reduction verifiers evaluate a few systems for many prefixes."""
-    buckets: list[list[LinearForm]] = [[] for _ in range(system.arity - nfix + 1)]
+def _levels(system: LinearSystem, nfix: int, exponent: int) -> tuple:
+    """The systems that bind the free variables one at a time: level i holds
+    the forms whose last free variable is free variable i (level 0 also the
+    forms without one), truncated to nfix + i + 1 variables, or None when no
+    form ends there.  The dropped coefficients are multiples of the group
+    exponent, so every level is satisfied exactly where its forms are.
+    Cached: the reduction verifiers list a few systems for many prefixes."""
+    buckets: list[list[LinearForm]] = [[] for _ in range(system.arity - nfix)]
     for form in system.forms:
-        last = max(
-            (i for i, c in enumerate(form.coefficients) if i >= nfix and c % exponent),
-            default=nfix - 1,
+        last = max((i for i, c in enumerate(form.coefficients) if c % exponent), default=0)
+        buckets[max(0, last - nfix)].append(form)
+    return tuple(
+        LinearSystem(
+            nfix + i + 1,
+            tuple(LinearForm(nfix + i + 1, f.coefficients[: nfix + i + 1], f.negated) for f in b),
         )
-        buckets[last - nfix + 1].append(form)
-    return tuple(_level(b, nfix, exponent) if b else None for b in buckets)
-
-
-def _pinned_offsets(group, level, prefixes: np.ndarray):
-    """Indices of the pinned parts of a level's forms, one combine for all of
-    them: (forms, rows), or (1, rows) when the forms share their pinned part;
-    None when no form has one."""
-    if level is None or not level[0]:
-        return None
-    return group.combine([(c, prefixes[None, :, i]) for i, c in level[0]])
-
-
-def _holds(group, memb, level, off, columns):
-    """Where every form of `level` lands in A (outside A when negated).
-
-    columns[i] holds the indices of free variable i; off[f] (or off[0] when
-    `off` has one row) those of form f's pinned part, None when no form has
-    one; all broadcast against each other.  None when the level is empty.
-    """
-    if level is None:
-        return None
-    ok = None
-    for f, (free, negated) in enumerate(level[1]):
-        pin = None if off is None else off[f if len(off) > 1 else 0]
-        if pin is None and len(free) == 1 and free[0][1] == 1:
-            hit = memb[columns[free[0][0]]]  # a lone free variable is its own index
-        elif free:
-            terms = [(c, columns[i]) for i, c in free]
-            hit = memb[group.combine(terms if pin is None else terms + [(1, pin)])]
-        else:
-            hit = memb[0 if pin is None else pin]
-        hit = ~hit if negated else hit
-        ok = hit if ok is None else ok & hit
-    return ok
-
-
-def _complete(group, memb, levels, offsets, rows: int, values: np.ndarray):
-    """The satisfying completions of `rows` live prefix rows as (owner,
-    free): free[i] is an index row of the free variables, owner[i] the
-    prefix row it completes, in (owner, free) order.  The first free
-    variable ranges over `values`, the others over the whole group."""
-    kfree = len(levels) - 1
-    if kfree == 0:
-        return np.arange(rows, dtype=np.int64), np.zeros((rows, 0), dtype=np.int64)
-    # The first free variable is bound for all rows at once: pinned parts are
-    # (rows, 1) terms and the variable a (1, values) term.
-    shape = (rows, values.size)
-    off = None if offsets[1] is None else offsets[1][:, :, None]
-    ok = _holds(group, memb, levels[1], off, [values[None, :]])
-    owner, vi = np.nonzero(np.ones(shape, dtype=bool) if ok is None else np.broadcast_to(ok, shape))
-    free = values[vi][:, None]
-    single = rows == 1
-    n = group.order
-    every = np.arange(n, dtype=np.int64)
-    step = max(1, _ENUM_CHUNK // n)
-    for level in range(2, kfree + 1):
-        if free.shape[0] == 0:
-            break
-        prepared, off = levels[level], offsets[level]
-        owners, frees = [], []
-        for start in range(0, free.shape[0], step):
-            part = free[start : start + step]
-            ext = np.empty((part.shape[0] * n, level), dtype=np.int64)
-            ext[:, :-1] = np.repeat(part, n, axis=0)
-            ext[:, -1] = np.tile(every, part.shape[0])
-            own = None if single else np.repeat(owner[start : start + step], n)
-            if prepared is not None:
-                keep = _holds(
-                    group, memb, prepared, off if off is None or single else off[:, own], ext.T
-                )
-                ext = ext[keep]
-                own = None if single else own[keep]
-            frees.append(ext)
-            owners.append(own)
-        free = frees[0] if len(frees) == 1 else np.concatenate(frees, axis=0)
-        if not single:
-            owner = owners[0] if len(owners) == 1 else np.concatenate(owners)
-    if free.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, kfree), dtype=np.int64)
-    if single:
-        owner = np.zeros(free.shape[0], dtype=np.int64)
-    return owner, free
+        if b
+        else None
+        for i, b in enumerate(buckets)
+    )
 
 
 def solve_rows(
@@ -293,7 +198,6 @@ def solve_rows(
     prefixes: np.ndarray,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every satisfying completion of every pinned prefix, as index rows.
 
@@ -302,45 +206,36 @@ def solve_rows(
     of the remaining variables, owner[i] the prefix row it completes, sorted
     by (owner, free).  The work budget is checked per prefix, |G|^kfree * d,
     before anything is allocated, so it admits a whole batch when it admits
-    one row.  Each block of candidate assignments holds at most about 2^20
-    rows, the first free variable of a chunk of prefix rows included.
-    """
+    one row.
+
+    The free variables are bound one per level (`_levels`): the frontier of
+    partial assignments is extended by the values where the level's mask
+    from `count_rows` holds, in chunks of about 2^20 (row, value) pairs, so
+    a form is tested as soon as its last variable is bound."""
     group = subset.group
     prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
     rows, nfix = prefixes.shape
-    levels = _prepare(system, nfix, math.lcm(*group.moduli))
-    memb = subset.bits
+    if kfree == 0:
+        owner = np.flatnonzero(count_rows(system, subset, prefixes, budget=budget))
+        return owner, np.zeros((owner.size, 0), dtype=np.int64)
     n = group.order
-    values = np.arange(n, dtype=np.int64)
-    splits = [values] if threads <= 1 or n < 2 or kfree == 0 else np.array_split(values, threads)
-    step = max(1, _ENUM_CHUNK // (n if kfree else 1))
-    owners, frees = [], []
-    pool = ThreadPoolExecutor(max_workers=len(splits)) if len(splits) > 1 else None
-    with pool or contextlib.nullcontext():
-        run = map if pool is None else pool.map
-        for start in range(0, rows, step):
-            part = prefixes[start : start + step]
-            offsets = [_pinned_offsets(group, level, part) for level in levels]
-            live = np.arange(part.shape[0])
-            alive = _holds(group, memb, levels[0], offsets[0], ())
-            if alive is not None:
-                live = live[np.broadcast_to(alive, live.shape)]
-                offsets = [None if off is None else off[:, live] for off in offsets]
-            if live.size == 0:
-                continue
-            parts = list(
-                run(lambda v: _complete(group, memb, levels, offsets, live.size, v), splits)
-            )
-            owner = np.concatenate([p[0] for p in parts])
-            free = np.concatenate([p[1] for p in parts], axis=0)
-            if len(parts) > 1 and live.size > 1:
-                order = np.argsort(owner, kind="stable")
-                owner, free = owner[order], free[order]
-            owners.append(live[owner] + start)
-            frees.append(free)
-    if not owners:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, kfree), dtype=np.int64)
-    return np.concatenate(owners), np.concatenate(frees, axis=0)
+    step = max(1, _ENUM_CHUNK // n)
+    owner, frontier = np.arange(rows, dtype=np.int64), prefixes
+    for level in _levels(system, nfix, math.lcm(*group.moduli)):
+        owners, grown = [], []
+        for start in range(0, len(frontier), step):
+            part = frontier[start : start + step]
+            if level is None:
+                mask = np.ones((len(part), n), dtype=bool)
+            else:
+                _, mask = count_rows(level, subset, part, budget=budget, masks=True)
+            r, v = np.nonzero(mask)
+            owners.append(owner[start + r])
+            grown.append(np.column_stack([part[r], v]))
+        if not grown:
+            return np.zeros(0, dtype=np.int64), np.zeros((0, kfree), dtype=np.int64)
+        owner, frontier = np.concatenate(owners), np.concatenate(grown, axis=0)
+    return owner, frontier[:, nfix:]
 
 
 # The elimination engine behind `count_rows`.
@@ -474,9 +369,9 @@ def _eliminate(kfree: int, directions) -> tuple | None:
 
 @functools.lru_cache(maxsize=256)
 def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
-    """The elimination plan of `count_rows`, cached like `_prepare`:
+    """The elimination plan of `count_rows`, cached like `_levels`:
     (pinned, filters, tables, keys, bounds, steps).  `pinned` gives the
-    distinct pinned parts of the forms to one `combine`, as `_level` does.
+    distinct pinned parts of the forms to one `combine` (`_pinned_terms`).
     `filters` stacks the forms without a free variable (None when there
     are none), `tables` the others (`_stack`), grouped by the primitive
     direction d of their free coefficients, each with the multiplier m that
@@ -484,7 +379,7 @@ def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
     bounds[t + 1]; its table holds at w when every form f of it lands in A
     (outside A when negated) at its pinned part plus m_f * w.  keys[t] is
     the variable of a one-variable d and d itself otherwise.  `steps` come
-    from `_eliminate`; None means counting by `solve_rows`."""
+    from `_eliminate`; None means counting by pinning a free variable."""
     filters, groups, parts = [], {}, {}
     for form in system.forms:
         pinned = tuple(c % exponent for c in form.coefficients[:nfix])
@@ -533,7 +428,7 @@ def _grid_counts(group, tabs: dict, a: int, b: int, dirs, rows: int, wide: bool)
         for d in dirs
     ]
     total = np.zeros(rows, dtype=object if wide else np.int64)
-    step = max(1, _ENUM_CHUNK // max(1, yb.size))
+    step = max(1, _GRID_BLOCK // max(1, yb.size))
     for s in range(0, ya.size, step):
         o, y = own[s : s + step], ya[s : s + step]
         acc = None if ub is None else ub[o]
@@ -592,13 +487,27 @@ def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
     return count
 
 
+def _pinned_counts(system, subset, prefixes, counts: np.ndarray, budget) -> np.ndarray:
+    """`counts` filled with the counts of `prefixes` as the sums of the
+    counts of each row widened by every value of the first free variable;
+    chunked so a widened block has about 2^20 rows."""
+    n = subset.group.order
+    step = max(1, _ENUM_CHUNK // n)
+    every = np.arange(n, dtype=np.int64)
+    for start in range(0, len(prefixes), step):
+        part = prefixes[start : start + step]
+        wider = np.column_stack([np.repeat(part, n, axis=0), np.tile(every, len(part))])
+        got = count_rows(system, subset, wider, budget=budget).astype(counts.dtype)
+        counts[start : start + len(part)] = got.reshape(len(part), n).sum(axis=1)
+    return counts
+
+
 def count_rows(
     system: LinearSystem,
     subset: GroupSubset,
     prefixes: np.ndarray,
     *,
     budget: int | None = None,
-    threads: int = 1,
     masks: bool = False,
 ):
     """Per-row satisfying counts, one per prefix row, of the completions
@@ -610,10 +519,10 @@ def count_rows(
     Per chunk of rows: one `combine` gives the pinned offsets of all forms;
     forms without a free variable filter rows; the others become one table
     per direction of their free coefficients (`_plan`), and the free
-    variables are summed out by the rules of `_eliminate`.  A system that
-    no rule covers is counted from `solve_rows`, the only use of `threads`,
-    which leaves every count unchanged.  The budget is checked as in
-    `solve_rows`."""
+    variables are summed out by the rules of `_eliminate`.  When no rule
+    covers the system, the first free variable is pinned to every value
+    (`_pinned_counts`); two free variables always have a plan, so this
+    ends.  The budget is checked as in `solve_rows`."""
     group = subset.group
     prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
     if masks and kfree != 1:
@@ -625,9 +534,7 @@ def count_rows(
     wide = n**kfree >= 1 << 63
     counts = np.zeros(rows, dtype=object if wide else np.int64)
     if steps is None:
-        owner, _ = solve_rows(system, subset, prefixes, budget=budget, threads=threads)
-        counts += np.bincount(owner, minlength=rows)
-        return counts
+        return _pinned_counts(system, subset, prefixes, counts, budget)
     out = np.zeros((rows, n), dtype=bool) if masks else None
     memb = subset.bits
     every = np.arange(n, dtype=np.int64)[None, None, :]
@@ -681,14 +588,13 @@ def eval_density(
     subset: GroupSubset,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Fraction:
     """Exact probability that a uniform assignment satisfies every form.
 
     The result has denominator |G|^k.  Refuses (CapExceeded) when the
     predicted work |G|^k * d is over budget.
     """
-    return eval_density_fixed(system, subset, (), budget=budget, threads=threads)
+    return eval_density_fixed(system, subset, (), budget=budget)
 
 
 def eval_density_fixed(
@@ -697,13 +603,10 @@ def eval_density_fixed(
     fixed: Sequence[GroupElement],
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Fraction:
     """Satisfaction probability with a prefix of the variables pinned and the
     remaining variables uniform."""
-    counts = count_rows(
-        system, subset, prefix_row(subset, fixed), budget=budget, threads=threads
-    )
+    counts = count_rows(system, subset, prefix_row(subset, fixed), budget=budget)
     return Fraction(int(counts[0]), subset.group.order ** (system.arity - len(fixed)))
 
 
@@ -713,12 +616,9 @@ def enumerate_satisfying(
     fixed: Sequence[GroupElement] = (),
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> list[tuple[GroupElement, ...]]:
     """All free-variable assignments satisfying the system, in index order."""
-    _, free = solve_rows(
-        system, subset, prefix_row(subset, fixed), budget=budget, threads=threads
-    )
+    _, free = solve_rows(system, subset, prefix_row(subset, fixed), budget=budget)
     group = subset.group
     return [tuple(group.from_index(int(i)) for i in row) for row in free]
 
@@ -742,7 +642,23 @@ def estimate_density(
         raise ValueError("samples must be >= 1")
     group = subset.group
     memb = subset.bits
-    level = _level(system.forms, 0, math.lcm(*group.moduli))
+    _, filters, tables, keys, bounds, _ = _plan(system, 0, math.lcm(*group.moduli))
+    radius = math.sqrt(math.log(200.0) / (2.0 * samples))
+    if filters is not None and not np.all(memb[0] != filters[2]):
+        return 0.0, radius  # a form that is 0 at every assignment fails
+    # per direction: the key and (multiple table or None, negated) per form
+    tests, scales = [], {}
+    if tables is not None:
+        every = np.arange(group.order, dtype=np.int64)
+        mults = np.broadcast_to(tables[1], (bounds[-1], 1, 1)).ravel().tolist()
+        negs = np.broadcast_to(tables[2], (bounds[-1], 1, 1)).ravel().tolist()
+        for key, lo, hi in zip(keys, bounds, bounds[1:]):
+            forms = []
+            for m, negated in zip(mults[lo:hi], negs[lo:hi]):
+                if m != 1 and m not in scales:
+                    scales[m] = group.combine([(m, every)])
+                forms.append((scales.get(m), negated))
+            tests.append((key, forms))
     base = np.random.Philox(key=int(seed))
     chunks = [
         (ci, min(_SAMPLE_CHUNK, samples - ci * _SAMPLE_CHUNK))
@@ -752,16 +668,23 @@ def estimate_density(
     def run(chunk: tuple[int, int]) -> int:
         ci, m = chunk
         gen = np.random.Generator(base.jumped(ci))
-        draw = gen.integers(0, group.order, size=(m, system.arity), dtype=np.int64)
-        ok = _holds(group, memb, level, None, draw.T)
-        return int(np.broadcast_to(ok, (m,)).sum())
+        cols = gen.integers(0, group.order, size=(m, system.arity), dtype=np.int64).T
+        ok = None
+        for key, forms in tests:
+            if isinstance(key, int):
+                w = cols[key]  # a lone variable is its own index
+            else:
+                w = group.combine([(c, cols[i]) for i, c in enumerate(key) if c])
+            for scale, negated in forms:
+                hit = memb[w if scale is None else scale[w]] != negated
+                ok = hit if ok is None else ok & hit
+        return m if ok is None else int(ok.sum())
 
     if threads <= 1 or len(chunks) == 1:
         hits = sum(run(c) for c in chunks)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(run, chunks))
-    radius = math.sqrt(math.log(200.0) / (2.0 * samples))
     return hits / samples, radius
 
 
@@ -771,16 +694,13 @@ def eval_quantum(
     fixed: Sequence[GroupElement] = (),
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Fraction:
     """sum over terms of coeff * product of factor densities, exact.
 
     Factors evaluate independently (fresh variables per factor), each with
     its first variables pinned to `fixed`; a repeated factor is evaluated once.
     """
-    return quantum_sum_rows(
-        q, subset, prefix_row(subset, fixed), budget=budget, threads=threads
-    )
+    return quantum_sum_rows(q, subset, prefix_row(subset, fixed), budget=budget)
 
 
 def quantum_sum_rows(
@@ -789,7 +709,6 @@ def quantum_sum_rows(
     prefixes: np.ndarray,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Fraction:
     """The sum over the rows of a (rows, nfix) prefix matrix of `q` with the
     first variables of every factor pinned to the row, exact.
@@ -814,9 +733,7 @@ def quantum_sum_rows(
             got = counts.setdefault(factor, np.full(rows, -1, dtype=dtype))
             todo = live[got[live] < 0]
             if todo.size:
-                got[todo] = count_rows(
-                    factor, subset, prefixes[todo], budget=budget, threads=threads
-                )
+                got[todo] = count_rows(factor, subset, prefixes[todo], budget=budget)
             num[live] *= got[live].astype(object)
             den *= size
         total += coeff * Fraction(int(num.sum()), den)

@@ -296,7 +296,6 @@ def verify_homdensity_identity(
     j: int,
     *,
     budget: int | None = None,
-    threads: int = 1,
     t_m: Fraction | None = None,
 ) -> HomdensityReport:
     """Check, exactly, that the graph pair/3-cycle densities equal the
@@ -309,15 +308,15 @@ def verify_homdensity_identity(
     gt = tuple(g)
     meta = dict(group=group.literal(), j=j, g=tuple(e.residues for e in gt))
     if t_m is None:
-        t_m = linform.eval_density_fixed(build_M(k), a, gt, budget=budget, threads=threads)
+        t_m = linform.eval_density_fixed(build_M(k), a, gt, budget=budget)
     if t_m == 0:
         return HomdensityReport(vacuous=True, **meta)
     b, c = compute_B_C(a, gt, j, budget=budget)
     t_v = Fraction(b.size, group.order)
     if t_v == 0:
         return HomdensityReport(vacuous=True, **meta)
-    t_e = linform.eval_density_fixed(build_E(k, j), a, gt, budget=budget, threads=threads)
-    t_t = linform.eval_density_fixed(build_T(k, j), a, gt, budget=budget, threads=threads)
+    t_e = linform.eval_density_fixed(build_E(k, j), a, gt, budget=budget)
+    t_t = linform.eval_density_fixed(build_T(k, j), a, gt, budget=budget)
     k2, k3 = graph_densities(DirectedCayleyGraph(b, c))
     return HomdensityReport(
         vacuous=False,
@@ -436,7 +435,7 @@ def _residue_rows(group: FiniteAbelianGroup, row: np.ndarray) -> list[tuple[int,
 
 
 def verify_witness(
-    spec: WitnessSpec, *, budget: int | None = None, threads: int = 1
+    spec: WitnessSpec, *, budget: int | None = None
 ) -> WitnessReport:
     """For every g with M(g) inside A: assert B_j = {j} x H and the exact
     pair density 1 - 1/n_j; measure the 3-cycle density per coordinate class
@@ -444,9 +443,7 @@ def verify_witness(
     2x^2 - x.  All good g are index rows of one matrix: B_j takes one
     `count_rows` call per j, and the C-edges of all rows one stack."""
     a, group, k = spec.subset, spec.group, spec.k
-    _, good = linform.solve_rows(
-        build_M(k), a, linform.prefix_row(a, ()), budget=budget, threads=threads
-    )
+    _, good = linform.solve_rows(build_M(k), a, linform.prefix_row(a, ()), budget=budget)
     every = np.arange(group.order, dtype=np.int64)
     b_events: list[tuple[int, int, str]] = []  # (row, j, message), sorted at the end
     k2_events: list[tuple[int, int, str]] = []
@@ -552,7 +549,7 @@ def _solution_set_violations(
 
 
 def verify_pinpoint(
-    k: int, *, budget: int | None = None, threads: int = 1
+    k: int, *, budget: int | None = None
 ) -> PinpointReport:
     """Exhaustively confirm over Z_{(k+1)^2} with S = {0..k}: the g with L(g)
     in S are exactly (g1, 2*g1, ..., k*g1) with g1 not divisible by k + 1, and
@@ -570,8 +567,8 @@ def verify_pinpoint(
     group = FiniteAbelianGroup([modulus])
     s = GroupSubset.from_indices(group, range(k + 1))
     none = linform.prefix_row(s, ())
-    _, sat_l = linform.solve_rows(build_L(k), s, none, budget=budget, threads=threads)
-    _, sat_m = linform.solve_rows(build_M(k), s, none, budget=budget, threads=threads)
+    _, sat_l = linform.solve_rows(build_L(k), s, none, budget=budget)
+    _, sat_m = linform.solve_rows(build_M(k), s, none, budget=budget)
     multiples = np.arange(1, k + 1)
     g1 = np.flatnonzero(np.arange(modulus) % (k + 1))
     violations = _solution_set_violations(
@@ -613,7 +610,6 @@ def eval_reduction_shared_g(
     a: GroupSubset,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> Fraction:
     """Average over all g of psi with the k base variables pinned to g in
     every factor; every factor contains the M forms, so only g with M(g)
@@ -622,8 +618,6 @@ def eval_reduction_shared_g(
     nonconst = QuantumSystem(tuple((c, f) for c, f in bundle.psi.terms if f))
     total = Fraction(0)
     if nonconst.terms:
-        _, good = linform.solve_rows(
-            bundle.M, a, linform.prefix_row(a, ()), budget=budget, threads=threads
-        )
-        total = linform.quantum_sum_rows(nonconst, a, good, budget=budget, threads=threads)
+        _, good = linform.solve_rows(bundle.M, a, linform.prefix_row(a, ()), budget=budget)
+        total = linform.quantum_sum_rows(nonconst, a, good, budget=budget)
     return const + total / a.group.order**bundle.k

@@ -173,7 +173,7 @@ def test_c05_pinpoint_exhaustive():
     rep2 = verify_pinpoint(2)
     rep3 = verify_pinpoint(3)
     start = time.perf_counter()
-    rep4 = verify_pinpoint(4, threads=4)
+    rep4 = verify_pinpoint(4)
     elapsed4 = time.perf_counter() - start
     counts_ok = (
         rep2.checked == 81 and rep3.checked == 4096 and rep4.checked == 390625
@@ -183,7 +183,7 @@ def test_c05_pinpoint_exhaustive():
         5,
         ok,
         f"pin-down holds for k=2 (81), k=3 (4096), k=4 (390625) assignments; "
-        f"k=4 with 4 workers took {elapsed4:.2f}s",
+        f"k=4 took {elapsed4:.2f}s",
     )
 
 

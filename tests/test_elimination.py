@@ -5,6 +5,7 @@ the benchmark's systems, which no rule may leave to the fallback, and
 counts beyond int64."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -78,37 +79,42 @@ def test_counts_masks_and_densities_match_the_oracle(moduli, data):
     want = _oracle(group, system, bits, prefixes)
     kfree = system.arity - prefixes.shape[1]
     fixed = [group.from_index(int(i)) for i in prefixes[0]]
-    for threads in (1, 2):
-        counts = count_rows(system, a, prefixes, threads=threads)
-        assert counts.dtype == np.int64
-        assert counts.tolist() == [len(w) for w in want]
-        density = eval_density_fixed(system, a, fixed, threads=threads)
-        assert density == Fraction(len(want[0]), group.order**kfree)
-        if kfree == 1:
-            again, masks = count_rows(system, a, prefixes, threads=threads, masks=True)
-            assert again.tolist() == counts.tolist()
-            for row, completions in zip(masks, want):
-                assert np.flatnonzero(row).tolist() == sorted(
-                    group.index_of(t) for (t,) in completions
-                )
+    counts = count_rows(system, a, prefixes)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [len(w) for w in want]
+    density = eval_density_fixed(system, a, fixed)
+    assert density == Fraction(len(want[0]), group.order**kfree)
+    if kfree == 1:
+        again, masks = count_rows(system, a, prefixes, masks=True)
+        assert again.tolist() == counts.tolist()
+        for row, completions in zip(masks, want):
+            assert np.flatnonzero(row).tolist() == sorted(
+                group.index_of(t) for (t,) in completions
+            )
 
 
 @pytest.fixture
 def ran(monkeypatch):
-    """A Counter of the elimination steps `count_rows` runs, by rule, and
-    "fallback" for each count it leaves to `solve_rows`."""
+    """A Counter of the elimination steps `count_rows` runs, by rule, "pin"
+    for each block it counts by pinning a free variable, and "solve_rows"
+    for each call of the lister, which counting must never reach."""
     seen = Counter()
-    run, solve = linform._run, linform.solve_rows
+    run, pin, solve = linform._run, linform._pinned_counts, linform.solve_rows
 
     def spy_run(group, steps, *args):
         seen.update(step[0] for step in steps)
         return run(group, steps, *args)
 
+    def spy_pin(*args, **kwargs):
+        seen["pin"] += 1
+        return pin(*args, **kwargs)
+
     def spy_solve(*args, **kwargs):
-        seen["fallback"] += 1
+        seen["solve_rows"] += 1
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(linform, "_run", spy_run)
+    monkeypatch.setattr(linform, "_pinned_counts", spy_pin)
     monkeypatch.setattr(linform, "solve_rows", spy_solve)
     return seen
 
@@ -123,7 +129,7 @@ _RULE_CASES = [
     ("[g1+g2; g2+g3; g2+2g3; g1]", 0, {"pair": 1, "grid": 1}),  # integer u_a
     ("[g2+g3; g1+g2; g1+2g2; g3]", 0, {"pair": 1, "grid": 1}),  # integer u_b
     ("[g1; g2-g3+g1; g3-g4; g4-g2; g2; g3; g4]", 1, {"triangle": 1}),  # (d), three
-    ("[g1+g2+g3; g1-g2+2g3]", 0, {"fallback": 1}),  # (e)
+    ("[g1+g2+g3; g1-g2+2g3]", 0, {"pin": 1, "grid": 1}),  # (e), then (d) per value
 ]
 
 
@@ -138,6 +144,29 @@ def test_each_rule_runs_and_matches_the_oracle(ran, text, nfix, rules, moduli):
     assert counts.tolist() == [len(w) for w in _oracle(group, system, bits, prefixes)]
     # the steps run once per call, for all rows together
     assert ran == Counter(rules)
+
+
+def test_the_no_plan_fallback_counts_without_listing(ran):
+    # no rule covers three free variables in two ternary tables; the count
+    # comes from pinning g1, never from a list of the satisfying tuples
+    group = FiniteAbelianGroup([200])
+    bits = np.random.default_rng(1).random(group.order) < 0.5
+    system = parse_system("[g1+g2+g3; g1-g2+2g3]")
+    tracemalloc.start()
+    try:
+        (count,) = count_rows(system, GroupSubset(group, bits), np.zeros((1, 0), dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    g2, g3 = np.indices((200, 200))
+    want = sum(
+        int((bits[(g1 + g2 + g3) % 200] & bits[(g1 - g2 + 2 * g3) % 200]).sum())
+        for g1 in range(200)
+    )
+    assert count == want
+    assert ran["pin"] == 1 and "solve_rows" not in ran
+    # the (owner, free) int64 arrays of the list would take 32 bytes a tuple
+    assert 4 * peak < 32 * want
 
 
 def _benchmark_systems():
@@ -171,7 +200,7 @@ def test_no_benchmark_system_falls_back(ran):
         a = GroupSubset(group, rng.random(group.order) < 0.5)
         prefixes = rng.integers(0, group.order, size=(2, nfix))
         count_rows(system, a, prefixes if nfix else prefixes[:1, :0])
-        assert "fallback" not in ran, linform.format_system(system)
+        assert "pin" not in ran, linform.format_system(system)
     assert set(ran) == {"sum", "pair", "edge", "grid", "triangle"}
 
 

@@ -567,9 +567,10 @@ def signed_iterated_sumset_rows(
 
 def stabilizer_rows(group: FiniteAbelianGroup, s: np.ndarray) -> np.ndarray:
     """Row-wise stabilizers as a boolean (rows, |G|) matrix: |S & (S + g)|
-    equals |S| exactly when g stabilizes S, which makes the rows of empty
-    and full sets the full group."""
-    return pair_count_rows(group, s, _negated_rows(group, s)) == s.sum(axis=1)[:, None]
+    equals its value |S| at the identity (column 0) exactly when g
+    stabilizes S, so the rows of empty and full sets are the full group."""
+    counts = pair_count_rows(group, s, _negated_rows(group, s))
+    return counts == counts[:, :1]
 
 
 def additive_energy_rows(group: FiniteAbelianGroup, counts: np.ndarray) -> np.ndarray:

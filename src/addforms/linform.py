@@ -14,8 +14,8 @@ each level's `count_rows` mask of satisfying values grows the frontier of
 all rows at once, so unsatisfiable prefixes are pruned early.  The density
 and quantum functions are 1-row calls of `count_rows`,
 `enumerate_satisfying` of `solve_rows`, and `estimate_density` tests its
-samples through the same plan.  Counts are exact integers and densities
-exact rationals.
+samples through the tables `count_rows` builds (`_tables`), one gather per
+direction.  Counts are exact integers and densities exact rationals.
 """
 
 from __future__ import annotations
@@ -502,6 +502,40 @@ def _pinned_counts(system, subset, prefixes, counts: np.ndarray, budget) -> np.n
     return counts
 
 
+def _tables(subset: GroupSubset, plan: tuple, part: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rows of the prefix chunk `part` that pass the filters of `plan`
+    (from `_plan`) and its boolean (live rows, |G|) table per key, which
+    holds at w when every form of the key's direction does."""
+    pinned, filters, tables, keys, bounds, _ = plan
+    group, memb, n = subset.group, subset.bits, subset.group.order
+    # the pinned parts, (distinct parts, rows), or None when all are 0
+    off = group.combine([(c, part[None, :, i]) for i, c in pinned]) if pinned else None
+    live = np.arange(len(part))
+    if filters is not None:
+        at, _, neg = filters
+        hit = memb[0 if off is None else off[at]] != neg
+        ok = hit.all(axis=0) if np.ndim(hit) == 2 else hit
+        live = live[np.broadcast_to(ok, live.shape)]
+        off = None if off is None else off[:, live]
+    tabs = {}
+    if tables is not None and live.size:
+        at, m, neg = tables
+        every = np.arange(n, dtype=np.int64)[None, None, :]
+        terms = [(m, every)] + ([] if off is None else [(1, off[at][:, :, None])])
+        hit = memb[group.combine(terms)] != neg
+        if len(hit) < bounds[-1]:
+            # with no pinned parts and one multiplier and negation, the
+            # forms share one entry
+            hit = np.broadcast_to(hit, (bounds[-1], *hit.shape[1:]))
+        for key, lo, hi in zip(keys, bounds, bounds[1:]):
+            table = hit[lo:hi].all(axis=0)
+            # without pinned parts a table is the same for every row
+            if len(table) < live.size:
+                table = np.broadcast_to(table, (live.size, n))
+            tabs[key] = table
+    return live, tabs
+
+
 def count_rows(
     system: LinearSystem,
     subset: GroupSubset,
@@ -516,59 +550,32 @@ def count_rows(
     left free.  Counts are int64 while |G|^kfree < 2^63 and Python integers
     beyond.
 
-    Per chunk of rows: one `combine` gives the pinned offsets of all forms;
-    forms without a free variable filter rows; the others become one table
-    per direction of their free coefficients (`_plan`), and the free
-    variables are summed out by the rules of `_eliminate`.  When no rule
-    covers the system, the first free variable is pinned to every value
-    (`_pinned_counts`); two free variables always have a plan, so this
-    ends.  The budget is checked as in `solve_rows`."""
+    Per chunk of rows, `_tables` gives the rows that pass the forms
+    without a free variable and one table per direction of the free
+    coefficients of the others (`_plan`), and the free variables are summed
+    out by the rules of `_eliminate`.  When no rule covers the system, the
+    first free variable is pinned to every value (`_pinned_counts`); two
+    free variables always have a plan, so this ends.  The budget is checked
+    as in `solve_rows`."""
     group = subset.group
     prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
     if masks and kfree != 1:
         raise ValueError("masks need exactly one free variable")
     rows, n = len(prefixes), group.order
-    pinned, filters, tables, keys, bounds, steps = _plan(
-        system, prefixes.shape[1], math.lcm(*group.moduli)
-    )
+    plan = _plan(system, prefixes.shape[1], math.lcm(*group.moduli))
+    *_, bounds, steps = plan
     wide = n**kfree >= 1 << 63
     counts = np.zeros(rows, dtype=object if wide else np.int64)
     if steps is None:
         return _pinned_counts(system, subset, prefixes, counts, budget)
     out = np.zeros((rows, n), dtype=bool) if masks else None
-    memb = subset.bits
-    every = np.arange(n, dtype=np.int64)[None, None, :]
     # a triangle holds a few (rows, |G|, |G|) stacks, float64 among them
     width = 8 * n * n if steps and steps[-1][0] == "triangle" else n * max(1, bounds[-1])
     step = max(1, _ENUM_CHUNK // width)
     for start in range(0, rows, step):
-        part = prefixes[start : start + step]
-        # the pinned parts, (distinct parts, rows), or None when all are 0
-        off = group.combine([(c, part[None, :, i]) for i, c in pinned]) if pinned else None
-        live = np.arange(len(part))
-        if filters is not None:
-            at, _, neg = filters
-            hit = memb[0 if off is None else off[at]] != neg
-            ok = hit.all(axis=0) if np.ndim(hit) == 2 else hit
-            live = live[np.broadcast_to(ok, live.shape)]
-            off = None if off is None else off[:, live]
+        live, tabs = _tables(subset, plan, prefixes[start : start + step])
         if live.size == 0:
             continue
-        tabs = {}
-        if tables is not None:
-            at, m, neg = tables
-            terms = [(m, every)] + ([] if off is None else [(1, off[at][:, :, None])])
-            hit = memb[group.combine(terms)] != neg
-            if len(hit) < bounds[-1]:
-                # with no pinned parts and one multiplier and negation, the
-                # forms share one entry
-                hit = np.broadcast_to(hit, (bounds[-1], *hit.shape[1:]))
-            for key, lo, hi in zip(keys, bounds, bounds[1:]):
-                table = hit[lo:hi].all(axis=0)
-                # without pinned parts a table is the same for every row
-                if len(table) < live.size:
-                    table = np.broadcast_to(table, (live.size, n))
-                tabs[key] = table
         if masks:
             out[start + live] = tabs.get(0, True)
         counts[start + live] = _run(group, steps, tabs, live.size, wide)
@@ -636,29 +643,18 @@ def estimate_density(
     Returns (estimate, radius) where radius is the 99% Hoeffding half-width
     sqrt(ln(200) / (2 * samples)).  Sampling uses per-chunk counter-based
     substreams, so the result depends only on (seed, samples), not on the
-    thread count.
+    thread count.  Samples are tested through the tables `count_rows`
+    builds (`_tables` with no pinned variable): one gather per direction
+    of the system's forms.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     group = subset.group
-    memb = subset.bits
-    _, filters, tables, keys, bounds, _ = _plan(system, 0, math.lcm(*group.moduli))
     radius = math.sqrt(math.log(200.0) / (2.0 * samples))
-    if filters is not None and not np.all(memb[0] != filters[2]):
+    plan = _plan(system, 0, math.lcm(*group.moduli))
+    live, tabs = _tables(subset, plan, np.zeros((1, 0), dtype=np.int64))
+    if live.size == 0:
         return 0.0, radius  # a form that is 0 at every assignment fails
-    # per direction: the key and (multiple table or None, negated) per form
-    tests, scales = [], {}
-    if tables is not None:
-        every = np.arange(group.order, dtype=np.int64)
-        mults = np.broadcast_to(tables[1], (bounds[-1], 1, 1)).ravel().tolist()
-        negs = np.broadcast_to(tables[2], (bounds[-1], 1, 1)).ravel().tolist()
-        for key, lo, hi in zip(keys, bounds, bounds[1:]):
-            forms = []
-            for m, negated in zip(mults[lo:hi], negs[lo:hi]):
-                if m != 1 and m not in scales:
-                    scales[m] = group.combine([(m, every)])
-                forms.append((scales.get(m), negated))
-            tests.append((key, forms))
     base = np.random.Philox(key=int(seed))
     chunks = [
         (ci, min(_SAMPLE_CHUNK, samples - ci * _SAMPLE_CHUNK))
@@ -670,14 +666,13 @@ def estimate_density(
         gen = np.random.Generator(base.jumped(ci))
         cols = gen.integers(0, group.order, size=(m, system.arity), dtype=np.int64).T
         ok = None
-        for key, forms in tests:
+        for key, table in tabs.items():
             if isinstance(key, int):
                 w = cols[key]  # a lone variable is its own index
             else:
                 w = group.combine([(c, cols[i]) for i, c in enumerate(key) if c])
-            for scale, negated in forms:
-                hit = memb[w if scale is None else scale[w]] != negated
-                ok = hit if ok is None else ok & hit
+            hit = table[0][w]
+            ok = hit if ok is None else ok & hit
         return m if ok is None else int(ok.sum())
 
     if threads <= 1 or len(chunks) == 1:
@@ -719,7 +714,7 @@ def quantum_sum_rows(
     """
     rows = len(prefixes)
     order = subset.group.order
-    counts: dict[LinearSystem, np.ndarray] = {}  # -1 marks rows not counted yet
+    counts: dict[LinearSystem, np.ndarray] = {}  # Python ints; -1 marks rows not counted
     total = Fraction(0)
     for coeff, factors in q.terms:
         num = np.ones(rows, dtype=object)
@@ -728,14 +723,12 @@ def quantum_sum_rows(
             live = np.flatnonzero(num)
             if live.size == 0:
                 break
-            size = order ** (factor.arity - prefixes.shape[1])
-            dtype = object if size >= 1 << 63 else np.int64  # as count_rows returns them
-            got = counts.setdefault(factor, np.full(rows, -1, dtype=dtype))
+            got = counts.setdefault(factor, np.full(rows, -1, dtype=object))
             todo = live[got[live] < 0]
             if todo.size:
                 got[todo] = count_rows(factor, subset, prefixes[todo], budget=budget)
-            num[live] *= got[live].astype(object)
-            den *= size
+            num[live] *= got[live]
+            den *= order ** (factor.arity - prefixes.shape[1])
         total += coeff * Fraction(int(num.sum()), den)
     return total
 

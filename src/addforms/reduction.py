@@ -212,12 +212,25 @@ class DirectedCayleyGraph:
 _EDGE_CHUNK = 1 << 19
 
 
-def _pair_and_cycle_counts(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pair and directed 3-cycle counts, int64 per row, of a boolean
-    (rows, m, m) stack of adjacency matrices: sum E and trace E^3, the
-    latter from the float64 product under `linform`'s exactness guard."""
-    pairs = edges.sum(axis=(1, 2), dtype=np.int64)
-    return pairs, linform._cycle_counts(edges, edges, edges)
+def _graph_counts(
+    vertices: GroupSubset, connection: np.ndarray, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pair and directed 3-cycle counts, int64 per shift index s, of
+    the graph on `vertices` with b1 -> b2 iff b1 - b2 + s lies in the
+    boolean `connection` row: sum E and trace E^3 of its adjacency matrix
+    E, the latter from the float64 product under `linform`'s exactness
+    guard.  The (shifts, m, m) stacks are chunked under `_EDGE_CHUNK`."""
+    group, bi, m = vertices.group, vertices.indices(), vertices.size
+    diff = group.combine(((1, bi[:, None]), (-1, bi[None, :])))
+    pairs = np.empty(len(shifts), dtype=np.int64)
+    cycles = np.empty(len(shifts), dtype=np.int64)
+    step = max(1, _EDGE_CHUNK // max(1, m * m))
+    for s in range(0, len(shifts), step):
+        shift = shifts[s : s + step, None, None]
+        edges = connection[group.combine(((1, diff[None]), (1, shift)))]
+        pairs[s : s + step] = edges.sum(axis=(1, 2), dtype=np.int64)
+        cycles[s : s + step] = linform._cycle_counts(edges, edges, edges)
+    return pairs, cycles
 
 
 def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
@@ -229,9 +242,7 @@ def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
     b = u.vertices
     if b.size == 0:
         raise ValueError("empty vertex set")
-    bi = b.indices()
-    edges = u.connection.bits[b.group.combine(((1, bi[:, None]), (-1, bi[None, :])))]
-    pairs, cycles = _pair_and_cycle_counts(edges[None])
+    pairs, cycles = _graph_counts(b, u.connection.bits, np.zeros(1, dtype=np.int64))
     m = b.size
     return Fraction(int(pairs[0]), m * m), Fraction(int(cycles[0]), m**3)
 
@@ -364,9 +375,10 @@ def build_witness(
     k: int, n: Sequence[int], *, max_order: int | None = None
 ) -> WitnessSpec:
     """A = union over j = 0..k of {j} x (H minus H_j), with H_0 empty so the
-    j = 0 slice is all of {0} x H, and H_j the j-th coordinate subgroup."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    j = 0 slice is all of {0} x H, and H_j the j-th coordinate subgroup.
+    Needs k >= 2: L(1) has no dilate to pin B_1 to {1} x H."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
     n = tuple(int(v) for v in n)
     if len(n) != k or any(v < 2 for v in n):
         raise ValueError("need k slice moduli, each >= 2")
@@ -441,35 +453,27 @@ def verify_witness(
     pair density 1 - 1/n_j; measure the 3-cycle density per coordinate class
     (the j-th H-coordinate of gj) and record it against the closed form
     2x^2 - x.  All good g are index rows of one matrix: B_j takes one
-    `count_rows` call per j, and the C-edges of all rows one stack."""
+    `count_rows` call per j.  C = (B & A) - gj depends on g only through
+    gj, so `_graph_counts` counts one graph per distinct gj."""
     a, group, k = spec.subset, spec.group, spec.k
     _, good = linform.solve_rows(build_M(k), a, linform.prefix_row(a, ()), budget=budget)
-    every = np.arange(group.order, dtype=np.int64)
     b_events: list[tuple[int, int, str]] = []  # (row, j, message), sorted at the end
     k2_events: list[tuple[int, int, str]] = []
     classes = []
     for j in range(1, k + 1) if len(good) else ():
         _, masks = linform.count_rows(build_V(k, j), a, good, budget=budget, masks=True)
-        expected = spec.expected_B(j).bits
-        b_ok = (masks == expected).all(axis=1)
+        b = spec.expected_B(j)
+        b_ok = (masks == b.bits).all(axis=1)
         for r in np.flatnonzero(~b_ok):
             g = _residue_rows(group, good[r])
             b_events.append((r, j, f"B_{j} mismatch at g={g}"))
         rows = np.flatnonzero(b_ok)
-        # C = (B & A) - gj as one bit row per g; b1 -> b2 is an edge iff
-        # b1 - b2 lies in C, so the edges gather C at the B - B table.
-        bi = np.flatnonzero(expected)
-        m = bi.size
-        diff = group.combine(((1, bi[:, None]), (-1, bi[None, :])))
-        in_ba = expected & a.bits
+        # C = (B & A) - gj, so b1 -> b2 is an edge iff b1 - b2 + gj lies in B & A
+        m = b.size
         gj = good[rows, j - 1]
-        pairs = np.empty(rows.size, dtype=np.int64)
-        cycles = np.empty(rows.size, dtype=np.int64)
-        step = max(1, _EDGE_CHUNK // max(m * m, group.order))
-        for s in range(0, rows.size, step):
-            c = in_ba[group.combine(((1, every[None, :]), (1, gj[s : s + step, None])))]
-            edges = c[:, diff]
-            pairs[s : s + step], cycles[s : s + step] = _pair_and_cycle_counts(edges)
+        shifts, which = np.unique(gj, return_inverse=True)
+        pairs, cycles = _graph_counts(b, b.bits & a.bits, shifts)
+        pairs, cycles = pairs[which], cycles[which]
         x = 1 - Fraction(1, spec.n[j - 1])
         for i in np.flatnonzero(pairs * spec.n[j - 1] != (spec.n[j - 1] - 1) * m * m):
             g = _residue_rows(group, good[rows[i]])

@@ -335,6 +335,9 @@ def _energy_of_file(group, text):
         (_energy_of_file("Z16", "0 # a, b\n1,2\n"), "element has 2 residues, group has rank 1 (line 2"),
         (_PR_EMPTY_A + ["--r", "-1", "--s", "0"], "error: fold counts must be nonnegative"),
         (_PR_EMPTY_A + ["--r", "0", "--s", "0"], "error: need r + s >= 1"),
+        # L(1) has no dilate, so B_1 of the witness is not pinned to {1} x H
+        (["witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
+        (["verify", "witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):

@@ -30,6 +30,7 @@ from addforms.linform import (
     prefix_row,
     solve_rows,
 )
+from addforms.reduction import build_M
 
 
 def _forms_as_tuples(system):
@@ -219,6 +220,11 @@ def test_estimate_density_deterministic_and_thread_invariant():
     assert r1 == r2 == r3
 
 
+_M3 = (
+    (9, 2),
+    "[!(4g1); g2-2g1; g3-3g1; 2g2-4g1; 2g3-6g1; 3g2-6g1; 3g3-9g1; 4g2-8g1; "
+    "4g3-12g1; 5g2-10g1; 5g3-15g1; g1; g2; g3]",
+)
 # hits of 150 000 samples at seed 9, A a half-density set drawn with
 # default_rng(5), recorded before singleton forms skipped `combine`
 _ESTIMATE_HITS = {
@@ -229,16 +235,27 @@ _ESTIMATE_HITS = {
     # proportional forms, non-unit multipliers and a form that is always 0,
     # recorded before the samples were tested through the elimination plan
     ((6, 4), "[g1; 3g1; 2g2-g1; !(g1+g2); !(12g1)]"): 5409,
+    # build_M(3): five multipliers in each of two directions and a negated
+    # form, recorded before the samples were tested through count_rows'
+    # tables; on the density-1/2 set M has no solution, so A is denser
+    _M3: 43,
 }
+# the density of A where it is not 1/2
+_ESTIMATE_DENSITY = {_M3: 0.7}
 
 
 @pytest.mark.parametrize("moduli, text", list(_ESTIMATE_HITS))
 def test_estimate_density_pinned_for_a_fixed_seed(moduli, text):
     group = FiniteAbelianGroup(moduli)
-    a = GroupSubset(group, np.random.default_rng(5).random(group.order) < 0.5)
+    density = _ESTIMATE_DENSITY.get((moduli, text), 0.5)
+    a = GroupSubset(group, np.random.default_rng(5).random(group.order) < density)
     for threads in (1, 2):
         est, _ = estimate_density(parse_system(text), a, 150_000, seed=9, threads=threads)
         assert est == _ESTIMATE_HITS[moduli, text] / 150_000
+
+
+def test_the_estimate_pin_of_M3_is_build_M3():
+    assert parse_system(_M3[1]) == build_M(3)
 
 
 def test_estimate_density_converges_quick():

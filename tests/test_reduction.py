@@ -182,12 +182,55 @@ def test_cycle_counts_take_float64_only_under_the_guard(monkeypatch, float_path)
         u = DirectedCayleyGraph(b, subset_from_mask(group, c_mask))
         assert graph_densities(u) == _oracle_graph_densities(u)
     assert set(seen) == {np.dtype(np.float64 if float_path else np.int64)}
-    # a stack of rows counts each row as the 1-row call does
-    stack = np.random.default_rng(7).random((5, 6, 6)) < 0.5
-    pairs, cycles = reduction._pair_and_cycle_counts(stack)
-    for row, p, c in zip(stack, pairs, cycles):
-        e = row.astype(int)
-        assert (p, c) == (e.sum(), np.trace(e @ e @ e))
+    # a stack of shifts counts each shift s as the one-shift call of the
+    # graph with connection C - s does
+    b = subset_from_mask(group, rng.randrange(1, 1 << group.order))
+    c = subset_from_mask(group, rng.randrange(1 << group.order))
+    shifts = np.arange(group.order, dtype=np.int64)
+    pairs, cycles = reduction._graph_counts(b, c.bits, shifts)
+    m = b.size
+    for s, p, t in zip(shifts, pairs, cycles):
+        u = DirectedCayleyGraph(b, c.translate(-group.from_index(int(s))))
+        assert (Fraction(int(p), m * m), Fraction(int(t), m**3)) == graph_densities(u)
+        assert graph_densities(u) == _oracle_graph_densities(u)
+
+
+def test_graph_counts_are_the_same_in_chunks(monkeypatch):
+    group = FiniteAbelianGroup([3, 4])
+    rng = random.Random(8)
+    b = subset_from_mask(group, rng.randrange(1, 1 << group.order))
+    c = subset_from_mask(group, rng.randrange(1 << group.order))
+    shifts = np.array([5, 0, 11, 5, 7, 2, 3], dtype=np.int64)
+    whole = reduction._graph_counts(b, c.bits, shifts)
+    chunks = []
+    cycle_counts = linform._cycle_counts
+    monkeypatch.setattr(
+        linform, "_cycle_counts", lambda *e: chunks.append(len(e[0])) or cycle_counts(*e)
+    )
+    # two shifts of (m, m) entries per chunk: the seven shifts span four chunks
+    monkeypatch.setattr(reduction, "_EDGE_CHUNK", 2 * b.size**2)
+    chunked = reduction._graph_counts(b, c.bits, shifts)
+    assert chunks == [2, 2, 2, 1]
+    assert all(np.array_equal(x, y) for x, y in zip(whole, chunked))
+
+
+def test_witness_counts_one_graph_per_distinct_gj(monkeypatch):
+    spec = build_witness(2, [5, 5])
+    a = spec.subset
+    passed = []
+    graph_counts = reduction._graph_counts
+    monkeypatch.setattr(
+        reduction, "_graph_counts", lambda b, c, s: passed.append(s) or graph_counts(b, c, s)
+    )
+    report = verify_witness(spec)
+    _, good = linform.solve_rows(build_M(2), a, linform.prefix_row(a, ()))
+    assert report.good_g_count == len(good) == 400
+    for j, shifts in enumerate(passed, start=1):
+        _, masks = linform.count_rows(build_V(2, j), a, good, masks=True)
+        right = (masks == spec.expected_B(j).bits).all(axis=1)
+        assert shifts.tolist() == sorted(set(good[right, j - 1].tolist()))
+        assert len(shifts) == 20
+    assert len(passed) == 2
 
 
 def _per_g_witness(spec):

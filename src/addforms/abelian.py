@@ -636,7 +636,7 @@ def doubling_constant(a: GroupSubset) -> Fraction:
 # Text formats.
 
 
-def parse_group(text: str, max_order: int | None = None) -> FiniteAbelianGroup:
+def parse_group(text: str) -> FiniteAbelianGroup:
     """Parse a group literal: "Z" int ("x" "Z" int)*, e.g. "Z9 x Z2"."""
     sc = Scanner(text)
     moduli = []
@@ -652,7 +652,7 @@ def parse_group(text: str, max_order: int | None = None) -> FiniteAbelianGroup:
             break
         if not (sc.match("x") or sc.match("X")):
             raise sc.error("expected 'x' between factors")
-    return FiniteAbelianGroup(moduli, max_order=max_order)
+    return FiniteAbelianGroup(moduli)
 
 
 def _parse_element_item(sc: Scanner, group: FiniteAbelianGroup) -> GroupElement:

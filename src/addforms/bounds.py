@@ -1,10 +1,12 @@
 """Scalar bound functions and inequality checkers, all in exact rationals.
 
-Two piecewise families live here under deliberately distinct names: the
-piecewise-linear lower bound `bollobas_h` on 3-cycle density versus pair
-density (right-open intervals [1 - 1/t, 1 - 1/(t+1))), and the scalloped
-energy calculus `energy_upper_bound` / `delta` built from the fractional
-part of 1/alpha (closed overlapping intervals [1/(t+1), 1/t]).
+Two piecewise families live here, each written as a branch lookup plus a
+closed form per branch: the piecewise-linear lower bound `bollobas_h` on
+3-cycle density versus pair density (`bollobas_branch`, `bollobas_on_branch`;
+right-open intervals [1 - 1/t, 1 - 1/(t+1))), and the scalloped energy
+calculus `energy_upper_bound` / `delta` built from the fractional part of
+1/alpha (`delta_branch`, `delta_on_branch`; closed intervals [1/(t+1), 1/t],
+the lower branch winning at shared endpoints).
 """
 
 from __future__ import annotations
@@ -12,54 +14,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from . import abelian
 from .abelian import FiniteAbelianGroup, GroupSubset
 
-
-@dataclass(frozen=True)
-class PiecewiseRational:
-    """A function given by an interval family indexed by t plus a closed-form
-    rational expression per interval."""
-
-    branch_of: Callable[[Fraction], int]
-    branch_bounds: Callable[[int], tuple[Fraction, Fraction]]
-    branch_eval: Callable[[int, Fraction], Fraction]
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.branch_eval(self.branch_of(x), x)
-
-    def breakpoint_gap(self, t: int) -> Fraction:
-        """Difference of adjacent branch values at the breakpoint shared by
-        branches t and t+1; zero where the function is continuous."""
-        lo_t, hi_t = self.branch_bounds(t)
-        lo_next, hi_next = self.branch_bounds(t + 1)
-        shared = hi_t if hi_t in (lo_next, hi_next) else lo_t
-        return self.branch_eval(t + 1, shared) - self.branch_eval(t, shared)
-
-
 # ---------------------------------------------------------------------------
 # Piecewise-linear lower bound on 3-cycle density vs pair density.
 
 
-def _graph_branch(x: Fraction) -> int:
+def bollobas_branch(x) -> int:
+    """Branch index t with x in [1 - 1/t, 1 - 1/(t+1))."""
+    x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("branch lookup needs 0 <= x < 1")
-    return int(Fraction(1) / (1 - x))
+    return int(1 / (1 - x))
 
 
-def _graph_eval(t: int, x: Fraction) -> Fraction:
+def bollobas_on_branch(t: int, x) -> Fraction:
+    x = Fraction(x)
     return Fraction(3 * t * t - t - 2, t * (t + 1)) * x - Fraction(2 * (t - 1), t + 1)
-
-
-bollobas_piecewise = PiecewiseRational(
-    branch_of=_graph_branch,
-    branch_bounds=lambda t: (1 - Fraction(1, t), 1 - Fraction(1, t + 1)),
-    branch_eval=_graph_eval,
-)
 
 
 def bollobas_h(x) -> Fraction:
@@ -69,7 +44,7 @@ def bollobas_h(x) -> Fraction:
         raise ValueError(f"argument {x} outside [0, 1]")
     if x == 1:
         return Fraction(1)
-    return bollobas_piecewise(x)
+    return bollobas_on_branch(bollobas_branch(x), x)
 
 
 def in_region_R_graph(x, y) -> bool:
@@ -219,39 +194,32 @@ def verify_delta_derivative_claims(
     step = Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    lower = Fraction(1, 20)
-    upper = Fraction(-1, 2)
-    prime_segments = [
-        ("delta_prime[1/3,2/5]", Fraction(1, 3), Fraction(2, 5), 2),
-        ("delta_prime[1/2,7/10]", Fraction(1, 2), Fraction(7, 10), 1),
-    ]
-    second_segments = [
-        ("delta_second[2/5,1/2]", Fraction(2, 5), Fraction(1, 2), 2),
-        ("delta_second[7/10,1]", Fraction(7, 10), Fraction(1), 1),
+    # each claim's on-branch function, its name, its bound and the side of
+    # the bound where the claim fails
+    rises = (delta_prime_on_branch, "delta'", Fraction(1, 20), "<")
+    bends = (delta_double_prime_on_branch, "delta''", Fraction(-1, 2), ">")
+    claims = [
+        ("delta_prime[1/3,2/5]", Fraction(1, 3), Fraction(2, 5), 2, rises),
+        ("delta_prime[1/2,7/10]", Fraction(1, 2), Fraction(7, 10), 1, rises),
+        ("delta_second[2/5,1/2]", Fraction(2, 5), Fraction(1, 2), 2, bends),
+        ("delta_second[7/10,1]", Fraction(7, 10), Fraction(1), 1, bends),
     ]
     for t in range(3, t_max + 1):
-        second_segments.append(
-            (f"delta_second[1/{t + 1},1/{t}]", Fraction(1, t + 1), Fraction(1, t), t)
+        claims.append(
+            (f"delta_second[1/{t + 1},1/{t}]", Fraction(1, t + 1), Fraction(1, t), t, bends)
         )
     segments = []
-    for name, lo, hi, t in prime_segments:
+    for name, lo, hi, t, (on_branch, symbol, bound, fails) in claims:
         points = _grid_points(lo, hi, step)
-        values = [delta_prime_on_branch(t, p) for p in points]
+        values = [on_branch(t, p) for p in points]
+        below = fails == "<"
         bad = tuple(
-            f"delta'({p}) = {v} < {lower}" for p, v in zip(points, values) if v < lower
+            f"{symbol}({p}) = {v} {fails} {bound}"
+            for p, v in zip(points, values)
+            if (v < bound if below else v > bound)
         )
-        segments.append(
-            SegmentResult(name, lo, hi, t, len(points), min(values), bad)
-        )
-    for name, lo, hi, t in second_segments:
-        points = _grid_points(lo, hi, step)
-        values = [delta_double_prime_on_branch(t, p) for p in points]
-        bad = tuple(
-            f"delta''({p}) = {v} > {upper}" for p, v in zip(points, values) if v > upper
-        )
-        segments.append(
-            SegmentResult(name, lo, hi, t, len(points), max(values), bad)
-        )
+        extreme = min(values) if below else max(values)
+        segments.append(SegmentResult(name, lo, hi, t, len(points), extreme, bad))
     boundary = {}
     for label, point, ts in [
         ("1/3", Fraction(1, 3), (2, 3)),
@@ -282,27 +250,6 @@ def verify_delta_derivative_claims(
 # numerator 0.
 
 
-def _kneser(sum_size, a_size, b_size, stab_size):
-    """|A+B| - |A| - |B| + |H(A+B)|, over |G|."""
-    return sum_size - a_size - b_size + stab_size
-
-
-def _plunnecke_ruzsa(sum_size, a_size, folded_size, folds):
-    """|A+B|^(r+s) - |A|^(r+s-1) * |rB - sB|, over |G|^(r+s)."""
-    return sum_size**folds - a_size ** (folds - 1) * folded_size
-
-
-def _energy_doubling(energy, a_size, doubled_size):
-    """E(A) * |A+A| - |A|^4, over |G|^4."""
-    return energy * doubled_size - a_size**4
-
-
-def _energy_bound(energy, a_size, rest, order):
-    """|G|^4 * (energy_upper_bound(|A|/|G|) - E(A)/|G|^3) with rest = |G| mod |A|:
-    N m^3 - m^3 f + m^2 f^2 - N E, over |G|^4."""
-    return order * a_size**3 - a_size**3 * rest + a_size**2 * rest**2 - order * energy
-
-
 def _verdict(rows_fn, *subsets, **kwargs) -> tuple[Fraction, bool]:
     """The left-hand side of one instance and whether it holds, as a one-row
     call of its `*_rows` numerator."""
@@ -325,10 +272,12 @@ def check_kneser(a: GroupSubset, b: GroupSubset) -> tuple[Fraction, bool]:
 
 
 def kneser_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray):
-    """Kneser numerators of the row pairs (A_i, B_i), over |G|."""
+    """Kneser numerators |A+B| - |A| - |B| + |H(A+B)| of the row pairs
+    (A_i, B_i), over |G|."""
     s = abelian.sumset_rows(group, a, b)
     h = abelian.stabilizer_rows(group, s)
-    return _kneser(*(m.sum(axis=1) for m in (s, a, b, h))), group.order
+    sum_size, a_size, b_size, stab_size = (m.sum(axis=1) for m in (s, a, b, h))
+    return sum_size - a_size - b_size + stab_size, group.order
 
 
 def check_plunnecke_ruzsa(
@@ -341,7 +290,8 @@ def check_plunnecke_ruzsa(
 
 
 def plunnecke_ruzsa_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, r: int, s: int):
-    """Plunnecke-Ruzsa numerators of the row pairs (A_i, B_i), over |G|^(r+s)."""
+    """Plunnecke-Ruzsa numerators |A+B|^(r+s) - |A|^(r+s-1) * |rB - sB| of the
+    row pairs (A_i, B_i), over |G|^(r+s)."""
     folded = abelian.signed_iterated_sumset_rows(group, b, r, s)
     n = group.order
     sum_size, a_size, folded_size = _exact(
@@ -350,7 +300,7 @@ def plunnecke_ruzsa_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray
         a.sum(axis=1),
         folded.sum(axis=1),
     )
-    numerators = _plunnecke_ruzsa(sum_size, a_size, folded_size, r + s)
+    numerators = sum_size ** (r + s) - a_size ** (r + s - 1) * folded_size
     return np.where(a_size == 0, 0, numerators), n ** (r + s)
 
 
@@ -360,7 +310,8 @@ def check_energy_doubling(a: GroupSubset) -> tuple[Fraction, bool]:
 
 
 def energy_doubling_rows(group: FiniteAbelianGroup, a: np.ndarray):
-    """Energy-doubling numerators of the rows A_i, over |G|^4."""
+    """Energy-doubling numerators E(A) * |A+A| - |A|^4 of the rows A_i, over
+    |G|^4."""
     n = group.order
     reps = abelian.pair_count_rows(group, a, a)
     energy, a_size, doubled_size = _exact(
@@ -369,7 +320,7 @@ def energy_doubling_rows(group: FiniteAbelianGroup, a: np.ndarray):
         a.sum(axis=1),
         (reps > 0).sum(axis=1),
     )
-    return _energy_doubling(energy, a_size, doubled_size), n**4
+    return energy * doubled_size - a_size**4, n**4
 
 
 def check_energy_bound(a: GroupSubset) -> tuple[Fraction, bool]:
@@ -380,10 +331,12 @@ def check_energy_bound(a: GroupSubset) -> tuple[Fraction, bool]:
 
 
 def energy_bound_rows(group: FiniteAbelianGroup, a: np.ndarray):
-    """Energy-bound numerators of the rows A_i, over |G|^4; an empty row
-    has m = E = f = 0, so numerator 0."""
+    """Energy-bound numerators of the rows A_i, over |G|^4: with m = |A|,
+    E = E(A) and f = |G| mod m, |G|^4 * (energy_upper_bound(m/|G|) - E/|G|^3)
+    is |G| m^3 - m^3 f + m^2 f^2 - |G| E.  An empty row has m = E = f = 0, so
+    numerator 0."""
     n = group.order
     a_size = a.sum(axis=1)
     energy = abelian.additive_energy_rows(group, abelian.pair_count_rows(group, a, a))
     energy, a_size, rest = _exact(4 * n**4, energy, a_size, n % np.maximum(a_size, 1))
-    return _energy_bound(energy, a_size, rest, n), n**4
+    return n * a_size**3 - a_size**3 * rest + a_size**2 * rest**2 - n * energy, n**4

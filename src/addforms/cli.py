@@ -164,15 +164,17 @@ def _cmd_stabilizer(args):
     return report, False
 
 
-def _check_single(kind: str, instance: dict, lhs: Fraction, holds: bool):
+def _check_single(kind: str, instance: dict, holds: bool, **value):
+    """The report of one checked instance; `value` is its left-hand side
+    (`lhs`) or the bound it is compared with (`bound`)."""
     report = make_report(
         kind,
         instance=instance,
-        lhs=rational_json(lhs),
         holds=holds,
         checked=1,
         violations=0 if holds else 1,
         witnesses=[] if holds else [instance],
+        **value,
     )
     return report, not holds
 
@@ -221,16 +223,8 @@ def _cmd_check(args):
         else:
             holds = bounds.in_region_R_energy(x, y)
             bound = bounds.energy_upper_bound(x)
-        report = make_report(
-            f"check-{kind}",
-            instance={"x": str(x), "y": str(y)},
-            bound=rational_json(bound),
-            holds=holds,
-            checked=1,
-            violations=0 if holds else 1,
-            witnesses=[] if holds else [{"x": str(x), "y": str(y)}],
-        )
-        return report, not holds
+        instance = {"x": str(x), "y": str(y)}
+        return _check_single(f"check-{kind}", instance, holds, bound=rational_json(bound))
 
     if args.group is None:
         raise ParseError(f"missing --group for --{kind}")
@@ -256,7 +250,8 @@ def _cmd_check(args):
     subsets = [_load_subset(args, group, name) for name in names]
     numerators, denominator = slack(group, *(s.bits[None] for s in subsets))
     lhs = Fraction(int(numerators[0]), denominator)
-    return _check_single(f"check-{kind}", _describe_instance(subsets), lhs, lhs >= 0)
+    instance = _describe_instance(subsets)
+    return _check_single(f"check-{kind}", instance, lhs >= 0, lhs=rational_json(lhs))
 
 
 def _cmd_reduce(args):
@@ -312,10 +307,7 @@ def _cmd_verify_homdensity(args):
             continue
         g = tuple(group.from_index(int(i)) for i in good[int(gen.integers(0, len(good)))])
         for j in range(1, k + 1):
-            # g is one of M's solutions, so t(M) at g is 1 for every j
-            rep = reduction.verify_homdensity_identity(
-                a, g, j, budget=args.max_work, t_m=Fraction(1)
-            )
+            rep = reduction.verify_homdensity_identity(a, g, j, budget=args.max_work)
             if rep.vacuous:
                 vacuous += 1
             elif not rep.ok:
@@ -364,7 +356,8 @@ def _cmd_verify_bollobas(args):
         expected = Fraction((t - 1) * (t - 2), t * t)
         if bounds.bollobas_h(x) != expected:
             violations.append(f"value at 1-1/{t}")
-        if bounds.bollobas_piecewise.breakpoint_gap(t) != 0:
+        shared = 1 - Fraction(1, t + 1)
+        if bounds.bollobas_on_branch(t + 1, shared) != bounds.bollobas_on_branch(t, shared):
             violations.append(f"discontinuity between branches {t} and {t + 1}")
     report = make_report(
         "verify-bollobas",
@@ -413,7 +406,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--max-work",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help=f"exact-evaluation work budget (default {linform.DEFAULT_WORK_BUDGET})",
     )
@@ -518,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("homdensity", help="graph-vs-forms density identities")
     v.add_argument("--group", required=True)
     v.add_argument("--k", type=int, required=True)
-    v.add_argument("--pairs", type=int, default=50)
+    v.add_argument("--pairs", type=_int_at_least(0), default=50)
     v.add_argument("--seed", type=int, default=0)
     _add_common(v)
     v.set_defaults(func=_cmd_verify_homdensity)
@@ -531,12 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("delta-claims", help="derivative sign claims on a grid")
     v.add_argument("--step", default="1/1000")
-    v.add_argument("--t-max", type=int, default=20)
+    v.add_argument("--t-max", type=_int_at_least(0), default=20)
     _add_common(v)
     v.set_defaults(func=_cmd_verify_delta)
 
     v = vsub.add_parser("bollobas", help="breakpoint values and continuity")
-    v.add_argument("--t-max", type=int, default=100)
+    v.add_argument("--t-max", type=_int_at_least(0), default=100)
     _add_common(v)
     v.set_defaults(func=_cmd_verify_bollobas)
 

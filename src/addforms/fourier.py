@@ -18,14 +18,14 @@ on repeated runs.
 from __future__ import annotations
 
 import cmath
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .abelian import FiniteAbelianGroup, GroupElement, GroupSubset, _walsh_hadamard
 from .errors import GroupMismatchError
 
-FunctionLike = Union[GroupSubset, Sequence[complex], np.ndarray, Callable]
+FunctionLike = Union[GroupSubset, Sequence[complex], np.ndarray]
 
 
 class Spectrum:
@@ -71,8 +71,6 @@ def function_values(group: FiniteAbelianGroup, f: FunctionLike) -> np.ndarray:
         if f.group != group:
             raise GroupMismatchError("subset from a different group")
         return f.bits.astype(np.complex128)
-    if callable(f):
-        return np.array([complex(f(g)) for g in group], dtype=np.complex128)
     values = np.asarray(f, dtype=np.complex128)
     if values.shape != (group.order,):
         raise ValueError(f"function table must have length {group.order}")

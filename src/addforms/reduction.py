@@ -307,21 +307,16 @@ def verify_homdensity_identity(
     j: int,
     *,
     budget: int | None = None,
-    t_m: Fraction | None = None,
 ) -> HomdensityReport:
     """Check, exactly, that the graph pair/3-cycle densities equal the
     conditional form densities t(E_j)/t(V_j)^2 and t(T_j)/t(V_j)^3.
 
-    `t_m` is t(M) at g when the caller knows it (it is the same for every
-    j); it is counted when None."""
+    The check is vacuous exactly when M(g) fails: V_j holds M's forms over
+    g, so B_j is then empty, and when M(g) holds, z = gj lies in B_j."""
     k = len(g)
     group = a.group
     gt = tuple(g)
     meta = dict(group=group.literal(), j=j, g=tuple(e.residues for e in gt))
-    if t_m is None:
-        t_m = linform.eval_density_fixed(build_M(k), a, gt, budget=budget)
-    if t_m == 0:
-        return HomdensityReport(vacuous=True, **meta)
     b, c = compute_B_C(a, gt, j, budget=budget)
     t_v = Fraction(b.size, group.order)
     if t_v == 0:
@@ -371,9 +366,7 @@ class WitnessSpec:
         return out
 
 
-def build_witness(
-    k: int, n: Sequence[int], *, max_order: int | None = None
-) -> WitnessSpec:
+def build_witness(k: int, n: Sequence[int]) -> WitnessSpec:
     """A = union over j = 0..k of {j} x (H minus H_j), with H_0 empty so the
     j = 0 slice is all of {0} x H, and H_j the j-th coordinate subgroup.
     Needs k >= 2: L(1) has no dilate to pin B_1 to {1} x H."""
@@ -382,7 +375,7 @@ def build_witness(
     n = tuple(int(v) for v in n)
     if len(n) != k or any(v < 2 for v in n):
         raise ValueError("need k slice moduli, each >= 2")
-    group = FiniteAbelianGroup(((k + 1) ** 2,) + n, max_order=max_order)
+    group = FiniteAbelianGroup(((k + 1) ** 2,) + n)
     rt0 = group.residue_table(0)
     bits = np.array(rt0 == 0)
     for j in range(1, k + 1):

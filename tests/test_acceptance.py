@@ -18,7 +18,7 @@ from conftest import subset_from_mask, subset_from_tuples
 from addforms.abelian import FiniteAbelianGroup, GroupSubset, additive_energy
 from addforms.bounds import (
     bollobas_h,
-    bollobas_piecewise,
+    bollobas_on_branch,
     check_energy_bound,
     check_energy_doubling,
     check_kneser,
@@ -328,7 +328,8 @@ def test_c10_bollobas_breakpoints():
     for t in range(1, 101):
         x = 1 - Fraction(1, t)
         ok &= bollobas_h(x) == Fraction((t - 1) * (t - 2), t * t)
-        ok &= bollobas_piecewise.breakpoint_gap(t) == 0
+        shared = 1 - Fraction(1, t + 1)
+        ok &= bollobas_on_branch(t + 1, shared) == bollobas_on_branch(t, shared)
     _report(
         10,
         ok,

@@ -11,8 +11,9 @@ from conftest import subset_from_mask, subset_from_tuples
 
 from addforms.abelian import FiniteAbelianGroup, GroupSubset
 from addforms.bounds import (
+    bollobas_branch,
     bollobas_h,
-    bollobas_piecewise,
+    bollobas_on_branch,
     check_energy_bound,
     check_energy_doubling,
     check_kneser,
@@ -41,6 +42,11 @@ def test_bollobas_h_examples():
     assert bollobas_h(0) == 0
     with pytest.raises(ValueError):
         bollobas_h(Fraction(3, 2))
+    # right-open branches [1 - 1/t, 1 - 1/(t+1)): a breakpoint opens the next one
+    points = [0, Fraction(1, 2), Fraction(3, 5), Fraction(2, 3)]
+    assert [bollobas_branch(x) for x in points] == [1, 2, 2, 3]
+    with pytest.raises(ValueError):
+        bollobas_branch(1)
 
 
 def test_bollobas_h_breakpoint_identity():
@@ -51,7 +57,8 @@ def test_bollobas_h_breakpoint_identity():
 
 def test_bollobas_h_continuity_and_monotonicity():
     for t in range(1, 101):
-        assert bollobas_piecewise.breakpoint_gap(t) == 0
+        x = 1 - Fraction(1, t + 1)
+        assert bollobas_on_branch(t + 1, x) == bollobas_on_branch(t, x)
     rng = random.Random(2)
     points = sorted(Fraction(rng.randrange(0, 1000), 1000) for _ in range(200))
     values = [bollobas_h(p) for p in points]

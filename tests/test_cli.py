@@ -338,6 +338,11 @@ def _energy_of_file(group, text):
         # L(1) has no dilate, so B_1 of the witness is not pinned to {1} x H
         (["witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
         (["verify", "witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
+        # counts refuse negatives instead of checking nothing
+        (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--pairs", "-3"], "--pairs"),
+        (["verify", "bollobas", "--t-max", "-4"], "--t-max"),
+        (["verify", "delta-claims", "--t-max", "-1"], "--t-max"),
+        (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--max-work", "-1"], "--max-work"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
@@ -465,6 +470,30 @@ def test_verify_reports_pinned(capsys, argv, threads):
     code, out, _ = run_cli(capsys, "verify", *argv.split(), "--threads", threads)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
+
+
+# (exit code, sha256) of the bound verifiers and of one-instance checks,
+# recorded from the generic piecewise class and the per-kind report builders
+# that the plain branch functions and `_check_single` replaced.
+_BOUND_DIGESTS = {
+    "verify bollobas --t-max 100": (0, "e8005efcd17769dbb8b5f0e62123201bb5989381c4fe1277f13a1ca7e141fbd8"),
+    "verify delta-claims": (0, "90b2a9de8f698cc2fbdb1d5cc0416656573045b4884d6d6e2898ca195cea74b9"),
+    "verify delta-claims --step 1/500 --t-max 12": (0, "afd6615671d5d7ac3d830467b2b9191fe7627906122a6801c450f289e6b69194"),
+    "check --region-graph --x 1/2 --y 1/4": (0, "527cc940553741856ef8106d416f68977cb41704e2b3f160d5fa4db155de3e55"),
+    "check --region-graph --x 2/3 --y 1/10": (1, "2d2f91750bf195d00f0f89d6bba9761684a234458d241ed50e982c8bf6542df6"),
+    "check --region-energy --x 1/3 --y 1/27": (0, "463d6186b1b05a5bc725e26009a6838e7df57f7aabbd5660bb9f2befd580e014"),
+    "check --region-energy --x 2/5 --y 1/10": (1, "8d3a09aa256285f32b4b63ed8bc8eeb98467eca88dc53fa8897c91d432e42515"),
+    "check --kneser --group Z6 --set-a {0,2} --set-b {0,3}": (0, "14774877c4cad11f8d58756d0735ca030ca19890ec0d8badf26d3da62600bc29"),
+    "check --kneser --group Z6 --set-a {0,1} --set-b {}": (0, "d31a4ad5cdb07812382474190695fbbc38950541f940b656a3a1dc73312528dc"),
+    "check --energy-bound --group Z7 --set {0,1,3}": (0, "21a4984e8d714de55003966d8331c13a5005db7dac6838d51a9e51aff4c39530"),
+    "check --energy-bound --group Z12 --set {0,4,8}": (0, "84cc52de7ddd148e3f08e582b3c138906ad61bc28fe80df33b5df9a759709cbf"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_BOUND_DIGESTS))
+def test_bound_reports_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _BOUND_DIGESTS[argv]
 
 
 def test_verify_homdensity_counts_M_only_in_its_solution_list(capsys, monkeypatch):

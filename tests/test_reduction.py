@@ -306,6 +306,25 @@ def test_homdensity_identity_random_instances():
         found += 1
 
 
+@pytest.mark.parametrize("moduli, k", [([9, 2], 2), ([16], 2), ([5, 5], 2), ([9, 2], 3)])
+def test_homdensity_vacuous_exactly_when_M_fails(moduli, k):
+    group = FiniteAbelianGroup(moduli)
+    rng = np.random.Generator(np.random.Philox(key=len(moduli) + k))
+    m = build_M(k)
+    seen = Counter()
+    while min(seen[True], seen[False]) < 4:
+        a = GroupSubset(group, rng.random(group.order) < 0.5)
+        good = linform.enumerate_satisfying(m, a)
+        if good and rng.random() < 0.5:
+            g = good[int(rng.integers(len(good)))]
+        else:
+            g = tuple(group.from_index(int(i)) for i in rng.integers(group.order, size=k))
+        fails = eval_density_fixed(m, a, g) == 0
+        seen[fails] += 1
+        for j in range(1, k + 1):
+            assert verify_homdensity_identity(a, g, j).vacuous == fails
+
+
 def test_homdensity_vacuous_and_full():
     group = FiniteAbelianGroup([9, 2])
     a = GroupSubset.empty(group)

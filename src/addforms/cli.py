@@ -48,6 +48,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; empty items are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int list: {text!r}") from None
+
+
 def _load_subset(args, group: FiniteAbelianGroup, name: str) -> GroupSubset:
     literal = getattr(args, name.replace("-", "_"), None)
     file_attr = getattr(args, f"{name}_file".replace("-", "_"), None)
@@ -263,13 +271,12 @@ def _cmd_reduce(args):
 
 
 def _cmd_witness(args):
-    n = [int(v) for v in args.n.split(",") if v.strip()]
-    spec = reduction.build_witness(args.k, n)
+    spec = reduction.build_witness(args.k, args.n)
     subset_file = None
     if args.subset_file:
         Path(args.subset_file).write_text(abelian.subset_to_lines(spec.subset))
         subset_file = args.subset_file
-    report = make_report("witness", params={"k": args.k, "n": n})
+    report = make_report("witness", params={"k": args.k, "n": args.n})
     report["witness"] = spec.to_dict(subset_file)
     report["group_order"] = spec.group.order
     if subset_file is None:
@@ -328,10 +335,9 @@ def _cmd_verify_homdensity(args):
 
 
 def _cmd_verify_witness(args):
-    n = [int(v) for v in args.n.split(",") if v.strip()]
-    spec = reduction.build_witness(args.k, n)
+    spec = reduction.build_witness(args.k, args.n)
     result = reduction.verify_witness(spec, budget=args.max_work)
-    report = make_report("verify-witness", params={"k": args.k, "n": n})
+    report = make_report("verify-witness", params={"k": args.k, "n": args.n})
     report.update(result.to_dict())
     return report, not result.ok
 
@@ -396,7 +402,7 @@ def _cmd_estimate(args):
 # Parser assembly.
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, max_work: bool = False) -> None:
     p.add_argument("--out", help="write the JSON report to this file")
     p.add_argument(
         "--threads",
@@ -404,12 +410,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=1,
         help="worker count of `estimate`; the exact verbs run in one thread",
     )
-    p.add_argument(
-        "--max-work",
-        type=_int_at_least(0),
-        default=None,
-        help=f"exact-evaluation work budget (default {linform.DEFAULT_WORK_BUDGET})",
-    )
+    if max_work:
+        p.add_argument(
+            "--max-work",
+            type=_int_at_least(0),
+            default=None,
+            help=f"exact-evaluation work budget (default {linform.DEFAULT_WORK_BUDGET})",
+        )
 
 
 def _add_subset_options(p: argparse.ArgumentParser, name: str = "set") -> None:
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     _add_subset_options(p)
     p.add_argument("--system", required=True)
-    _add_common(p)
+    _add_common(p, max_work=True)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("energy", help="additive energy of a subset")
@@ -479,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--random", type=_int_at_least(0), default=0, help="number of random instances"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--x", help="first coordinate for region checks")
@@ -489,13 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="assemble the reduction bundle for (q, k)")
     p.add_argument("--poly", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("witness", help="build the explicit product-group witness")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", required=True, help="comma-separated slice moduli, e.g. 3,3")
+    p.add_argument("--n", type=_int_list, required=True, help="slice moduli, e.g. 3,3")
     p.add_argument("--subset-file", help="write the witness subset here")
     _add_common(p)
     p.set_defaults(func=_cmd_witness)
@@ -505,21 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("pinpoint", help="pin-down property of L and M")
     v.add_argument("--k", type=int, required=True)
-    _add_common(v)
+    _add_common(v, max_work=True)
     v.set_defaults(func=_cmd_verify_pinpoint)
 
     v = vsub.add_parser("homdensity", help="graph-vs-forms density identities")
     v.add_argument("--group", required=True)
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--pairs", type=_int_at_least(0), default=50)
-    v.add_argument("--seed", type=int, default=0)
-    _add_common(v)
+    v.add_argument("--seed", type=_int_at_least(0), default=0)
+    _add_common(v, max_work=True)
     v.set_defaults(func=_cmd_verify_homdensity)
 
     v = vsub.add_parser("witness", help="witness slices, pair and 3-cycle densities")
     v.add_argument("--k", type=int, required=True)
-    v.add_argument("--n", required=True)
-    _add_common(v)
+    v.add_argument("--n", type=_int_list, required=True)
+    _add_common(v, max_work=True)
     v.set_defaults(func=_cmd_verify_witness)
 
     v = vsub.add_parser("delta-claims", help="derivative sign claims on a grid")
@@ -538,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subset_options(p)
     p.add_argument("--system", required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)
 

@@ -2,20 +2,20 @@
 Monte-Carlo evaluation of their satisfaction densities.
 
 A system is a list of forms sum_i c_i * g_i, each required to land inside a
-subset (or outside it, when negated).  One exact engine serves both
-evaluators, which take a matrix of pinned prefixes, one row per prefix.
-`count_rows` counts the completions of every row by variable elimination:
-forms are grouped into tables by the direction of their free coefficients
-and the free variables are summed out one rule at a time, pair counts
-through `abelian.pair_count_rows`; a system no rule covers has its first
-free variable pinned to every value and is counted again.  `solve_rows`
-lists the completions: it binds the free variables one per level, and
-each level's `count_rows` mask of satisfying values grows the frontier of
-all rows at once, so unsatisfiable prefixes are pruned early.  The density
-and quantum functions are 1-row calls of `count_rows`,
-`enumerate_satisfying` of `solve_rows`, and `estimate_density` tests its
-samples through the tables `count_rows` builds (`_tables`), one gather per
-direction.  Counts are exact integers and densities exact rationals.
+subset (or outside it, when negated).  The exact evaluators take a matrix
+of pinned prefixes, one row per prefix, in chunks (`_chunks`): per chunk,
+`_tables` keeps the rows that pass the forms without a free variable and
+builds one table per direction of the others' free coefficients.
+`count_rows` counts the completions of every row from those tables by
+variable elimination, pair counts through `abelian.pair_count_rows`; a
+system no rule covers has its first free variable pinned to every value
+and is counted again.  `solve_rows` lists the completions: it binds the
+free variables one per level, and each level's table of its free variable
+grows the frontier of all rows at once, so unsatisfiable prefixes are
+pruned early.  The density and quantum functions are 1-row calls of
+`count_rows`, `enumerate_satisfying` of `solve_rows`, and
+`estimate_density` tests its samples against the tables of a row with no
+pinned variable.  Counts are exact integers and densities exact rationals.
 """
 
 from __future__ import annotations
@@ -128,19 +128,6 @@ def eval_form(form: LinearForm, assignment: Sequence[GroupElement]) -> GroupElem
     return GroupElement(group, tuple(residues))
 
 
-def _check_budget(order: int, kfree: int, nforms: int, budget: int | None) -> None:
-    limit = DEFAULT_WORK_BUDGET if budget is None else int(budget)
-    predicted = (order**kfree) * nforms
-    if predicted > limit:
-        # a long work figure is written as its power: its decimal digits can
-        # be more than Python converts to a string
-        work = predicted if predicted.bit_length() <= 64 else f"{order}^{kfree} * {nforms}"
-        raise CapExceeded(
-            f"predicted work {work} exceeds budget {limit}; raise the budget "
-            "or use estimate_density for a Monte Carlo estimate"
-        )
-
-
 def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np.ndarray, int]:
     """The prefixes as an int64 (rows, nfix) matrix and the number of free
     variables, after the shape, budget and index checks."""
@@ -150,7 +137,17 @@ def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np
     if prefixes.shape[1] > system.arity:
         raise ValueError("more fixed values than variables")
     kfree = system.arity - prefixes.shape[1]
-    _check_budget(group.order, kfree, len(system.forms), budget)
+    limit = DEFAULT_WORK_BUDGET if budget is None else int(budget)
+    n, d = group.order, len(system.forms)
+    predicted = n**kfree * d
+    if predicted > limit:
+        # a long work figure is written as its power: its decimal digits can
+        # be more than Python converts to a string
+        work = predicted if predicted.bit_length() <= 64 else f"{n}^{kfree} * {d}"
+        raise CapExceeded(
+            f"predicted work {work} exceeds budget {limit}; raise the budget "
+            "or use estimate_density for a Monte Carlo estimate"
+        )
     if prefixes.size and (prefixes.min() < 0 or prefixes.max() >= group.order):
         raise ValueError("prefix index out of range")
     return prefixes, kfree
@@ -209,29 +206,32 @@ def solve_rows(
     one row.
 
     The free variables are bound one per level (`_levels`): the frontier of
-    partial assignments is extended by the values where the level's mask
-    from `count_rows` holds, in chunks of about 2^20 (row, value) pairs, so
-    a form is tested as soon as its last variable is bound."""
+    partial assignments is extended by the values where the level's table
+    of its free variable holds, so a form is tested as soon as its last
+    variable is bound; with no free variable, the rows that pass are kept."""
     group = subset.group
     prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
     rows, nfix = prefixes.shape
+    exponent = math.lcm(*group.moduli)
     if kfree == 0:
-        owner = np.flatnonzero(count_rows(system, subset, prefixes, budget=budget))
+        kept = [live for live, _ in _chunks(subset, _plan(system, nfix, exponent), prefixes)]
+        owner = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
         return owner, np.zeros((owner.size, 0), dtype=np.int64)
     n = group.order
-    step = max(1, _ENUM_CHUNK // n)
     owner, frontier = np.arange(rows, dtype=np.int64), prefixes
-    for level in _levels(system, nfix, math.lcm(*group.moduli)):
+    for level in _levels(system, nfix, exponent):
+        if level is None:  # no form ends here: every value extends every row
+            owner = np.repeat(owner, n)
+            every = np.tile(np.arange(n, dtype=np.int64), len(frontier))
+            frontier = np.column_stack([np.repeat(frontier, n, axis=0), every])
+            continue
         owners, grown = [], []
-        for start in range(0, len(frontier), step):
-            part = frontier[start : start + step]
-            if level is None:
-                mask = np.ones((len(part), n), dtype=bool)
-            else:
-                _, mask = count_rows(level, subset, part, budget=budget, masks=True)
-            r, v = np.nonzero(mask)
-            owners.append(owner[start + r])
-            grown.append(np.column_stack([part[r], v]))
+        plan = _plan(level, frontier.shape[1], exponent)
+        for live, tabs in _chunks(subset, plan, frontier):
+            r, v = np.nonzero(_unary(tabs, 0, live.size, n))
+            r = live[r]
+            owners.append(owner[r])
+            grown.append(np.column_stack([frontier[r], v]))
         if not grown:
             return np.zeros(0, dtype=np.int64), np.zeros((0, kfree), dtype=np.int64)
         owner, frontier = np.concatenate(owners), np.concatenate(grown, axis=0)
@@ -369,7 +369,7 @@ def _eliminate(kfree: int, directions) -> tuple | None:
 
 @functools.lru_cache(maxsize=256)
 def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
-    """The elimination plan of `count_rows`, cached like `_levels`:
+    """The plan of `_tables` and `count_rows`, cached like `_levels`:
     (pinned, filters, tables, keys, bounds, steps).  `pinned` gives the
     distinct pinned parts of the forms to one `combine` (`_pinned_terms`).
     `filters` stacks the forms without a free variable (None when there
@@ -536,22 +536,34 @@ def _tables(subset: GroupSubset, plan: tuple, part: np.ndarray) -> tuple[np.ndar
     return live, tabs
 
 
+def _chunks(subset: GroupSubset, plan: tuple, prefixes: np.ndarray):
+    """(rows, tables) of `_tables` per chunk of `prefixes` with a live row,
+    rows indexing `prefixes`.  A chunk holds about 2^20 table entries: |G|
+    per row and form, or 8|G|^2 per row when the plan ends in a triangle
+    (a few (rows, |G|, |G|) stacks, float64 among them)."""
+    n = subset.group.order
+    *_, bounds, steps = plan
+    width = 8 * n * n if steps and steps[-1][0] == "triangle" else n * max(1, bounds[-1])
+    step = max(1, _ENUM_CHUNK // width)
+    for start in range(0, len(prefixes), step):
+        live, tabs = _tables(subset, plan, prefixes[start : start + step])
+        if live.size:
+            yield start + live, tabs
+
+
 def count_rows(
     system: LinearSystem,
     subset: GroupSubset,
     prefixes: np.ndarray,
     *,
     budget: int | None = None,
-    masks: bool = False,
-):
+) -> np.ndarray:
     """Per-row satisfying counts, one per prefix row, of the completions
-    that `solve_rows` lists, without listing them; with `masks`, also the
-    boolean (rows, |G|) matrix of satisfying values when one variable is
-    left free.  Counts are int64 while |G|^kfree < 2^63 and Python integers
-    beyond.
+    that `solve_rows` lists, without listing them.  Counts are int64 while
+    |G|^kfree < 2^63 and Python integers beyond.
 
-    Per chunk of rows, `_tables` gives the rows that pass the forms
-    without a free variable and one table per direction of the free
+    Per chunk of rows (`_chunks`), `_tables` gives the rows that pass the
+    forms without a free variable and one table per direction of the free
     coefficients of the others (`_plan`), and the free variables are summed
     out by the rules of `_eliminate`.  When no rule covers the system, the
     first free variable is pinned to every value (`_pinned_counts`); two
@@ -559,27 +571,14 @@ def count_rows(
     as in `solve_rows`."""
     group = subset.group
     prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
-    if masks and kfree != 1:
-        raise ValueError("masks need exactly one free variable")
-    rows, n = len(prefixes), group.order
     plan = _plan(system, prefixes.shape[1], math.lcm(*group.moduli))
-    *_, bounds, steps = plan
-    wide = n**kfree >= 1 << 63
-    counts = np.zeros(rows, dtype=object if wide else np.int64)
-    if steps is None:
+    wide = group.order**kfree >= 1 << 63
+    counts = np.zeros(len(prefixes), dtype=object if wide else np.int64)
+    if plan[-1] is None:
         return _pinned_counts(system, subset, prefixes, counts, budget)
-    out = np.zeros((rows, n), dtype=bool) if masks else None
-    # a triangle holds a few (rows, |G|, |G|) stacks, float64 among them
-    width = 8 * n * n if steps and steps[-1][0] == "triangle" else n * max(1, bounds[-1])
-    step = max(1, _ENUM_CHUNK // width)
-    for start in range(0, rows, step):
-        live, tabs = _tables(subset, plan, prefixes[start : start + step])
-        if live.size == 0:
-            continue
-        if masks:
-            out[start + live] = tabs.get(0, True)
-        counts[start + live] = _run(group, steps, tabs, live.size, wide)
-    return (counts, out) if masks else counts
+    for live, tabs in _chunks(subset, plan, prefixes):
+        counts[live] = _run(group, plan[-1], tabs, live.size, wide)
+    return counts
 
 
 def prefix_row(subset: GroupSubset, fixed: Sequence[GroupElement]) -> np.ndarray:
@@ -643,9 +642,9 @@ def estimate_density(
     Returns (estimate, radius) where radius is the 99% Hoeffding half-width
     sqrt(ln(200) / (2 * samples)).  Sampling uses per-chunk counter-based
     substreams, so the result depends only on (seed, samples), not on the
-    thread count.  Samples are tested through the tables `count_rows`
-    builds (`_tables` with no pinned variable): one gather per direction
-    of the system's forms.
+    thread count.  Samples are tested against the tables of `_tables` for
+    a row with no pinned variable: one gather per direction of the
+    system's forms.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -299,19 +299,23 @@ def transform_p_from_q(q: IntPolynomial) -> IntPolynomial:
     return IntPolynomial.from_dict(q.varnames, out)
 
 
-def transform_q_from_p(p: IntPolynomial) -> tuple[IntPolynomial, int]:
-    """Penalty construction: q(x, y) = p(x) + M * sum_i (x_i^3 - y_i), with
-    M = max(1, 30*B1, 3*B2) where B1/B2 are certified sup bounds over [0,1]^k
-    of the first and pure second partials of p."""
-    if any(not name.startswith("x") for name in p.varnames):
-        raise ValueError("expected a polynomial in x-variables only")
-    b1 = 0
-    b2 = 0
+def _penalty_constant(p: IntPolynomial) -> tuple[int, int, int]:
+    """(B1, B2, M): certified sup bounds over [0,1]^k of the first and pure
+    second partials of p, and M = max(1, 30*B1, 3*B2)."""
+    b1 = b2 = 0
     for name in p.varnames:
         d1 = partial_derivative(p, name)
         b1 = max(b1, sup_bound_unit_box(d1))
         b2 = max(b2, sup_bound_unit_box(partial_derivative(d1, name)))
-    m = max(1, 30 * b1, 3 * b2)
+    return b1, b2, max(1, 30 * b1, 3 * b2)
+
+
+def transform_q_from_p(p: IntPolynomial) -> tuple[IntPolynomial, int]:
+    """Penalty construction: q(x, y) = p(x) + M * sum_i (x_i^3 - y_i), with
+    M from `_penalty_constant`."""
+    if any(not name.startswith("x") for name in p.varnames):
+        raise ValueError("expected a polynomial in x-variables only")
+    m = _penalty_constant(p)[2]
     indices = [int(name[1:]) for name in p.varnames]
     names = tuple(p.varnames) + tuple(f"y{i}" for i in indices)
     q = p.with_variables(names)
@@ -324,23 +328,18 @@ def transform_q_from_p(p: IntPolynomial) -> tuple[IntPolynomial, int]:
 
 def penalty_constant_report(p: IntPolynomial, steps: int = 10) -> dict:
     """Certified bounds used for M next to grid estimates of the true sups."""
-    cert1 = 0
-    cert2 = 0
-    grid1 = Fraction(0)
-    grid2 = Fraction(0)
+    cert1, cert2, m = _penalty_constant(p)
+    grid1 = grid2 = Fraction(0)
     for name in p.varnames:
         d1 = partial_derivative(p, name)
-        d2 = partial_derivative(d1, name)
-        cert1 = max(cert1, sup_bound_unit_box(d1))
-        cert2 = max(cert2, sup_bound_unit_box(d2))
         grid1 = max(grid1, grid_sup_unit_box(d1, steps))
-        grid2 = max(grid2, grid_sup_unit_box(d2, steps))
+        grid2 = max(grid2, grid_sup_unit_box(partial_derivative(d1, name), steps))
     return {
         "certified_first_partial_bound": cert1,
         "certified_second_partial_bound": cert2,
         "grid_first_partial_sup": grid1,
         "grid_second_partial_sup": grid2,
-        "M": max(1, 30 * cert1, 3 * cert2),
+        "M": m,
     }
 
 

@@ -54,13 +54,8 @@ def build_L(k: int) -> LinearSystem:
 @functools.cache
 def build_M(k: int) -> LinearSystem:
     """L plus the k singleton forms g1, ..., gk."""
-    base = build_L(k)
-    singles = []
-    for j in range(k):
-        coeffs = [0] * k
-        coeffs[j] = 1
-        singles.append(LinearForm(k, tuple(coeffs)))
-    return LinearSystem(k, base.forms + tuple(singles))
+    singles = tuple(LinearForm(k, tuple(int(i == j) for i in range(k))) for j in range(k))
+    return LinearSystem(k, build_L(k).forms + singles)
 
 
 def _substituted_L(k: int, j: int, combo: dict[int, int], arity: int) -> tuple[LinearForm, ...]:
@@ -161,16 +156,11 @@ def build_psi(q: IntPolynomial, k: int) -> ReductionBundle:
     vs = tuple(build_V(k, j) for j in range(1, k + 1))
     es = tuple(build_E(k, j) for j in range(1, k + 1))
     ts = tuple(build_T(k, j) for j in range(1, k + 1))
-    terms = []
-    for exps, coeff in qstar.terms:
-        factors: list[LinearSystem] = []
-        for j in range(k):
-            factors.extend([vs[j]] * exps[j])
-        for j in range(k):
-            factors.extend([es[j]] * exps[k + j])
-        for j in range(k):
-            factors.extend([ts[j]] * exps[2 * k + j])
-        terms.append((coeff, tuple(factors)))
+    # a monomial's exponents are those of v_1..v_k, e_1..e_k, t_1..t_k
+    terms = tuple(
+        (coeff, tuple(s for s, e in zip(vs + es + ts, exps) for _ in range(e)))
+        for exps, coeff in qstar.terms
+    )
     return ReductionBundle(
         k=k,
         q=qq,
@@ -180,7 +170,7 @@ def build_psi(q: IntPolynomial, k: int) -> ReductionBundle:
         V=vs,
         E=es,
         T=ts,
-        psi=QuantumSystem(tuple(terms)),
+        psi=QuantumSystem(terms),
     )
 
 
@@ -254,10 +244,10 @@ def compute_B_C(
     k = len(g)
     if not 1 <= j <= k:
         raise ValueError(f"j must be in 1..{k}")
-    _, masks = linform.count_rows(
-        build_V(k, j), a, linform.prefix_row(a, g), budget=budget, masks=True
-    )
-    b = GroupSubset(a.group, masks[0])
+    _, z = linform.solve_rows(build_V(k, j), a, linform.prefix_row(a, g), budget=budget)
+    bits = np.zeros(a.group.order, dtype=bool)
+    bits[z[:, 0]] = True
+    b = GroupSubset(a.group, bits)
     c = (b & a).translate(-g[j - 1])
     return b, c
 
@@ -446,7 +436,7 @@ def verify_witness(
     pair density 1 - 1/n_j; measure the 3-cycle density per coordinate class
     (the j-th H-coordinate of gj) and record it against the closed form
     2x^2 - x.  All good g are index rows of one matrix: B_j takes one
-    `count_rows` call per j.  C = (B & A) - gj depends on g only through
+    `solve_rows` call per j.  C = (B & A) - gj depends on g only through
     gj, so `_graph_counts` counts one graph per distinct gj."""
     a, group, k = spec.subset, spec.group, spec.k
     _, good = linform.solve_rows(build_M(k), a, linform.prefix_row(a, ()), budget=budget)
@@ -454,7 +444,9 @@ def verify_witness(
     k2_events: list[tuple[int, int, str]] = []
     classes = []
     for j in range(1, k + 1) if len(good) else ():
-        _, masks = linform.count_rows(build_V(k, j), a, good, budget=budget, masks=True)
+        owner, z = linform.solve_rows(build_V(k, j), a, good, budget=budget)
+        masks = np.zeros((len(good), group.order), dtype=bool)
+        masks[owner, z[:, 0]] = True
         b = spec.expected_B(j)
         b_ok = (masks == b.bits).all(axis=1)
         for r in np.flatnonzero(~b_ok):

@@ -343,6 +343,15 @@ def _energy_of_file(group, text):
         (["verify", "bollobas", "--t-max", "-4"], "--t-max"),
         (["verify", "delta-claims", "--t-max", "-1"], "--t-max"),
         (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--max-work", "-1"], "--max-work"),
+        # --max-work is offered only by the verbs that read it
+        (["energy", "--group", "Z4", "--set", "{0}", "--max-work", "5"], "unrecognized arguments: --max-work"),
+        # seeds, slice moduli and k are checked by the parser
+        (["check", "--kneser", "--group", "Z4", "--random", "3", "--seed", "-1"], "--seed"),
+        (["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples", "10", "--seed", "-1"], "--seed"),
+        (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", "-1"], "--seed"),
+        (["witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
+        (["verify", "witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
+        (["reduce", "--poly", "x1", "--k", "0"], "argument --k: must be at least 1, got 0"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
@@ -498,9 +507,9 @@ def test_bound_reports_pinned(capsys, argv):
 
 def test_verify_homdensity_counts_M_only_in_its_solution_list(capsys, monkeypatch):
     # g is drawn from M's solutions, so t(M) at g is 1 for every j and is not
-    # counted again: each (A, g) counts B_j, E_j and T_j for j = 1..k.  The
-    # level systems that list M's solutions call count_rows too, from the CLI
-    # through solve_rows, so only the calls from `reduction` are compared.
+    # counted again: each (A, g) counts E_j and T_j for j = 1..k, and lists
+    # B_j through solve_rows, which counts nothing.  Only the calls from
+    # `reduction` are compared.
     m = reduction.build_M(3)
     every, systems = [], []
     count_rows = linform.count_rows
@@ -519,7 +528,7 @@ def test_verify_homdensity_counts_M_only_in_its_solution_list(capsys, monkeypatc
     code, out, _ = run_cli(capsys, "verify", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
-    assert m not in every and len(systems) == 30 * 3 * 3
+    assert m not in every and len(systems) == 30 * 3 * 2
 
 
 def test_witness_budget_is_per_prefix(capsys):

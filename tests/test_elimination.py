@@ -25,6 +25,7 @@ from addforms.linform import (
     eval_density,
     eval_density_fixed,
     parse_system,
+    solve_rows,
 )
 from addforms.reduction import build_E, build_M, build_T, build_V
 
@@ -85,10 +86,11 @@ def test_counts_masks_and_densities_match_the_oracle(moduli, data):
     density = eval_density_fixed(system, a, fixed)
     assert density == Fraction(len(want[0]), group.order**kfree)
     if kfree == 1:
-        again, masks = count_rows(system, a, prefixes, masks=True)
-        assert again.tolist() == counts.tolist()
-        for row, completions in zip(masks, want):
-            assert np.flatnonzero(row).tolist() == sorted(
+        # the satisfying values of the one free variable, as `solve_rows` lists them
+        owner, free = solve_rows(system, a, prefixes)
+        assert np.bincount(owner, minlength=len(prefixes)).tolist() == counts.tolist()
+        for r, completions in enumerate(want):
+            assert free[owner == r, 0].tolist() == sorted(
                 group.index_of(t) for (t,) in completions
             )
 

@@ -181,6 +181,14 @@ def test_penalty_constant_report():
     assert report["grid_second_partial_sup"] <= report["certified_second_partial_bound"]
 
 
+@pytest.mark.parametrize(
+    "text", ["0", "7", "x1", "x1^2", "x1^3 - 2x1x2 + 5x2", "-4x1^2x3 + x2^4 - 3x3", "x2 - x2^2"]
+)
+def test_penalty_constant_report_gives_the_M_of_the_transform(text):
+    p = parse_poly(text)
+    assert penalty_constant_report(p, steps=2)["M"] == transform_q_from_p(p)[1]
+
+
 def test_parse_poly_round_trip():
     texts = ["x1^2 - y1", "2x1x2 - 3*(x1 + 1)", "v1*e1 - t1", "0", "-x1 + 4"]
     for text in texts:

@@ -226,11 +226,37 @@ def test_witness_counts_one_graph_per_distinct_gj(monkeypatch):
     _, good = linform.solve_rows(build_M(2), a, linform.prefix_row(a, ()))
     assert report.good_g_count == len(good) == 400
     for j, shifts in enumerate(passed, start=1):
-        _, masks = linform.count_rows(build_V(2, j), a, good, masks=True)
-        right = (masks == spec.expected_B(j).bits).all(axis=1)
+        owner, z = linform.solve_rows(build_V(2, j), a, good)
+        b = np.flatnonzero(spec.expected_B(j).bits)
+        right = np.array([np.array_equal(z[owner == r, 0], b) for r in range(len(good))])
         assert shifts.tolist() == sorted(set(good[right, j - 1].tolist()))
         assert len(shifts) == 20
     assert len(passed) == 2
+
+
+def test_listing_makes_no_count_rows_call(monkeypatch):
+    # solve_rows grows its frontier from the tables of `_tables`, and B_j is
+    # the slot column of solve_rows(V_j, ...), so listing never counts
+    calls = []
+    count_rows = linform.count_rows
+
+    def spy(system, *args, **kwargs):
+        calls.append(system)
+        return count_rows(system, *args, **kwargs)
+
+    monkeypatch.setattr(linform, "count_rows", spy)
+    spec = build_witness(2, [3, 3])
+    a = spec.subset
+    none = linform.prefix_row(a, ())
+    _, good = linform.solve_rows(build_M(2), a, none)  # one level per variable
+    owner, _ = linform.solve_rows(build_M(2), a, good)  # no free variable
+    assert owner.tolist() == list(range(len(good))) and len(good)
+    _, free = linform.solve_rows(linform.parse_system("[g2]"), a, none)  # g1 ends no form
+    assert len(free) == a.group.order * a.size
+    g = tuple(a.group.from_index(int(i)) for i in good[0])
+    assert compute_B_C(a, g, 1)[0] == spec.expected_B(1)
+    assert verify_witness(spec).ok
+    assert calls == []
 
 
 def _per_g_witness(spec):

@@ -26,6 +26,8 @@ _WITNESS_LIMIT = 10
 # `verify homdensity` gives up after this many random draws per requested
 # pair; on some groups (Z1, Z2, Z3) no subset admits M at all.
 _HOMDENSITY_DRAWS_PER_PAIR = 100
+# Every seeded verb keys a Philox generator with its seed, which takes 128 bits.
+_MAX_SEED = (1 << 128) - 1
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -35,7 +37,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from None
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -43,6 +45,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -296,36 +300,43 @@ def _cmd_verify_homdensity(args):
     k = args.k
     m = reduction.build_M(k)
     gen = np.random.Generator(np.random.Philox(key=int(args.seed)))
-    pairs = 0
-    mismatches = []
-    vacuous = 0
-    details = []
+    subsets, g_rows = [], []
     draws = 0
-    while pairs < args.pairs:
-        if draws == _HOMDENSITY_DRAWS_PER_PAIR * args.pairs:
-            raise AddformsError(
-                f"only {pairs} of {args.pairs} random subsets of "
-                f"{group.literal()} admitted M (k = {k}) in {draws} draws"
-            )
+    while len(subsets) < args.pairs and draws < _HOMDENSITY_DRAWS_PER_PAIR * args.pairs:
         draws += 1
         a = GroupSubset(group, gen.random(group.order) < 0.5)
         _, good = linform.solve_rows(m, a, linform.prefix_row(a, ()), budget=args.max_work)
         if not len(good):
             continue
-        g = tuple(group.from_index(int(i)) for i in good[int(gen.integers(0, len(good)))])
-        for j in range(1, k + 1):
-            rep = reduction.verify_homdensity_identity(a, g, j, budget=args.max_work)
+        subsets.append(a)
+        g_rows.append(good[int(gen.integers(0, len(good)))])
+    g_rows = np.array(g_rows, dtype=np.int64).reshape(len(subsets), k)
+    # the pairs found are checked first, so a refused budget (exit 3) takes
+    # precedence over a shortfall of pairs
+    by_j = [
+        reduction.verify_homdensity_rows(subsets, g_rows, j, budget=args.max_work)
+        for j in range(1, k + 1)
+    ]
+    if len(subsets) < args.pairs:
+        raise AddformsError(
+            f"only {len(subsets)} of {args.pairs} random subsets of "
+            f"{group.literal()} admitted M (k = {k}) in {draws} draws"
+        )
+    mismatches = []
+    vacuous = 0
+    details = []
+    for reps in zip(*by_j):  # pair-major, j-minor
+        for rep in reps:
             if rep.vacuous:
                 vacuous += 1
             elif not rep.ok:
                 mismatches.append(rep.to_dict())
-            if j == 1 and len(details) < 3:
-                details.append(rep.to_dict())
-        pairs += 1
+        if len(details) < 3:
+            details.append(reps[0].to_dict())
     report = make_report(
         "verify-homdensity",
         params={"group": args.group, "k": k, "pairs": args.pairs, "seed": args.seed},
-        pairs_checked=pairs,
+        pairs_checked=len(subsets),
         vacuous=vacuous,
         mismatches=mismatches,
         sample=details,
@@ -486,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--random", type=_int_at_least(0), default=0, help="number of random instances"
     )
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--x", help="first coordinate for region checks")
@@ -519,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--group", required=True)
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--pairs", type=_int_at_least(0), default=50)
-    v.add_argument("--seed", type=_int_at_least(0), default=0)
+    v.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
     _add_common(v, max_work=True)
     v.set_defaults(func=_cmd_verify_homdensity)
 
@@ -545,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subset_options(p)
     p.add_argument("--system", required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)
 

@@ -3,9 +3,12 @@ Monte-Carlo evaluation of their satisfaction densities.
 
 A system is a list of forms sum_i c_i * g_i, each required to land inside a
 subset (or outside it, when negated).  The exact evaluators take a matrix
-of pinned prefixes, one row per prefix, in chunks (`_chunks`): per chunk,
-`_tables` keeps the rows that pass the forms without a free variable and
-builds one table per direction of the others' free coefficients.
+of pinned prefixes, one row per prefix, and either one subset for every
+row or one subset per row, so a single call serves many (subset, prefix)
+pairs.  They work in chunks of rows (`_chunks`): per chunk, `_tables`
+reads membership from the subsets' bit matrix at each row's subset, keeps
+the rows that pass the forms without a free variable and builds one table
+per direction of the others' free coefficients.
 `count_rows` counts the completions of every row from those tables by
 variable elimination, pair counts through `abelian.pair_count_rows`; a
 system no rule covers has its first free variable pinned to every value
@@ -128,12 +131,17 @@ def eval_form(form: LinearForm, assignment: Sequence[GroupElement]) -> GroupElem
     return GroupElement(group, tuple(residues))
 
 
-def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np.ndarray, int]:
+def _checked_prefixes(
+    system: LinearSystem, group, prefixes, budget, which
+) -> tuple[np.ndarray, int]:
     """The prefixes as an int64 (rows, nfix) matrix and the number of free
-    variables, after the shape, budget and index checks."""
+    variables, after the shape, budget and index checks; `which` is the
+    row -> subset index of `_members`, one entry per row, or None."""
     prefixes = np.asarray(prefixes, dtype=np.int64)
     if prefixes.ndim != 2:
         raise ValueError("prefixes must be a (rows, nfix) index matrix")
+    if which is not None and len(which) != len(prefixes):
+        raise ValueError(f"{len(which)} subsets for {len(prefixes)} prefix rows")
     if prefixes.shape[1] > system.arity:
         raise ValueError("more fixed values than variables")
     kfree = system.arity - prefixes.shape[1]
@@ -191,7 +199,7 @@ def _levels(system: LinearSystem, nfix: int, exponent: int) -> tuple:
 
 def solve_rows(
     system: LinearSystem,
-    subset: GroupSubset,
+    subset: GroupSubset | Sequence[GroupSubset],
     prefixes: np.ndarray,
     *,
     budget: int | None = None,
@@ -201,20 +209,23 @@ def solve_rows(
     `prefixes` is an int64 (rows, nfix) matrix of element indices for the
     first nfix variables.  Returns (owner, free): free[i] holds the indices
     of the remaining variables, owner[i] the prefix row it completes, sorted
-    by (owner, free).  The work budget is checked per prefix, |G|^kfree * d,
-    before anything is allocated, so it admits a whole batch when it admits
-    one row.
+    by (owner, free).  `subset` is one GroupSubset for every row or a
+    sequence of one per row, as in `count_rows`.  The work budget is checked
+    per prefix, |G|^kfree * d, before anything is allocated, so it admits a
+    whole batch when it admits one row.
 
     The free variables are bound one per level (`_levels`): the frontier of
     partial assignments is extended by the values where the level's table
     of its free variable holds, so a form is tested as soon as its last
-    variable is bound; with no free variable, the rows that pass are kept."""
-    group = subset.group
-    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
+    variable is bound; with no free variable, the rows that pass are kept.
+    A partial assignment reads the subset of the prefix row it extends."""
+    group, bits, which = _members(subset)
+    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget, which)
     rows, nfix = prefixes.shape
     exponent = math.lcm(*group.moduli)
     if kfree == 0:
-        kept = [live for live, _ in _chunks(subset, _plan(system, nfix, exponent), prefixes)]
+        plan = _plan(system, nfix, exponent)
+        kept = [live for live, _ in _chunks(group, bits, which, plan, prefixes)]
         owner = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
         return owner, np.zeros((owner.size, 0), dtype=np.int64)
     n = group.order
@@ -227,7 +238,8 @@ def solve_rows(
             continue
         owners, grown = [], []
         plan = _plan(level, frontier.shape[1], exponent)
-        for live, tabs in _chunks(subset, plan, frontier):
+        at = None if which is None else which[owner]
+        for live, tabs in _chunks(group, bits, at, plan, frontier):
             r, v = np.nonzero(_unary(tabs, 0, live.size, n))
             r = live[r]
             owners.append(owner[r])
@@ -487,33 +499,43 @@ def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
     return count
 
 
-def _pinned_counts(system, subset, prefixes, counts: np.ndarray, budget) -> np.ndarray:
+def _pinned_counts(system, group, bits, which, prefixes, counts: np.ndarray, budget) -> np.ndarray:
     """`counts` filled with the counts of `prefixes` as the sums of the
     counts of each row widened by every value of the first free variable;
-    chunked so a widened block has about 2^20 rows."""
-    n = subset.group.order
+    chunked so a widened block has about 2^20 rows, each in its row's
+    subset."""
+    n = group.order
     step = max(1, _ENUM_CHUNK // n)
     every = np.arange(n, dtype=np.int64)
     for start in range(0, len(prefixes), step):
         part = prefixes[start : start + step]
         wider = np.column_stack([np.repeat(part, n, axis=0), np.tile(every, len(part))])
-        got = count_rows(system, subset, wider, budget=budget).astype(counts.dtype)
+        at = None if which is None else np.repeat(which[start : start + step], n)
+        got = _counts(system, group, bits, at, wider, budget).astype(counts.dtype)
         counts[start : start + len(part)] = got.reshape(len(part), n).sum(axis=1)
     return counts
 
 
-def _tables(subset: GroupSubset, plan: tuple, part: np.ndarray) -> tuple[np.ndarray, dict]:
+def _tables(
+    group, bits: np.ndarray, which, plan: tuple, part: np.ndarray
+) -> tuple[np.ndarray, dict]:
     """The rows of the prefix chunk `part` that pass the filters of `plan`
     (from `_plan`) and its boolean (live rows, |G|) table per key, which
-    holds at w when every form of the key's direction does."""
+    holds at w when every form of the key's direction does.  Membership is
+    read from the (s, |G|) bit matrix `bits` of the subsets, row i of `part`
+    in subset which[i]; with s = 1 `which` is not read."""
     pinned, filters, tables, keys, bounds, _ = plan
-    group, memb, n = subset.group, subset.bits, subset.group.order
+    n = group.order
+    memb = bits.reshape(-1)
+    # subset s starts at s * |G| in the flat bit matrix
+    base = None if len(bits) == 1 else which * n
     # the pinned parts, (distinct parts, rows), or None when all are 0
     off = group.combine([(c, part[None, :, i]) for i, c in pinned]) if pinned else None
     live = np.arange(len(part))
     if filters is not None:
         at, _, neg = filters
-        hit = memb[0 if off is None else off[at]] != neg
+        idx = 0 if off is None else off[at]
+        hit = memb[idx if base is None else idx + base] != neg
         ok = hit.all(axis=0) if np.ndim(hit) == 2 else hit
         live = live[np.broadcast_to(ok, live.shape)]
         off = None if off is None else off[:, live]
@@ -522,45 +544,80 @@ def _tables(subset: GroupSubset, plan: tuple, part: np.ndarray) -> tuple[np.ndar
         at, m, neg = tables
         every = np.arange(n, dtype=np.int64)[None, None, :]
         terms = [(m, every)] + ([] if off is None else [(1, off[at][:, :, None])])
-        hit = memb[group.combine(terms)] != neg
+        idx = group.combine(terms)
+        hit = memb[idx if base is None else idx + base[live, None]] != neg
         if len(hit) < bounds[-1]:
             # with no pinned parts and one multiplier and negation, the
             # forms share one entry
             hit = np.broadcast_to(hit, (bounds[-1], *hit.shape[1:]))
         for key, lo, hi in zip(keys, bounds, bounds[1:]):
             table = hit[lo:hi].all(axis=0)
-            # without pinned parts a table is the same for every row
+            # without pinned parts a shared subset's table is the same for
+            # every row
             if len(table) < live.size:
                 table = np.broadcast_to(table, (live.size, n))
             tabs[key] = table
     return live, tabs
 
 
-def _chunks(subset: GroupSubset, plan: tuple, prefixes: np.ndarray):
+def _chunks(group, bits: np.ndarray, which, plan: tuple, prefixes: np.ndarray):
     """(rows, tables) of `_tables` per chunk of `prefixes` with a live row,
-    rows indexing `prefixes`.  A chunk holds about 2^20 table entries: |G|
-    per row and form, or 8|G|^2 per row when the plan ends in a triangle
-    (a few (rows, |G|, |G|) stacks, float64 among them)."""
-    n = subset.group.order
+    rows indexing `prefixes` (and `which`, when not None).  A chunk holds
+    about 2^20 table entries: |G| per row and form, or 8|G|^2 per row when
+    the plan ends in a triangle (a few (rows, |G|, |G|) stacks, float64
+    among them)."""
+    n = group.order
     *_, bounds, steps = plan
     width = 8 * n * n if steps and steps[-1][0] == "triangle" else n * max(1, bounds[-1])
     step = max(1, _ENUM_CHUNK // width)
     for start in range(0, len(prefixes), step):
-        live, tabs = _tables(subset, plan, prefixes[start : start + step])
+        end = start + step
+        at = None if which is None else which[start:end]
+        live, tabs = _tables(group, bits, at, plan, prefixes[start:end])
         if live.size:
             yield start + live, tabs
 
 
+def _members(subset) -> tuple:
+    """(group, bits, which) of `subset`, one GroupSubset shared by every
+    prefix row or a sequence of one per row: the (s, |G|) bit matrix of the
+    subsets and the row -> subset index, None for one shared subset."""
+    if isinstance(subset, GroupSubset):
+        return subset.group, subset.bits[None], None
+    subsets = list(subset)
+    if not subsets:
+        raise ValueError("an empty subset list has no group; pass one GroupSubset")
+    group = subsets[0].group
+    if any(a.group != group for a in subsets):
+        raise GroupMismatchError("the subsets of the rows mix groups")
+    return group, np.stack([a.bits for a in subsets]), np.arange(len(subsets))
+
+
+def _counts(system, group, bits, which, prefixes, budget) -> np.ndarray:
+    """`count_rows` over the subsets of `_members`."""
+    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget, which)
+    plan = _plan(system, prefixes.shape[1], math.lcm(*group.moduli))
+    wide = group.order**kfree >= 1 << 63
+    counts = np.zeros(len(prefixes), dtype=object if wide else np.int64)
+    if plan[-1] is None:
+        return _pinned_counts(system, group, bits, which, prefixes, counts, budget)
+    for live, tabs in _chunks(group, bits, which, plan, prefixes):
+        counts[live] = _run(group, plan[-1], tabs, live.size, wide)
+    return counts
+
+
 def count_rows(
     system: LinearSystem,
-    subset: GroupSubset,
+    subset: GroupSubset | Sequence[GroupSubset],
     prefixes: np.ndarray,
     *,
     budget: int | None = None,
 ) -> np.ndarray:
     """Per-row satisfying counts, one per prefix row, of the completions
     that `solve_rows` lists, without listing them.  Counts are int64 while
-    |G|^kfree < 2^63 and Python integers beyond.
+    |G|^kfree < 2^63 and Python integers beyond.  `subset` is one
+    GroupSubset for every row or a sequence of one per row, all of one
+    group (GroupMismatchError otherwise).
 
     Per chunk of rows (`_chunks`), `_tables` gives the rows that pass the
     forms without a free variable and one table per direction of the free
@@ -569,16 +626,7 @@ def count_rows(
     first free variable is pinned to every value (`_pinned_counts`); two
     free variables always have a plan, so this ends.  The budget is checked
     as in `solve_rows`."""
-    group = subset.group
-    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
-    plan = _plan(system, prefixes.shape[1], math.lcm(*group.moduli))
-    wide = group.order**kfree >= 1 << 63
-    counts = np.zeros(len(prefixes), dtype=object if wide else np.int64)
-    if plan[-1] is None:
-        return _pinned_counts(system, subset, prefixes, counts, budget)
-    for live, tabs in _chunks(subset, plan, prefixes):
-        counts[live] = _run(group, plan[-1], tabs, live.size, wide)
-    return counts
+    return _counts(system, *_members(subset), prefixes, budget)
 
 
 def prefix_row(subset: GroupSubset, fixed: Sequence[GroupElement]) -> np.ndarray:
@@ -651,7 +699,8 @@ def estimate_density(
     group = subset.group
     radius = math.sqrt(math.log(200.0) / (2.0 * samples))
     plan = _plan(system, 0, math.lcm(*group.moduli))
-    live, tabs = _tables(subset, plan, np.zeros((1, 0), dtype=np.int64))
+    none = np.zeros((1, 0), dtype=np.int64)
+    live, tabs = _tables(group, subset.bits[None], None, plan, none)
     if live.size == 0:
         return 0.0, radius  # a form that is 0 at every assignment fails
     base = np.random.Philox(key=int(seed))

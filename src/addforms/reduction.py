@@ -237,16 +237,21 @@ def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
     return Fraction(int(pairs[0]), m * m), Fraction(int(cycles[0]), m**3)
 
 
+def _slot_masks(group, a, g_rows: np.ndarray, j: int, budget) -> np.ndarray:
+    """B_j of every row of the (rows, k) index matrix `g_rows`, as a boolean
+    (rows, |G|) mask of the slot values z with V_j(g, z) inside A, from one
+    `solve_rows` call; `a` is one subset or one per row.  V_j checks j."""
+    owner, z = linform.solve_rows(build_V(g_rows.shape[1], j), a, g_rows, budget=budget)
+    masks = np.zeros((len(g_rows), group.order), dtype=bool)
+    masks[owner, z[:, 0]] = True
+    return masks
+
+
 def compute_B_C(
     a: GroupSubset, g: Sequence[GroupElement], j: int, *, budget: int | None = None
 ) -> tuple[GroupSubset, GroupSubset]:
     """B = slot values z with V_j(g, z) inside A; C = (B intersect A) - gj."""
-    k = len(g)
-    if not 1 <= j <= k:
-        raise ValueError(f"j must be in 1..{k}")
-    _, z = linform.solve_rows(build_V(k, j), a, linform.prefix_row(a, g), budget=budget)
-    bits = np.zeros(a.group.order, dtype=bool)
-    bits[z[:, 0]] = True
+    (bits,) = _slot_masks(a.group, a, linform.prefix_row(a, g), j, budget)
     b = GroupSubset(a.group, bits)
     c = (b & a).translate(-g[j - 1])
     return b, c
@@ -303,26 +308,61 @@ def verify_homdensity_identity(
 
     The check is vacuous exactly when M(g) fails: V_j holds M's forms over
     g, so B_j is then empty, and when M(g) holds, z = gj lies in B_j."""
-    k = len(g)
-    group = a.group
-    gt = tuple(g)
-    meta = dict(group=group.literal(), j=j, g=tuple(e.residues for e in gt))
-    b, c = compute_B_C(a, gt, j, budget=budget)
-    t_v = Fraction(b.size, group.order)
-    if t_v == 0:
-        return HomdensityReport(vacuous=True, **meta)
-    t_e = linform.eval_density_fixed(build_E(k, j), a, gt, budget=budget)
-    t_t = linform.eval_density_fixed(build_T(k, j), a, gt, budget=budget)
-    k2, k3 = graph_densities(DirectedCayleyGraph(b, c))
-    return HomdensityReport(
-        vacuous=False,
-        b_size=b.size,
-        k2_graph=k2,
-        k2_forms=t_e / t_v**2,
-        k3_graph=k3,
-        k3_forms=t_t / t_v**3,
-        **meta,
-    )
+    (report,) = verify_homdensity_rows([a], linform.prefix_row(a, g), j, budget=budget)
+    return report
+
+
+def verify_homdensity_rows(
+    subsets: Sequence[GroupSubset],
+    g_rows: np.ndarray,
+    j: int,
+    *,
+    budget: int | None = None,
+) -> list[HomdensityReport]:
+    """`verify_homdensity_identity` of A = subsets[i] and g = g_rows[i] for
+    every row i of the (rows, k) index matrix `g_rows`, in row order.
+
+    One `solve_rows(V_j)` lists every B_j; one `count_rows` each of E_j
+    and T_j counts the rows whose B_j is not empty; `_graph_counts` counts
+    each row's graph, with b1 -> b2 iff b1 - b2 + gj lies in B & A, that
+    is, b1 - b2 in C = (B & A) - gj."""
+    if not len(subsets):
+        return []
+    group = subsets[0].group
+    g_rows = np.asarray(g_rows, dtype=np.int64)
+    k, n = g_rows.shape[1], group.order
+    masks = _slot_masks(group, subsets, g_rows, j, budget)
+    full = np.flatnonzero(masks.any(axis=1))
+    e = t = ()
+    if full.size:
+        some = [subsets[i] for i in full]
+        e = linform.count_rows(build_E(k, j), some, g_rows[full], budget=budget)
+        t = linform.count_rows(build_T(k, j), some, g_rows[full], budget=budget)
+    counts = dict(zip(full.tolist(), zip(e, t)))
+    reports = []
+    for i, (a, row, bits) in enumerate(zip(subsets, g_rows, masks)):
+        g = tuple(group.from_index(int(x)).residues for x in row)
+        meta = dict(group=group.literal(), j=j, g=g)
+        if i not in counts:
+            reports.append(HomdensityReport(vacuous=True, **meta))
+            continue
+        b = GroupSubset(group, bits)
+        pairs, cycles = _graph_counts(b, bits & a.bits, row[j - 1 : j])
+        m = b.size
+        t_v = Fraction(m, n)
+        e_count, t_count = counts[i]
+        reports.append(
+            HomdensityReport(
+                vacuous=False,
+                b_size=m,
+                k2_graph=Fraction(int(pairs[0]), m * m),
+                k2_forms=Fraction(int(e_count), n * n) / t_v**2,
+                k3_graph=Fraction(int(cycles[0]), m**3),
+                k3_forms=Fraction(int(t_count), n**3) / t_v**3,
+                **meta,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +484,7 @@ def verify_witness(
     k2_events: list[tuple[int, int, str]] = []
     classes = []
     for j in range(1, k + 1) if len(good) else ():
-        owner, z = linform.solve_rows(build_V(k, j), a, good, budget=budget)
-        masks = np.zeros((len(good), group.order), dtype=bool)
-        masks[owner, z[:, 0]] = True
+        masks = _slot_masks(group, a, good, j, budget)
         b = spec.expected_B(j)
         b_ok = (masks == b.bits).all(axis=1)
         for r in np.flatnonzero(~b_ok):

@@ -352,6 +352,10 @@ def _energy_of_file(group, text):
         (["witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
         (["verify", "witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
         (["reduce", "--poly", "x1", "--k", "0"], "argument --k: must be at least 1, got 0"),
+        # Philox keys take 128 bits
+        (["check", "--kneser", "--group", "Z4", "--random", "3", "--seed", str(1 << 128)], "--seed: must be at most"),
+        (["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples", "10", "--seed", str(1 << 128)], "--seed: must be at most"),
+        (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", str(1 << 128)], "--seed: must be at most"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
@@ -507,28 +511,42 @@ def test_bound_reports_pinned(capsys, argv):
 
 def test_verify_homdensity_counts_M_only_in_its_solution_list(capsys, monkeypatch):
     # g is drawn from M's solutions, so t(M) at g is 1 for every j and is not
-    # counted again: each (A, g) counts E_j and T_j for j = 1..k, and lists
-    # B_j through solve_rows, which counts nothing.  Only the calls from
-    # `reduction` are compared.
-    m = reduction.build_M(3)
-    every, systems = [], []
-    count_rows = linform.count_rows
+    # counted again.  All (A, g) pairs share one frontier per j: one
+    # solve_rows call lists B_j for all of them, and one count_rows call
+    # each counts E_j and T_j.  Only the calls from `reduction` are compared.
+    calls = {"count_rows": [], "solve_rows": []}  # (system, called from reduction)
 
-    def spy(system, *args, **kwargs):
-        every.append(system)
-        frame = sys._getframe(1)
-        while frame.f_globals["__name__"] == "addforms.linform":
-            frame = frame.f_back
-        if frame.f_globals["__name__"] == "addforms.reduction":
-            systems.append(system)
-        return count_rows(system, *args, **kwargs)
+    def spy(name):
+        real = getattr(linform, name)
 
-    monkeypatch.setattr(linform, "count_rows", spy)
+        def call(system, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] == "addforms.linform":
+                frame = frame.f_back
+            calls[name].append((system, frame.f_globals["__name__"] == "addforms.reduction"))
+            return real(system, *args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(linform, name, spy(name))
     argv = "homdensity --group Z9xZ2 --k 3 --pairs 30 --seed 3"
     code, out, _ = run_cli(capsys, "verify", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_DIGESTS[argv]
-    assert m not in every and len(systems) == 30 * 3 * 2
+    assert reduction.build_M(3) not in [system for system, _ in calls["count_rows"]]
+    counted = [system for system, ours in calls["count_rows"] if ours]
+    listed = [system for system, ours in calls["solve_rows"] if ours]
+    assert len(counted) == 3 * 2
+    assert counted == [build(3, j) for j in (1, 2, 3) for build in (reduction.build_E, reduction.build_T)]
+    assert listed == [reduction.build_V(3, j) for j in (1, 2, 3)]
+
+
+def test_verify_homdensity_of_no_pairs(capsys):
+    code, report = run_json(capsys, "verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--pairs", "0")
+    assert code == 0
+    assert report["pairs_checked"] == 0 and report["vacuous"] == 0 and report["ok"]
+    assert report["sample"] == [] and report["mismatches"] == []
 
 
 def test_witness_budget_is_per_prefix(capsys):

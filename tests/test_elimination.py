@@ -1,8 +1,8 @@
 """The elimination engine behind `linform.count_rows` against the brute-force
 oracles: a property over small group presentations and random systems,
 one case per elimination rule (seen by spying on the steps it runs),
-the benchmark's systems, which no rule may leave to the fallback, and
-counts beyond int64."""
+the same cases with one subset per prefix row, the benchmark's systems,
+which no rule may leave to the fallback, and counts beyond int64."""
 
 import math
 import tracemalloc
@@ -18,6 +18,7 @@ import oracles
 
 from addforms import linform
 from addforms.abelian import FiniteAbelianGroup, GroupSubset
+from addforms.errors import GroupMismatchError
 from addforms.linform import (
     LinearForm,
     LinearSystem,
@@ -169,6 +170,54 @@ def test_the_no_plan_fallback_counts_without_listing(ran):
     assert ran["pin"] == 1 and "solve_rows" not in ran
     # the (owner, free) int64 arrays of the list would take 32 bytes a tuple
     assert 4 * peak < 32 * want
+
+
+# the rule cases, plus systems whose forms without a free variable filter
+# the rows: with pinned parts only (kfree = 0), and 720 * g1, which is 0 on
+# every group below, so its row's subset alone decides it
+_PER_ROW_CASES = _RULE_CASES + [
+    ("[g1+g2; !(g1); 2g2]", 2, {}),
+    ("[720g1; !(g1+g2)]", 0, {"edge": 1}),
+]
+
+
+@pytest.mark.parametrize("text, nfix, rules", _PER_ROW_CASES)
+@pytest.mark.parametrize("moduli", [(9, 2), (16,), (5, 5)])
+def test_one_subset_per_row_matches_one_subset_calls(ran, text, nfix, rules, moduli):
+    system = parse_system(text)
+    group = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(len(text) * group.order + nfix)
+    subsets = [GroupSubset.empty(group), GroupSubset.full(group)]
+    subsets += [GroupSubset(group, rng.random(group.order) < 0.5) for _ in range(5)]
+    prefixes = rng.integers(0, group.order, size=(len(subsets), nfix))
+    counts = count_rows(system, subsets, prefixes)
+    # the steps run once for all rows, as with one shared subset
+    assert ran == Counter(rules)
+    owner, free = solve_rows(system, subsets, prefixes)
+    want_owner, want_free = [], []
+    for i, a in enumerate(subsets):
+        one = prefixes[i : i + 1]
+        assert counts[i] == count_rows(system, a, one)[0]
+        one_owner, one_free = solve_rows(system, a, one)
+        want_owner += [i] * len(one_owner)
+        want_free += one_free.tolist()
+    assert owner.tolist() == want_owner
+    assert free.tolist() == want_free
+
+
+def test_per_row_subsets_share_one_group_and_match_the_rows():
+    group, other = FiniteAbelianGroup([4]), FiniteAbelianGroup([2, 2])
+    system = parse_system("[g1; g2]")
+    rows = np.zeros((2, 1), dtype=np.int64)
+    for run in (count_rows, solve_rows):
+        with pytest.raises(GroupMismatchError):
+            run(system, [GroupSubset.full(group), GroupSubset.full(other)], rows)
+        with pytest.raises(ValueError, match="3 subsets for 2 prefix rows"):
+            run(system, [GroupSubset.full(group)] * 3, rows)
+        with pytest.raises(ValueError, match="1 subsets for 2 prefix rows"):
+            run(system, [GroupSubset.full(group)], rows)
+        with pytest.raises(ValueError, match="no group"):
+            run(system, [], rows[:0])
 
 
 def _benchmark_systems():

@@ -431,8 +431,9 @@ def _add_common(p: argparse.ArgumentParser, *, max_work: bool = False) -> None:
 
 
 def _add_subset_options(p: argparse.ArgumentParser, name: str = "set") -> None:
-    p.add_argument(f"--{name}", help="inline subset literal, e.g. \"{0,2}\"")
-    p.add_argument(f"--{name}-file", help="subset file (lines or JSON)")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument(f"--{name}", help="inline subset literal, e.g. \"{0,2}\"")
+    given.add_argument(f"--{name}-file", help="subset file (lines or JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:

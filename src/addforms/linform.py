@@ -10,7 +10,8 @@ reads membership from the subsets' bit matrix at each row's subset, keeps
 the rows that pass the forms without a free variable and builds one table
 per direction of the others' free coefficients.
 `count_rows` counts the completions of every row from those tables by
-variable elimination, pair counts through `abelian.pair_count_rows`; a
+variable elimination, pair counts through `abelian.pair_count_rows` and
+3-cycles through `_triangle_counts`, which `reduction`'s graphs share; a
 system no rule covers has its first free variable pinned to every value
 and is counted again.  `solve_rows` lists the completions: it binds the
 free variables one per level, and each level's table of its free variable
@@ -252,19 +253,11 @@ def solve_rows(
 
 # The elimination engine behind `count_rows`.
 
-# Float64 products of 0/1 matrices are exact while every path count (at most
-# m) and every partial sum of one is an integer below 2^53.
-_F64_EXACT = 1 << 53
-
 def _cycle_counts(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """trace(X @ Y @ Z), int64 per row, of three boolean (rows, m, m)
-    stacks: the sum of (X @ Y) * Z^T, the product in float64 under the
-    guard."""
-    if x.shape[1] < _F64_EXACT:
-        fx = x.astype(np.float64)
-        paths = np.matmul(fx, fx if y is x else y.astype(np.float64)).astype(np.int64)
-    else:
-        paths = np.matmul(x.astype(np.int64), y.astype(np.int64))
+    """trace(X @ Y @ Z), int64 per row, of three boolean stacks of shapes
+    (rows, a, b), (rows, b, c) and (rows, c, a): the sum of (X @ Y) * Z^T."""
+    # exact in float64: every path count and partial sum is an integer <= b < 2^53
+    paths = np.matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
     return (paths * z.transpose(0, 2, 1)).sum(axis=(1, 2))
 
 
@@ -335,8 +328,8 @@ def _eliminate(kfree: int, directions) -> tuple | None:
         boolean: the pair count of h and -+u is a table over h's other
         variables, folded into a unary when one is left;
     (d) "grid" for two variables, chunked gathers of every table; "triangle"
-        for three variables joined pairwise by three boolean tables, one
-        (rows, |G|, |G|) matrix product.
+        for three variables joined pairwise by three boolean tables, a
+        trace of stacks on their supports (`_triangle_counts`).
     """
     live = set(range(kfree))
     factors = {d for d in directions if sum(map(bool, d)) > 1}
@@ -453,6 +446,31 @@ def _grid_counts(group, tabs: dict, a: int, b: int, dirs, rows: int, wide: bool)
     return total
 
 
+def _triangle_counts(group, chain: tuple, tabs: dict, rows: int) -> np.ndarray:
+    """Per-row counts, int64, of the (y_a, y_b, y_c) at which the unaries
+    and the tables of `chain` ((a, b, d_ab), (b, c, d_bc), (c, a, d_ca))
+    all hold: trace(X @ Y @ Z), X[r, i, j] = h_ab(d_ab . (S_a[i], S_b[j]))
+    * u_a(S_a[i]) in row r, likewise Y and Z, on the support S_p of the
+    values some row's unary of p admits (all of G without one), chunked by
+    rows to about 2^20 entries per (rows, |S_p|, |S_q|) stack."""
+    support = {}
+    for p, _, _ in chain:
+        u = tabs.get(p)
+        support[p] = np.arange(group.order) if u is None else np.flatnonzero(u.any(axis=0))
+    widest = max(support[p].size * support[q].size for p, q, _ in chain)
+    step = max(1, _ENUM_CHUNK // max(1, widest))
+    counts = np.empty(rows, dtype=np.int64)
+    for s in range(0, rows, step):
+        part = slice(s, s + step)
+        mats = []
+        for p, q, d in chain:
+            grid = group.combine([(d[p], support[p][:, None]), (d[q], support[q][None, :])])
+            mat, u = tabs[d][part][:, grid], tabs.get(p)
+            mats.append(mat if u is None else mat & u[part][:, support[p], None])
+        counts[part] = _cycle_counts(*mats)
+    return counts
+
+
 def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
     """Per-row counts of the elimination `steps` over the (rows, |G|) tables
     `tabs`, which they consume: int64, or Python integers when `wide`."""
@@ -484,18 +502,7 @@ def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
         elif kind == "grid":
             count = count * _grid_counts(group, tabs, *step[1:], rows, wide)
         else:
-            every = np.arange(n, dtype=np.int64)
-            mats = []
-            for p, q, d in step[1]:
-                if n * n <= _ENUM_CHUNK and abs(d[p]) == 1 and d[q] == -d[p]:
-                    grid = group.difference_table()  # cached by the group
-                    grid = grid if d[p] == 1 else grid.T
-                else:
-                    grid = group.combine([(d[p], every[:, None]), (d[q], every[None, :])])
-                mat = tabs[d][:, grid]
-                u = tabs.get(p)
-                mats.append(mat if u is None else mat & u[:, :, None])
-            count = count * _cycle_counts(*mats)
+            count = count * _triangle_counts(group, step[1], tabs, rows)
     return count
 
 
@@ -563,13 +570,9 @@ def _tables(
 def _chunks(group, bits: np.ndarray, which, plan: tuple, prefixes: np.ndarray):
     """(rows, tables) of `_tables` per chunk of `prefixes` with a live row,
     rows indexing `prefixes` (and `which`, when not None).  A chunk holds
-    about 2^20 table entries: |G| per row and form, or 8|G|^2 per row when
-    the plan ends in a triangle (a few (rows, |G|, |G|) stacks, float64
-    among them)."""
-    n = group.order
-    *_, bounds, steps = plan
-    width = 8 * n * n if steps and steps[-1][0] == "triangle" else n * max(1, bounds[-1])
-    step = max(1, _ENUM_CHUNK // width)
+    about 2^20 table entries, |G| per row and form."""
+    bounds = plan[-2]
+    step = max(1, _ENUM_CHUNK // (group.order * max(1, bounds[-1])))
     for start in range(0, len(prefixes), step):
         end = start + step
         at = None if which is None else which[start:end]

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import abelian
 from .abelian import FiniteAbelianGroup, GroupElement, GroupSubset
 from .errors import GroupMismatchError
 from . import linform
@@ -198,29 +199,23 @@ class DirectedCayleyGraph:
         )
 
 
-# Cap on the entries of one (rows, m, m) stack of adjacency matrices.
-_EDGE_CHUNK = 1 << 19
+# the 3-cycle b1 -> b2 -> b3 -> b1 as a triangle chain: edge (p, q) at b_p - b_q
+_CYCLE = ((0, 1, (1, -1, 0)), (1, 2, (0, 1, -1)), (2, 0, (-1, 0, 1)))
 
 
-def _graph_counts(
-    vertices: GroupSubset, connection: np.ndarray, shifts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pair and directed 3-cycle counts, int64 per shift index s, of
-    the graph on `vertices` with b1 -> b2 iff b1 - b2 + s lies in the
-    boolean `connection` row: sum E and trace E^3 of its adjacency matrix
-    E, the latter from the float64 product under `linform`'s exactness
-    guard.  The (shifts, m, m) stacks are chunked under `_EDGE_CHUNK`."""
-    group, bi, m = vertices.group, vertices.indices(), vertices.size
-    diff = group.combine(((1, bi[:, None]), (-1, bi[None, :])))
-    pairs = np.empty(len(shifts), dtype=np.int64)
-    cycles = np.empty(len(shifts), dtype=np.int64)
-    step = max(1, _EDGE_CHUNK // max(1, m * m))
-    for s in range(0, len(shifts), step):
-        shift = shifts[s : s + step, None, None]
-        edges = connection[group.combine(((1, diff[None]), (1, shift)))]
-        pairs[s : s + step] = edges.sum(axis=(1, 2), dtype=np.int64)
-        cycles[s : s + step] = linform._cycle_counts(edges, edges, edges)
-    return pairs, cycles
+def _graph_counts(group, vertex_rows, connection_rows, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pair and directed 3-cycle counts, int64 per shift s_i, of the
+    graph on B_i with b1 -> b2 iff t_i(b1 - b2) = C_i(b1 - b2 + s_i) holds,
+    B_i and C_i rows of the boolean (rows or 1, |G|) `vertex_rows` and
+    `connection_rows`: the sum of t_i times the pair counts of B_i and -B_i,
+    and `linform._triangle_counts` of t_i on every edge and B_i as unaries."""
+    every = np.arange(group.order, dtype=np.int64)
+    shifted = group.combine([(1, every[None, :]), (1, shifts[:, None])])
+    t = np.take_along_axis(connection_rows, shifted, axis=1)
+    diffs = abelian.pair_count_rows(group, vertex_rows, abelian._negated_rows(group, vertex_rows))
+    b = np.broadcast_to(vertex_rows, t.shape)
+    tabs = {0: b, 1: b, 2: b, **{d: t for _, _, d in _CYCLE}}
+    return (diffs * t).sum(axis=1), linform._triangle_counts(group, _CYCLE, tabs, len(t))
 
 
 def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
@@ -229,12 +224,12 @@ def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:
     k2 counts (b1, b2) with b1 - b2 in C over |B|^2; k3 counts (b1, b2, b3)
     with b1 - b2, b2 - b3, b3 - b1 all in C over |B|^3.
     """
-    b = u.vertices
-    if b.size == 0:
+    b, m = u.vertices, u.vertices.size
+    if m == 0:
         raise ValueError("empty vertex set")
-    pairs, cycles = _graph_counts(b, u.connection.bits, np.zeros(1, dtype=np.int64))
-    m = b.size
-    return Fraction(int(pairs[0]), m * m), Fraction(int(cycles[0]), m**3)
+    one = np.zeros(1, dtype=np.int64)
+    (pairs,), (cycles,) = _graph_counts(b.group, b.bits[None], u.connection.bits[None], one)
+    return Fraction(int(pairs), m * m), Fraction(int(cycles), m**3)
 
 
 def _slot_masks(group, a, g_rows: np.ndarray, j: int, budget) -> np.ndarray:
@@ -322,10 +317,10 @@ def verify_homdensity_rows(
     """`verify_homdensity_identity` of A = subsets[i] and g = g_rows[i] for
     every row i of the (rows, k) index matrix `g_rows`, in row order.
 
-    One `solve_rows(V_j)` lists every B_j; one `count_rows` each of E_j
-    and T_j counts the rows whose B_j is not empty; `_graph_counts` counts
-    each row's graph, with b1 -> b2 iff b1 - b2 + gj lies in B & A, that
-    is, b1 - b2 in C = (B & A) - gj."""
+    One `solve_rows(V_j)` lists every B_j; for the rows whose B_j is not
+    empty, one `count_rows` each of E_j and T_j counts the forms and one
+    `_graph_counts` call the graphs, with b1 -> b2 iff b1 - b2 + gj lies in
+    B & A, that is, b1 - b2 in C = (B & A) - gj."""
     if not len(subsets):
         return []
     group = subsets[0].group
@@ -333,32 +328,32 @@ def verify_homdensity_rows(
     k, n = g_rows.shape[1], group.order
     masks = _slot_masks(group, subsets, g_rows, j, budget)
     full = np.flatnonzero(masks.any(axis=1))
-    e = t = ()
+    counts = {}
     if full.size:
         some = [subsets[i] for i in full]
         e = linform.count_rows(build_E(k, j), some, g_rows[full], budget=budget)
         t = linform.count_rows(build_T(k, j), some, g_rows[full], budget=budget)
-    counts = dict(zip(full.tolist(), zip(e, t)))
+        b = masks[full]
+        c = b & np.stack([a.bits for a in some])
+        pairs, cycles = _graph_counts(group, b, c, g_rows[full, j - 1])
+        counts = dict(zip(full.tolist(), zip(b.sum(axis=1), e, t, pairs, cycles)))
     reports = []
-    for i, (a, row, bits) in enumerate(zip(subsets, g_rows, masks)):
+    for i, row in enumerate(g_rows):
         g = tuple(group.from_index(int(x)).residues for x in row)
         meta = dict(group=group.literal(), j=j, g=g)
         if i not in counts:
             reports.append(HomdensityReport(vacuous=True, **meta))
             continue
-        b = GroupSubset(group, bits)
-        pairs, cycles = _graph_counts(b, bits & a.bits, row[j - 1 : j])
-        m = b.size
+        m, e_count, t_count, pair_count, cycle_count = map(int, counts[i])
         t_v = Fraction(m, n)
-        e_count, t_count = counts[i]
         reports.append(
             HomdensityReport(
                 vacuous=False,
                 b_size=m,
-                k2_graph=Fraction(int(pairs[0]), m * m),
-                k2_forms=Fraction(int(e_count), n * n) / t_v**2,
-                k3_graph=Fraction(int(cycles[0]), m**3),
-                k3_forms=Fraction(int(t_count), n**3) / t_v**3,
+                k2_graph=Fraction(pair_count, m * m),
+                k2_forms=Fraction(e_count, n * n) / t_v**2,
+                k3_graph=Fraction(cycle_count, m**3),
+                k3_forms=Fraction(t_count, n**3) / t_v**3,
                 **meta,
             )
         )
@@ -477,7 +472,7 @@ def verify_witness(
     (the j-th H-coordinate of gj) and record it against the closed form
     2x^2 - x.  All good g are index rows of one matrix: B_j takes one
     `solve_rows` call per j.  C = (B & A) - gj depends on g only through
-    gj, so `_graph_counts` counts one graph per distinct gj."""
+    gj, so one `_graph_counts` call per j counts a graph per distinct gj."""
     a, group, k = spec.subset, spec.group, spec.k
     _, good = linform.solve_rows(build_M(k), a, linform.prefix_row(a, ()), budget=budget)
     b_events: list[tuple[int, int, str]] = []  # (row, j, message), sorted at the end
@@ -495,7 +490,7 @@ def verify_witness(
         m = b.size
         gj = good[rows, j - 1]
         shifts, which = np.unique(gj, return_inverse=True)
-        pairs, cycles = _graph_counts(b, b.bits & a.bits, shifts)
+        pairs, cycles = _graph_counts(group, b.bits[None], (b.bits & a.bits)[None], shifts)
         pairs, cycles = pairs[which], cycles[which]
         x = 1 - Fraction(1, spec.n[j - 1])
         for i in np.flatnonzero(pairs * spec.n[j - 1] != (spec.n[j - 1] - 1) * m * m):

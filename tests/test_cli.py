@@ -356,6 +356,8 @@ def _energy_of_file(group, text):
         (["check", "--kneser", "--group", "Z4", "--random", "3", "--seed", str(1 << 128)], "--seed: must be at most"),
         (["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples", "10", "--seed", str(1 << 128)], "--seed: must be at most"),
         (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", str(1 << 128)], "--seed: must be at most"),
+        # a subset is given inline or by file, never both
+        (["energy", "--group", "Z4", "--set", "{0,2}", "--set-file", _File("1\n")], "argument --set-file: not allowed with argument --set"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):

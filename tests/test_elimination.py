@@ -174,10 +174,17 @@ def test_the_no_plan_fallback_counts_without_listing(ran):
 
 # the rule cases, plus systems whose forms without a free variable filter
 # the rows: with pinned parts only (kfree = 0), and 720 * g1, which is 0 on
-# every group below, so its row's subset alone decides it
+# every group below, so its row's subset alone decides it; and a triangle
+# whose unaries read the pinned g1, so they are sparse and differ per row
+# (empty for the empty and the full subset)
 _PER_ROW_CASES = _RULE_CASES + [
     ("[g1+g2; !(g1); 2g2]", 2, {}),
     ("[720g1; !(g1+g2)]", 0, {"edge": 1}),
+    (
+        "[g2; g2-g1; !(g2+g1); g3; g3+g1; !(g3-g1); g4; !(g4+g1); g4+2g1; g2-g3+g1; g3-g4; g4-g2]",
+        1,
+        {"triangle": 1},
+    ),
 ]
 
 

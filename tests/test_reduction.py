@@ -159,11 +159,7 @@ def test_graph_densities_match_oracle():
         assert graph_densities(u) == _oracle_graph_densities(u)
 
 
-@pytest.mark.parametrize("float_path", [True, False])
-def test_cycle_counts_take_float64_only_under_the_guard(monkeypatch, float_path):
-    # lowering the guard below every vertex count forces the int64 path
-    if not float_path:
-        monkeypatch.setattr(linform, "_F64_EXACT", 1)
+def test_cycle_counts_are_float64_products(monkeypatch):
     seen = []
     matmul = np.matmul
 
@@ -173,7 +169,7 @@ def test_cycle_counts_take_float64_only_under_the_guard(monkeypatch, float_path)
 
     monkeypatch.setattr(np, "matmul", spy)
     group = FiniteAbelianGroup([2, 4])
-    rng = random.Random(5 if float_path else 6)
+    rng = random.Random(5)
     connections = [0, 1, (1 << group.order) - 1]  # empty C, the loop only, all of G
     connections += [rng.randrange(1 << group.order) | 1 for _ in range(6)]  # with loops
     connections += [rng.randrange(1 << group.order) & ~1 for _ in range(6)]  # without
@@ -181,13 +177,13 @@ def test_cycle_counts_take_float64_only_under_the_guard(monkeypatch, float_path)
         b = subset_from_mask(group, rng.randrange(1, 1 << group.order))
         u = DirectedCayleyGraph(b, subset_from_mask(group, c_mask))
         assert graph_densities(u) == _oracle_graph_densities(u)
-    assert set(seen) == {np.dtype(np.float64 if float_path else np.int64)}
-    # a stack of shifts counts each shift s as the one-shift call of the
-    # graph with connection C - s does
+    assert set(seen) == {np.dtype(np.float64)}
+    # a stack of shifts with one shared B and C counts each shift s as the
+    # one-shift call of the graph with connection C - s does
     b = subset_from_mask(group, rng.randrange(1, 1 << group.order))
     c = subset_from_mask(group, rng.randrange(1 << group.order))
     shifts = np.arange(group.order, dtype=np.int64)
-    pairs, cycles = reduction._graph_counts(b, c.bits, shifts)
+    pairs, cycles = reduction._graph_counts(group, b.bits[None], c.bits[None], shifts)
     m = b.size
     for s, p, t in zip(shifts, pairs, cycles):
         u = DirectedCayleyGraph(b, c.translate(-group.from_index(int(s))))
@@ -195,21 +191,45 @@ def test_cycle_counts_take_float64_only_under_the_guard(monkeypatch, float_path)
         assert graph_densities(u) == _oracle_graph_densities(u)
 
 
+def _graph_rows(group, seed, rows):
+    """Random (vertex rows, connection rows, shifts): nonempty B rows of
+    densities 1/10 to 7/10, so that the rows' supports differ, and C rows
+    of density 1/2."""
+    rng = np.random.default_rng(seed)
+    density = rng.choice([0.1, 0.3, 0.7], size=(rows, 1))
+    vertices = rng.random((rows, group.order)) < density
+    vertices[np.arange(rows), rng.integers(0, group.order, rows)] = True
+    connections = rng.random((rows, group.order)) < 0.5
+    return vertices, connections, rng.integers(0, group.order, rows)
+
+
+@pytest.mark.parametrize("moduli", [(12,), (3, 4), (2, 2, 3)])
+def test_row_wise_graph_counts_match_per_row_graph_densities(moduli):
+    group = FiniteAbelianGroup(moduli)
+    vertices, connections, shifts = _graph_rows(group, sum(moduli), 9)
+    pairs, cycles = reduction._graph_counts(group, vertices, connections, shifts)
+    for v, c, s, p, t in zip(vertices, connections, shifts, pairs, cycles):
+        b = GroupSubset(group, v)
+        u = DirectedCayleyGraph(b, GroupSubset(group, c).translate(-group.from_index(int(s))))
+        m = b.size
+        assert (Fraction(int(p), m * m), Fraction(int(t), m**3)) == graph_densities(u)
+        assert graph_densities(u) == _oracle_graph_densities(u)
+
+
 def test_graph_counts_are_the_same_in_chunks(monkeypatch):
     group = FiniteAbelianGroup([3, 4])
-    rng = random.Random(8)
-    b = subset_from_mask(group, rng.randrange(1, 1 << group.order))
-    c = subset_from_mask(group, rng.randrange(1 << group.order))
-    shifts = np.array([5, 0, 11, 5, 7, 2, 3], dtype=np.int64)
-    whole = reduction._graph_counts(b, c.bits, shifts)
+    vertices, connections, shifts = _graph_rows(group, 8, 7)
+    whole = reduction._graph_counts(group, vertices, connections, shifts)
     chunks = []
     cycle_counts = linform._cycle_counts
     monkeypatch.setattr(
         linform, "_cycle_counts", lambda *e: chunks.append(len(e[0])) or cycle_counts(*e)
     )
-    # two shifts of (m, m) entries per chunk: the seven shifts span four chunks
-    monkeypatch.setattr(reduction, "_EDGE_CHUNK", 2 * b.size**2)
-    chunked = reduction._graph_counts(b, c.bits, shifts)
+    # two rows of (m, m) entries per chunk, m the size of the union of the
+    # rows' vertex sets: the seven rows span four chunks
+    m = int(vertices.any(axis=0).sum())
+    monkeypatch.setattr(linform, "_ENUM_CHUNK", 2 * m * m)
+    chunked = reduction._graph_counts(group, vertices, connections, shifts)
     assert chunks == [2, 2, 2, 1]
     assert all(np.array_equal(x, y) for x, y in zip(whole, chunked))
 
@@ -220,7 +240,9 @@ def test_witness_counts_one_graph_per_distinct_gj(monkeypatch):
     passed = []
     graph_counts = reduction._graph_counts
     monkeypatch.setattr(
-        reduction, "_graph_counts", lambda b, c, s: passed.append(s) or graph_counts(b, c, s)
+        reduction,
+        "_graph_counts",
+        lambda group, b, c, s: passed.append(s) or graph_counts(group, b, c, s),
     )
     report = verify_witness(spec)
     _, good = linform.solve_rows(build_M(2), a, linform.prefix_row(a, ()))
@@ -582,3 +604,11 @@ def test_shared_g_average_matches_direct():
             (eval_quantum(bundle.psi, a, (g,)) for g in z2), Fraction(0)
         ) / z2.order
         assert eval_reduction_shared_g(bundle, a) == direct
+
+
+def test_shared_g_value_of_the_witness_is_pinned():
+    # the value that triangle stacks over all of G give; the T_j triangle
+    # is gathered onto the 25 values of B_j among the 225 of G
+    bundle = build_psi(parse_poly("x1*x2 - 3*y2^2 + 1"), 2)
+    a = build_witness(2, (5, 5)).subset
+    assert eval_reduction_shared_g(bundle, a) == Fraction(8288, 357449882108765625)

@@ -1,8 +1,15 @@
-"""Tiny cursor scanner shared by the text-format parsers."""
+"""Tiny cursor scanner shared by the text-format parsers, and the signed
+sum their writers share."""
 
 from __future__ import annotations
 
 from .errors import ParseError
+
+
+def signed_sum(terms: list[str]) -> str:
+    """Terms that carry their own sign ("-3*g2") written as one sum, "g1 -
+    3*g2 + g4", or "0" when there is none; no term may contain " + -"."""
+    return " + ".join(terms).replace(" + -", " - ") if terms else "0"
 
 
 class Scanner:

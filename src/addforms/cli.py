@@ -249,7 +249,7 @@ def _cmd_check(args):
         "energy-doubling": bounds.energy_doubling_rows,
         "energy-bound": bounds.energy_bound_rows,
     }[kind]
-    if args.random:
+    if args.random is not None:
         batches = _random_batches(group, args.random, args.seed, pairwise)
         return _sweep(f"check-{kind}", group, batches, slack)
     if args.exhaustive:
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = p.add_mutually_exclusive_group()
     sweep.add_argument("--exhaustive", action="store_true")
     sweep.add_argument(
-        "--random", type=_int_at_least(0), default=0, help="number of random instances"
+        "--random", type=_int_at_least(0), help="number of random instances"
     )
     p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
     p.add_argument("--r", type=int, default=1)
@@ -578,6 +578,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report, violated = args.func(args)
+        text = dump_json(report)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -587,11 +592,6 @@ def main(argv=None) -> int:
     except (AddformsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = dump_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 1 if violated else 0
 
 

@@ -7,8 +7,8 @@ of pinned prefixes, one row per prefix, and either one subset for every
 row or one subset per row, so a single call serves many (subset, prefix)
 pairs.  They work in chunks of rows (`_chunks`): per chunk, `_tables`
 reads membership from the subsets' bit matrix at each row's subset, keeps
-the rows that pass the forms without a free variable and builds one table
-per direction of the others' free coefficients.
+the rows that pass the forms without a free variable and builds the table
+of each direction of the others' free coefficients by its own gather.
 `count_rows` counts the completions of every row from those tables by
 variable elimination, pair counts through `abelian.pair_count_rows` and
 3-cycles through `_triangle_counts`, which `reduction`'s graphs share; a
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._scan import Scanner
+from ._scan import Scanner, signed_sum
 from .abelian import GroupElement, GroupSubset, _negated_rows, pair_count_rows
 from .errors import CapExceeded, GroupMismatchError
 
@@ -375,16 +375,16 @@ def _eliminate(kfree: int, directions) -> tuple | None:
 @functools.lru_cache(maxsize=256)
 def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
     """The plan of `_tables` and `count_rows`, cached like `_levels`:
-    (pinned, filters, tables, keys, bounds, steps).  `pinned` gives the
-    distinct pinned parts of the forms to one `combine` (`_pinned_terms`).
-    `filters` stacks the forms without a free variable (None when there
-    are none), `tables` the others (`_stack`), grouped by the primitive
-    direction d of their free coefficients, each with the multiplier m that
-    gives its free part as m * d.  Group t is forms bounds[t] to
-    bounds[t + 1]; its table holds at w when every form f of it lands in A
-    (outside A when negated) at its pinned part plus m_f * w.  keys[t] is
-    the variable of a one-variable d and d itself otherwise.  `steps` come
-    from `_eliminate`; None means counting by pinning a free variable."""
+    (pinned, filters, tables, steps).  `pinned` gives the distinct pinned
+    parts of the forms to one `combine` (`_pinned_terms`).  `filters` stacks
+    the forms without a free variable (None when there are none).  `tables`
+    holds one (key, stack) entry per primitive direction d of the others'
+    free coefficients: the stack (`_stack`) of the forms of d, each with the
+    multiplier m that gives its free part as m * d.  The table holds at w
+    when every form f of it lands in A (outside A when negated) at its
+    pinned part plus m_f * w; key is the variable of a one-variable d and d
+    itself otherwise.  `steps` come from `_eliminate`; None means counting
+    by pinning a free variable."""
     filters, groups, parts = [], {}, {}
     for form in system.forms:
         pinned = tuple(c % exponent for c in form.coefficients[:nfix])
@@ -394,18 +394,13 @@ def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
             groups.setdefault(d, []).append(((pinned, form.negated), m))
         else:
             filters.append((pinned, form.negated))
-    stacked = [x for members in groups.values() for x in members]
     filters = _stack(filters, 0, parts, 1) if filters else None
-    tables = _stack(*zip(*stacked), parts, 2) if stacked else None
-    coeffs = np.array(list(parts), dtype=np.int64).reshape(len(parts), nfix)
-    return (
-        _pinned_terms(coeffs),
-        filters,
-        tables,
-        tuple(d.index(1) if sum(map(bool, d)) == 1 else d for d in groups),
-        np.cumsum([0] + [len(members) for members in groups.values()]),
-        _eliminate(system.arity - nfix, groups),
+    tables = tuple(
+        (d.index(1) if sum(map(bool, d)) == 1 else d, _stack(*zip(*members), parts, 2))
+        for d, members in groups.items()
     )
+    coeffs = np.array(list(parts), dtype=np.int64).reshape(len(parts), nfix)
+    return _pinned_terms(coeffs), filters, tables, _eliminate(system.arity - nfix, groups)
 
 
 def _unary(tabs: dict, v: int, rows: int, n: int) -> np.ndarray:
@@ -527,52 +522,41 @@ def _tables(
     group, bits: np.ndarray, which, plan: tuple, part: np.ndarray
 ) -> tuple[np.ndarray, dict]:
     """The rows of the prefix chunk `part` that pass the filters of `plan`
-    (from `_plan`) and its boolean (live rows, |G|) table per key, which
-    holds at w when every form of the key's direction does.  Membership is
-    read from the (s, |G|) bit matrix `bits` of the subsets, row i of `part`
-    in subset which[i]; with s = 1 `which` is not read."""
-    pinned, filters, tables, keys, bounds, _ = plan
+    (from `_plan`) and, per table entry, its boolean (live rows, |G|) table
+    under its key, from one `combine` and one gather.  Membership is read
+    from the (s, |G|) bit matrix `bits` of the subsets, row i of `part` in
+    subset which[i]; with s = 1 `which` is not read."""
+    pinned, filters, tables, _ = plan
     n = group.order
     memb = bits.reshape(-1)
     # subset s starts at s * |G| in the flat bit matrix
     base = None if len(bits) == 1 else which * n
-    # the pinned parts, (distinct parts, rows), or None when all are 0
-    off = group.combine([(c, part[None, :, i]) for i, c in pinned]) if pinned else None
+    # the pinned parts, (distinct parts, rows); one part of zeros when every
+    # form's is 0, so each table has a row per live row
+    if pinned:
+        off = group.combine([(c, part[None, :, i]) for i, c in pinned])
+    else:
+        off = np.zeros((1, len(part)), dtype=np.int64)
     live = np.arange(len(part))
     if filters is not None:
         at, _, neg = filters
-        idx = 0 if off is None else off[at]
-        hit = memb[idx if base is None else idx + base] != neg
-        ok = hit.all(axis=0) if np.ndim(hit) == 2 else hit
-        live = live[np.broadcast_to(ok, live.shape)]
-        off = None if off is None else off[:, live]
+        idx = off[at]
+        live = live[(memb[idx if base is None else idx + base] != neg).all(axis=0)]
+        off = off[:, live]
     tabs = {}
-    if tables is not None and live.size:
-        at, m, neg = tables
-        every = np.arange(n, dtype=np.int64)[None, None, :]
-        terms = [(m, every)] + ([] if off is None else [(1, off[at][:, :, None])])
-        idx = group.combine(terms)
-        hit = memb[idx if base is None else idx + base[live, None]] != neg
-        if len(hit) < bounds[-1]:
-            # with no pinned parts and one multiplier and negation, the
-            # forms share one entry
-            hit = np.broadcast_to(hit, (bounds[-1], *hit.shape[1:]))
-        for key, lo, hi in zip(keys, bounds, bounds[1:]):
-            table = hit[lo:hi].all(axis=0)
-            # without pinned parts a shared subset's table is the same for
-            # every row
-            if len(table) < live.size:
-                table = np.broadcast_to(table, (live.size, n))
-            tabs[key] = table
+    every = np.arange(n, dtype=np.int64)[None, None, :]
+    for key, (at, m, neg) in tables:
+        idx = group.combine([(m, every), (1, off[at][:, :, None])])
+        tabs[key] = (memb[idx if base is None else idx + base[live, None]] != neg).all(axis=0)
     return live, tabs
 
 
 def _chunks(group, bits: np.ndarray, which, plan: tuple, prefixes: np.ndarray):
     """(rows, tables) of `_tables` per chunk of `prefixes` with a live row,
     rows indexing `prefixes` (and `which`, when not None).  A chunk holds
-    about 2^20 table entries, |G| per row and form."""
-    bounds = plan[-2]
-    step = max(1, _ENUM_CHUNK // (group.order * max(1, bounds[-1])))
+    about 2^20 table entries, |G| per row and form of a table entry."""
+    forms = sum(len(at) for _, (at, _, _) in plan[2])
+    step = max(1, _ENUM_CHUNK // (group.order * max(1, forms)))
     for start in range(0, len(prefixes), step):
         end = start + step
         at = None if which is None else which[start:end]
@@ -887,17 +871,13 @@ def parse_quantum(text: str) -> QuantumSystem:
 
 
 def _format_sum(coefficients: Sequence[int]) -> str:
-    parts = []
-    for i, c in enumerate(coefficients):
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = f"g{i + 1}" if mag == 1 else f"{mag}*g{i + 1}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+    return signed_sum(
+        [
+            f"g{i + 1}" if c == 1 else f"-g{i + 1}" if c == -1 else f"{c}*g{i + 1}"
+            for i, c in enumerate(coefficients)
+            if c
+        ]
+    )
 
 
 def format_form(form: LinearForm) -> str:
@@ -910,13 +890,8 @@ def format_system(system: LinearSystem) -> str:
 
 
 def format_quantum(q: QuantumSystem) -> str:
-    parts = []
+    terms = []
     for coeff, factors in q.terms:
-        mag = abs(coeff)
         body = "*".join(format_system(f) for f in factors)
-        text = f"{mag}*{body}" if body else str(mag)
-        if not parts:
-            parts.append(text if coeff >= 0 else f"-{text}")
-        else:
-            parts.append(("+ " if coeff >= 0 else "- ") + text)
-    return " ".join(parts) if parts else "0"
+        terms.append(f"{coeff}*{body}" if body else str(coeff))
+    return signed_sum(terms)

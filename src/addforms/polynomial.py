@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._scan import Scanner
+from ._scan import Scanner, signed_sum
 from .errors import ParseError
 
 _LETTER_ORDER = {"x": 0, "y": 1, "v": 2, "e": 3, "t": 4}
@@ -423,9 +423,7 @@ def parse_poly(text: str, varnames: Sequence[str] | None = None) -> IntPolynomia
 
 def format_poly(p: IntPolynomial) -> str:
     """Canonical form: terms in graded-lex order, explicit '*' and '^'."""
-    if not p.terms:
-        return "0"
-    chunks = []
+    terms = []
     for exps, coeff in p.terms:
         factors = []
         for name, e in zip(p.varnames, exps):
@@ -433,15 +431,9 @@ def format_poly(p: IntPolynomial) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if factors:
-            body = "*".join(factors)
-            if mag != 1:
-                body = f"{mag}*{body}"
+        body = "*".join(factors)
+        if not body:
+            terms.append(str(coeff))
         else:
-            body = str(mag)
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(chunks)
+            terms.append(body if coeff == 1 else f"-{body}" if coeff == -1 else f"{coeff}*{body}")
+    return signed_sum(terms)

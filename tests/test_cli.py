@@ -298,6 +298,10 @@ class _File(str):
     """An argv entry that the test writes to a file and replaces by its path."""
 
 
+class _TmpPath(str):
+    """An argv entry that the test replaces by this path under its tmp_path."""
+
+
 # the folds are refused even where every instance would be vacuous
 _PR_EMPTY_A = ["check", "--plunnecke-ruzsa", "--group", "Z5", "--set-a", "{}", "--set-b", "{0}"]
 
@@ -358,6 +362,10 @@ def _energy_of_file(group, text):
         (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", str(1 << 128)], "--seed: must be at most"),
         # a subset is given inline or by file, never both
         (["energy", "--group", "Z4", "--set", "{0,2}", "--set-file", _File("1\n")], "argument --set-file: not allowed with argument --set"),
+        # a report that cannot be written is an error, not a failed check
+        (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath("missing/r.json")], "error: [Errno 2] No such file or directory"),
+        (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath(".")], "error: [Errno 21] Is a directory"),
+        (["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "0"], "not allowed with argument --exhaustive"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
@@ -366,6 +374,8 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
         if isinstance(arg, _File):
             (tmp_path / f"{i}.subset").write_text(arg)
             argv[i] = str(tmp_path / f"{i}.subset")
+        elif isinstance(arg, _TmpPath):
+            argv[i] = str(tmp_path / arg)
     # a fresh process with a timeout, so a hang fails the test instead of the run
     path = [_SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -455,6 +465,14 @@ def test_batches_draw_the_per_subset_instances(monkeypatch):
     a, b = (np.concatenate(side) for side in zip(*cli._exhaustive_batches(group, True)))
     assert a.tolist() == [m for m in masks for _ in masks]
     assert b.tolist() == masks * 8
+
+
+def test_random_zero_is_an_empty_sweep(capsys):
+    # `--random 0` sweeps no instance; it is not read as "no --random"
+    for kind, sets in [("--kneser", []), ("--energy-bound", ["--set", "{}"])]:
+        code, report = run_json(capsys, "check", kind, "--group", "Z4", "--random", "0", *sets)
+        assert code == 0
+        assert (report["checked"], report["violations"], report["witnesses"]) == (0, 0, [])
 
 
 def test_energy_bound_sweep_beyond_int64(capsys):

@@ -212,6 +212,37 @@ def test_one_subset_per_row_matches_one_subset_calls(ran, text, nfix, rules, mod
     assert free.tolist() == want_free
 
 
+@pytest.mark.parametrize("text, nfix, rules", _PER_ROW_CASES)
+@pytest.mark.parametrize("moduli", [(9, 2), (16,)])
+def test_counts_and_lists_are_the_same_in_chunks(monkeypatch, text, nfix, rules, moduli):
+    system = parse_system(text)
+    group = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(len(text) * group.order + nfix + 1)
+    shared = GroupSubset(group, rng.random(group.order) < 0.5)
+    subsets = [GroupSubset.empty(group), GroupSubset.full(group)]
+    subsets += [GroupSubset(group, rng.random(group.order) < 0.5) for _ in range(5)]
+    prefixes = rng.integers(0, group.order, size=(len(subsets), nfix))
+    # one shared subset, the same subset given per row, and one per row
+    calls = [shared, [shared] * len(subsets), subsets]
+    want = [(count_rows(system, a, prefixes), solve_rows(system, a, prefixes)) for a in calls]
+    # chunks of at most 3 rows in `_chunks`, blocks of 3 prefix rows in
+    # `_pinned_counts` and of 2 * |G| / |y_b| entries in `_grid_counts`
+    monkeypatch.setattr(linform, "_ENUM_CHUNK", 3 * group.order)
+    monkeypatch.setattr(linform, "_GRID_BLOCK", 2 * group.order)
+    chunks = []
+    tables = linform._tables
+    monkeypatch.setattr(linform, "_tables", lambda *args: chunks.append(1) or tables(*args))
+    for a, (counts, (owner, free)) in zip(calls, want):
+        chunks.clear()
+        assert count_rows(system, a, prefixes).tolist() == counts.tolist()
+        assert len(chunks) >= 3
+        got_owner, got_free = solve_rows(system, a, prefixes)
+        assert got_owner.tolist() == owner.tolist()
+        assert got_free.tolist() == free.tolist()
+    (c0, (o0, f0)), (c1, (o1, f1)) = want[:2]
+    assert (c0.tolist(), o0.tolist(), f0.tolist()) == (c1.tolist(), o1.tolist(), f1.tolist())
+
+
 def test_per_row_subsets_share_one_group_and_match_the_rows():
     group, other = FiniteAbelianGroup([4]), FiniteAbelianGroup([2, 2])
     system = parse_system("[g1; g2]")

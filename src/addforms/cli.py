@@ -223,7 +223,13 @@ def _describe_instance(subsets) -> dict:
 
 def _cmd_check(args):
     kind = args.kind
-    if kind in ("region-graph", "region-energy"):
+    region = kind in ("region-graph", "region-energy")
+    # a region check reads only the point, the other kinds all but the point
+    sets = [f"{name}{end}" for name in ("set", "set_a", "set_b") for end in ("", "_file")]
+    for name in ["group", "exhaustive", "random", *sets] if region else ["x", "y"]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by --{kind}")
+    if region:
         for name in ("x", "y"):
             if getattr(args, name) is None:
                 raise ParseError(f"missing --{name} for --{kind}")
@@ -494,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subset_options(p, "set-a")
     _add_subset_options(p, "set-b")
     sweep = p.add_mutually_exclusive_group()
-    sweep.add_argument("--exhaustive", action="store_true")
+    sweep.add_argument("--exhaustive", action="store_true", default=None)
     sweep.add_argument(
         "--random", type=_int_at_least(0), help="number of random instances"
     )

@@ -11,15 +11,16 @@ the rows that pass the forms without a free variable and builds the table
 of each direction of the others' free coefficients by its own gather.
 `count_rows` counts the completions of every row from those tables by
 variable elimination, pair counts through `abelian.pair_count_rows` and
-3-cycles through `_triangle_counts`, which `reduction`'s graphs share; a
-system no rule covers has its first free variable pinned to every value
-and is counted again.  `solve_rows` lists the completions: it binds the
-free variables one per level, and each level's table of its free variable
-grows the frontier of all rows at once, so unsatisfiable prefixes are
-pruned early.  The density and quantum functions are 1-row calls of
-`count_rows`, `enumerate_satisfying` of `solve_rows`, and
-`estimate_density` tests its samples against the tables of a row with no
-pinned variable.  Counts are exact integers and densities exact rationals.
+the last two or three variables through `_stack_counts`, which
+`reduction`'s graphs share; a system no rule covers has its first free
+variable pinned to every value and is counted again.  `solve_rows` lists
+the completions: it binds the free variables one per level, and each
+level's table of its free variable grows the frontier of all rows at
+once, so unsatisfiable prefixes are pruned early.  The density and
+quantum functions are 1-row calls of `count_rows`, `enumerate_satisfying`
+of `solve_rows`, and `estimate_density` tests its samples against the
+tables of a row with no pinned variable.  Counts are exact integers and
+densities exact rationals.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ DEFAULT_WORK_BUDGET = 10**9
 
 # Cap on rows of any temporary assignment block.
 _ENUM_CHUNK = 1 << 20
-# Cap on entries of a block of `_grid_counts` gathers: its int64 index
-# blocks stay at 2 MB.
+# Cap on entries of the stacks of `_stack_counts` that are built at once:
+# their int64 index blocks stay at 2 MB.
 _GRID_BLOCK = 1 << 18
 _SAMPLE_CHUNK = 1 << 16
 
@@ -302,14 +303,14 @@ def _stack(entries, multipliers, parts: dict, ndim: int):
 
 
 def _triangle(live: set[int], factors: set[tuple[int, ...]]):
-    """((a, b, d_ab), (b, c, d_bc), (c, a, d_ca)) when the three live
-    variables are joined pairwise by the three tables; None otherwise."""
+    """The links ((a, b, (d_ab,)), (b, c, (d_bc,)), (c, a, (d_ca,))) of three
+    live variables joined pairwise by the three tables, or None."""
     if len(live) != 3 or len(factors) != 3:
         return None
     pairs = {frozenset(i for i, c in enumerate(d) if c): d for d in factors}
     a, b, c = sorted(live)
-    chain = tuple((p, q, pairs.get(frozenset((p, q)))) for p, q in ((a, b), (b, c), (c, a)))
-    return None if any(d is None for _, _, d in chain) else chain
+    links = tuple((p, q, (pairs.get(frozenset((p, q))),)) for p, q in ((a, b), (b, c), (c, a)))
+    return None if any(d is None for _, _, (d,) in links) else links
 
 
 def _eliminate(kfree: int, directions) -> tuple | None:
@@ -327,9 +328,9 @@ def _eliminate(kfree: int, directions) -> tuple | None:
     (b) "pair": a variable with coefficient +-1 in exactly one table h, both
         boolean: the pair count of h and -+u is a table over h's other
         variables, folded into a unary when one is left;
-    (d) "grid" for two variables, chunked gathers of every table; "triangle"
-        for three variables joined pairwise by three boolean tables, a
-        trace of stacks on their supports (`_triangle_counts`).
+    (d) "grid" for two variables under any tables, "triangle" for three
+        variables joined pairwise by three boolean tables: each step holds
+        the links that `_stack_counts` counts on the variables' supports.
     """
     live = set(range(kfree))
     factors = {d for d in directions if sum(map(bool, d)) > 1}
@@ -362,7 +363,7 @@ def _eliminate(kfree: int, directions) -> tuple | None:
                 break
         else:
             if len(live) == 2:
-                steps.append(("grid", *sorted(live), tuple(sorted(factors))))
+                steps.append(("grid", ((*sorted(live), tuple(sorted(factors))),)))
                 break
             chain = _triangle(live, factors)
             if chain is None or ints & (live | factors):
@@ -410,65 +411,56 @@ def _unary(tabs: dict, v: int, rows: int, n: int) -> np.ndarray:
     return np.ones((rows, n), dtype=bool) if u is None else u
 
 
-def _grid_counts(group, tabs: dict, a: int, b: int, dirs, rows: int, wide: bool) -> np.ndarray:
-    """Per-row sums over (y_a, y_b) of u_a(y_a) * u_b(y_b) times every table
-    of `dirs` at d . y, by gathers over chunks of the (row, y_a) with
-    u_a(y_a) nonzero against the y_b that some row's u_b admits; no
-    assignment is listed."""
-    n = group.order
-    every = np.arange(n, dtype=np.int64)
-    ua, ub = _unary(tabs, a, rows, n), tabs.pop(b, None)
-    own, ya = np.nonzero(ua)
-    weight = None if ua.dtype == bool else ua[own, ya]
-    yb = every if ub is None else np.flatnonzero(ub.any(axis=0))
-    # with one row a boolean u_b is all True on its support
-    ub = None if ub is None or (rows == 1 and ub.dtype == bool) else ub[:, yb]
-    parts = [
-        (group.combine([(d[a], every)]), group.combine([(d[b], yb)]), tabs.pop(d))
-        for d in dirs
-    ]
+def _stack_counts(group, links: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
+    """Per-row counts of the values of the variables of `links` at which
+    their unaries and tables, taken out of `tabs`, all hold: `links` is
+    ((a, b, dirs),) for two variables, or the 3-cycle ((a, b, (d_ab,)),
+    (b, c, (d_bc,)), (c, a, (d_ca,))) of boolean tables.  Per block of rows,
+    each variable p is gathered onto its support S_p, the values some row's
+    unary admits (all of G without one), and link (p, q, dirs) is the (rows,
+    |S_p|, |S_q|) stack of u_p(S_p[i]) times its tables at d . (S_p[i],
+    S_q[j]), summed against u_b or traced as a product (`_cycle_counts`).
+    Blocks of rows, and slices of S_a when one row is wider, keep each stack
+    that holds a within _GRID_BLOCK entries; the (b, c) stack serves all."""
+    a, b = links[0][:2]
+    unary = {p: tabs.pop(p, None) for p in {a, b, links[-1][0]}}
+    tables = {d: tabs.pop(d) for _, _, dirs in links for d in dirs}
+    size = {p: group.order if u is None else u.any(axis=0).sum() for p, u in unary.items()}
+    step = max(1, _GRID_BLOCK // max(1, *(size[p] * size[q] for p, q, _ in links)))
     total = np.zeros(rows, dtype=object if wide else np.int64)
-    step = max(1, _GRID_BLOCK // max(1, yb.size))
-    for s in range(0, ya.size, step):
-        o, y = own[s : s + step], ya[s : s + step]
-        acc = None if ub is None else ub[o]
-        for xa, xb, table in parts:
-            idx = group.combine([(1, xa[y, None]), (1, xb[None, :])])
-            hit = table[0][idx] if rows == 1 else table[o[:, None], idx]
-            acc = hit if acc is None else acc * hit
-        sums = acc.sum(axis=1)
-        np.add.at(total, o, sums if weight is None else sums * weight[s : s + step])
-    return total
-
-
-def _triangle_counts(group, chain: tuple, tabs: dict, rows: int) -> np.ndarray:
-    """Per-row counts, int64, of the (y_a, y_b, y_c) at which the unaries
-    and the tables of `chain` ((a, b, d_ab), (b, c, d_bc), (c, a, d_ca))
-    all hold: trace(X @ Y @ Z), X[r, i, j] = h_ab(d_ab . (S_a[i], S_b[j]))
-    * u_a(S_a[i]) in row r, likewise Y and Z, on the support S_p of the
-    values some row's unary of p admits (all of G without one), chunked by
-    rows to about 2^20 entries per (rows, |S_p|, |S_q|) stack."""
-    support = {}
-    for p, _, _ in chain:
-        u = tabs.get(p)
-        support[p] = np.arange(group.order) if u is None else np.flatnonzero(u.any(axis=0))
-    widest = max(support[p].size * support[q].size for p, q, _ in chain)
-    step = max(1, _ENUM_CHUNK // max(1, widest))
-    counts = np.empty(rows, dtype=np.int64)
     for s in range(0, rows, step):
-        part = slice(s, s + step)
-        mats = []
-        for p, q, d in chain:
-            grid = group.combine([(d[p], support[p][:, None]), (d[q], support[q][None, :])])
-            mat, u = tabs[d][part][:, grid], tabs.get(p)
-            mats.append(mat if u is None else mat & u[part][:, support[p], None])
-        counts[part] = _cycle_counts(*mats)
-    return counts
+        r, mats, support, weight = slice(s, s + step), [None] * len(links), {}, {}
+        for p, u in unary.items():
+            u = None if u is None else u[r]
+            support[p] = np.arange(group.order) if u is None else np.flatnonzero(u.any(axis=0))
+            # a boolean unary of one row is all True on its support
+            weight[p] = None if u is None or (len(u) == 1 and u.dtype == bool) else u[:, support[p]]
+        cut = max(1, _GRID_BLOCK // max(1, *(x.size for p, x in support.items() if p != a)))
+        for i in range(0, support[a].size, cut):
+            on = {p: slice(i, i + cut) if p == a else slice(None) for p in support}
+            for j, (p, q, dirs) in enumerate(links):
+                if i and a not in (p, q):
+                    continue  # the 3-cycle's (b, c) stack serves every slice of S_a
+                w = weight[p]
+                mat = None if w is None else w[:, on[p], None]
+                sp, sq = support[p][on[p], None], support[q][None, on[q]]
+                for d in dirs:
+                    idx = group.combine([(d[p], sp), (d[q], sq)])
+                    hit = np.take(tables[d][r], idx, axis=1)
+                    mat = hit if mat is None else mat * hit
+                mats[j] = mat
+            if len(links) == 1:
+                got, w = mats[0].sum(axis=1), weight[b]
+                total[r] += (got if w is None else got * w).sum(axis=1)
+            else:
+                total[r] += _cycle_counts(*mats)
+    return total
 
 
 def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
     """Per-row counts of the elimination `steps` over the (rows, |G|) tables
-    `tabs`, which they consume: int64, or Python integers when `wide`."""
+    `tabs`, which they consume: int64, or Python integers when `wide`; the
+    "grid" and "triangle" steps are `_stack_counts` calls."""
     n = group.order
     count = np.ones(rows, dtype=object if wide else np.int64)
     for step in steps:
@@ -494,10 +486,8 @@ def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
                 table = table.astype(object)
             old = tabs.get(target)
             tabs[target] = table if old is None else old * table
-        elif kind == "grid":
-            count = count * _grid_counts(group, tabs, *step[1:], rows, wide)
         else:
-            count = count * _triangle_counts(group, step[1], tabs, rows)
+            count = count * _stack_counts(group, step[1], tabs, rows, wide)
     return count
 
 
@@ -885,7 +875,9 @@ def format_form(form: LinearForm) -> str:
     return f"!({body})" if form.negated else body
 
 
+@functools.lru_cache(maxsize=256)
 def format_system(system: LinearSystem) -> str:
+    """Cached like `_plan`: a `reduce` report repeats its few systems."""
     return "[" + "; ".join(format_form(f) for f in system.forms) + "]"
 
 

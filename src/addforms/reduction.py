@@ -199,8 +199,8 @@ class DirectedCayleyGraph:
         )
 
 
-# the 3-cycle b1 -> b2 -> b3 -> b1 as a triangle chain: edge (p, q) at b_p - b_q
-_CYCLE = ((0, 1, (1, -1, 0)), (1, 2, (0, 1, -1)), (2, 0, (-1, 0, 1)))
+# the links of the 3-cycle b1 -> b2 -> b3 -> b1: edge (p, q) at b_p - b_q
+_CYCLE = ((0, 1, ((1, -1, 0),)), (1, 2, ((0, 1, -1),)), (2, 0, ((-1, 0, 1),)))
 
 
 def _graph_counts(group, vertex_rows, connection_rows, shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -208,14 +208,14 @@ def _graph_counts(group, vertex_rows, connection_rows, shifts) -> tuple[np.ndarr
     graph on B_i with b1 -> b2 iff t_i(b1 - b2) = C_i(b1 - b2 + s_i) holds,
     B_i and C_i rows of the boolean (rows or 1, |G|) `vertex_rows` and
     `connection_rows`: the sum of t_i times the pair counts of B_i and -B_i,
-    and `linform._triangle_counts` of t_i on every edge and B_i as unaries."""
+    and `linform._stack_counts` of t_i on every edge and B_i as unaries."""
     every = np.arange(group.order, dtype=np.int64)
     shifted = group.combine([(1, every[None, :]), (1, shifts[:, None])])
     t = np.take_along_axis(connection_rows, shifted, axis=1)
     diffs = abelian.pair_count_rows(group, vertex_rows, abelian._negated_rows(group, vertex_rows))
     b = np.broadcast_to(vertex_rows, t.shape)
-    tabs = {0: b, 1: b, 2: b, **{d: t for _, _, d in _CYCLE}}
-    return (diffs * t).sum(axis=1), linform._triangle_counts(group, _CYCLE, tabs, len(t))
+    tabs = {0: b, 1: b, 2: b, **{d: t for _, _, (d,) in _CYCLE}}
+    return (diffs * t).sum(axis=1), linform._stack_counts(group, _CYCLE, tabs, len(t), False)
 
 
 def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:

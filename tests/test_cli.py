@@ -306,6 +306,11 @@ class _TmpPath(str):
 _PR_EMPTY_A = ["check", "--plunnecke-ruzsa", "--group", "Z5", "--set-a", "{}", "--set-b", "{0}"]
 
 
+def _half_point(kind):
+    """argv of a region check of the point (1/2, 1/2)."""
+    return ["check", kind, "--x", "1/2", "--y", "1/2"]
+
+
 def _energy_of_file(group, text):
     return ["energy", "--group", group, "--set-file", _File(text)]
 
@@ -366,6 +371,15 @@ def _energy_of_file(group, text):
         (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath("missing/r.json")], "error: [Errno 2] No such file or directory"),
         (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath(".")], "error: [Errno 21] Is a directory"),
         (["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "0"], "not allowed with argument --exhaustive"),
+        (_half_point("--region-graph") + ["--random", "5"], "--random is not read by --region-graph"),
+        (_half_point("--region-graph") + ["--random", "0"], "--random is not read by --region-graph"),
+        (_half_point("--region-energy") + ["--group", "Z4"], "--group is not read by --region-energy"),
+        (_half_point("--region-graph") + ["--exhaustive"], "--exhaustive is not read by --region-graph"),
+        (_half_point("--region-energy") + ["--set", "{0}"], "--set is not read by --region-energy"),
+        (_half_point("--region-graph") + ["--set-a-file", "a.txt"], "--set-a-file is not read by --region-graph"),
+        (_half_point("--region-energy") + ["--set-b", "{1}"], "--set-b is not read by --region-energy"),
+        (["check", "--kneser", "--group", "Z4", "--random", "2", "--x", "1/2"], "--x is not read by --kneser"),
+        (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--y", "0"], "--y is not read by --energy-bound"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):

@@ -1,8 +1,9 @@
 """The elimination engine behind `linform.count_rows` against the brute-force
 oracles: a property over small group presentations and random systems,
 one case per elimination rule (seen by spying on the steps it runs),
-the same cases with one subset per prefix row, the benchmark's systems,
-which no rule may leave to the fallback, and counts beyond int64."""
+the same cases with one subset per prefix row and with the grid and
+triangle stacks cut into slices, the benchmark's systems, which no rule
+may leave to the fallback, and counts beyond int64."""
 
 import math
 import tracemalloc
@@ -172,6 +173,29 @@ def test_the_no_plan_fallback_counts_without_listing(ran):
     assert 4 * peak < 32 * want
 
 
+def test_a_one_row_triangle_is_sliced_along_its_support():
+    # one row of three free variables over a random half A of Z2000: the
+    # stacks on S_a = S_b = S_c = A have |A|^2 entries, over the cap, so the
+    # stacks that hold g1 come in slices of S_a, and only the (g2, g3) stack
+    # is whole; the peak stays under three float64 copies of one stack
+    group = FiniteAbelianGroup([2000])
+    bits = np.random.default_rng(0).random(group.order) < 0.5
+    system = parse_system("[g1; g2; g3; g1-g2; g2-g3; g3-g1]")
+    tracemalloc.start()
+    try:
+        (count,) = count_rows(
+            system, GroupSubset(group, bits), np.zeros((1, 0), dtype=np.int64), budget=10**11
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 3-cycles of the graph on A with x -> y iff x - y lies in A
+    elements = np.flatnonzero(bits)
+    edges = bits[(elements[:, None] - elements[None, :]) % group.order].astype(np.float64)
+    assert count == int(np.trace(edges @ edges @ edges))
+    assert peak < 3 * 8 * elements.size**2
+
+
 # the rule cases, plus systems whose forms without a free variable filter
 # the rows: with pinned parts only (kfree = 0), and 720 * g1, which is 0 on
 # every group below, so its row's subset alone decides it; and a triangle
@@ -225,8 +249,8 @@ def test_counts_and_lists_are_the_same_in_chunks(monkeypatch, text, nfix, rules,
     # one shared subset, the same subset given per row, and one per row
     calls = [shared, [shared] * len(subsets), subsets]
     want = [(count_rows(system, a, prefixes), solve_rows(system, a, prefixes)) for a in calls]
-    # chunks of at most 3 rows in `_chunks`, blocks of 3 prefix rows in
-    # `_pinned_counts` and of 2 * |G| / |y_b| entries in `_grid_counts`
+    # chunks of at most 3 rows in `_chunks` and blocks of 3 prefix rows in
+    # `_pinned_counts`; stacks of `_stack_counts` of at most 2 * |G| entries
     monkeypatch.setattr(linform, "_ENUM_CHUNK", 3 * group.order)
     monkeypatch.setattr(linform, "_GRID_BLOCK", 2 * group.order)
     chunks = []
@@ -241,6 +265,42 @@ def test_counts_and_lists_are_the_same_in_chunks(monkeypatch, text, nfix, rules,
         assert got_free.tolist() == free.tolist()
     (c0, (o0, f0)), (c1, (o1, f1)) = want[:2]
     assert (c0.tolist(), o0.tolist(), f0.tolist()) == (c1.tolist(), o1.tolist(), f1.tolist())
+
+
+# the rule cases of the grid, with an integer u_a and with an integer u_b,
+# and of the triangle, whose unaries differ per row with one subset per row
+@pytest.mark.parametrize("text, nfix, rules", _RULE_CASES[4:8])
+def test_stacks_in_slices_of_one_value_match_the_oracle(monkeypatch, text, nfix, rules):
+    system = parse_system(text)
+    group = FiniteAbelianGroup([9, 2])
+    rng = np.random.default_rng(len(text))
+    subsets = [GroupSubset(group, rng.random(group.order) < 0.7) for _ in range(5)]
+    prefixes = rng.integers(0, group.order, size=(len(subsets), nfix))
+    want = [len(_oracle(group, system, a.bits, [row])[0]) for a, row in zip(subsets, prefixes)]
+    assert count_rows(system, subsets, prefixes).tolist() == want
+    # a cap of one entry makes every row its own block and cuts its S_a into
+    # slices of one value; `cut` gets the (rows, values of S_a) of each slice
+    cut = []
+    take, cycle_counts = np.take, linform._cycle_counts
+
+    def spy_take(table, idx, axis):
+        stack = take(table, idx, axis=axis)
+        cut.append(stack.shape[:2])
+        return stack
+
+    def spy_cycle(x, y, z):
+        cut.append(x.shape[:2])
+        return cycle_counts(x, y, z)
+
+    grid = "grid" in rules
+    if grid:  # each slice gathers the grid's two tables
+        monkeypatch.setattr(np, "take", spy_take)
+    else:  # each slice ends in one `_cycle_counts` call
+        monkeypatch.setattr(linform, "_cycle_counts", spy_cycle)
+    monkeypatch.setattr(linform, "_GRID_BLOCK", 1)
+    assert count_rows(system, subsets, prefixes).tolist() == want
+    # so some row's S_a is cut into at least 3 slices
+    assert set(cut) == {(1, 1)} and len(cut) >= 3 * len(subsets) * (2 if grid else 1)
 
 
 def test_per_row_subsets_share_one_group_and_match_the_rows():

@@ -228,10 +228,33 @@ def test_graph_counts_are_the_same_in_chunks(monkeypatch):
     # two rows of (m, m) entries per chunk, m the size of the union of the
     # rows' vertex sets: the seven rows span four chunks
     m = int(vertices.any(axis=0).sum())
-    monkeypatch.setattr(linform, "_ENUM_CHUNK", 2 * m * m)
+    monkeypatch.setattr(linform, "_GRID_BLOCK", 2 * m * m)
     chunked = reduction._graph_counts(group, vertices, connections, shifts)
     assert chunks == [2, 2, 2, 1]
     assert all(np.array_equal(x, y) for x, y in zip(whole, chunked))
+
+
+def test_graph_counts_are_the_same_in_slices_of_one_vertex(monkeypatch):
+    # a cap of one entry makes every row its own block and cuts its S_a, the
+    # row's vertex set B_i, into |B_i| slices of one vertex
+    group = FiniteAbelianGroup([3, 4])
+    vertices, connections, shifts = _graph_rows(group, 9, 6)
+    whole = reduction._graph_counts(group, vertices, connections, shifts)
+    cut = []
+    cycle_counts = linform._cycle_counts
+    monkeypatch.setattr(
+        linform, "_cycle_counts", lambda *e: cut.append(e[0].shape[:2]) or cycle_counts(*e)
+    )
+    monkeypatch.setattr(linform, "_GRID_BLOCK", 1)
+    sliced = reduction._graph_counts(group, vertices, connections, shifts)
+    assert set(cut) == {(1, 1)}
+    assert len(cut) == vertices.sum() and vertices.sum(axis=1).max() >= 3
+    assert all(np.array_equal(x, y) for x, y in zip(whole, sliced))
+    for v, c, s, p, t in zip(vertices, connections, shifts, *sliced):
+        b = GroupSubset(group, v)
+        u = DirectedCayleyGraph(b, GroupSubset(group, c).translate(-group.from_index(int(s))))
+        m = b.size
+        assert (Fraction(int(p), m * m), Fraction(int(t), m**3)) == _oracle_graph_densities(u)
 
 
 def test_witness_counts_one_graph_per_distinct_gj(monkeypatch):

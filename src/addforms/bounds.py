@@ -245,9 +245,9 @@ def verify_delta_derivative_claims(
 # Each inequality is written once, as an integer numerator of its left-hand
 # side over a power of |G|.  The `*_rows` functions evaluate it on a batch of
 # instances, given as boolean (rows, |G|) matrices, returning (numerators,
-# denominator); the scalar `check_*` are one-row calls of them.  In a batch, a
-# vacuous instance (an empty A where the inequality needs a nonempty one) has
-# numerator 0.
+# denominator); the scalar `check_*` are one-row calls of them.  A vacuous
+# instance (an empty A where the inequality needs a nonempty one) has
+# numerator 0, in a batch and alone.
 
 
 def _verdict(rows_fn, *subsets, **kwargs) -> tuple[Fraction, bool]:
@@ -283,9 +283,8 @@ def kneser_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray):
 def check_plunnecke_ruzsa(
     a: GroupSubset, b: GroupSubset, r: int, s: int
 ) -> tuple[Fraction, bool]:
-    """alpha(A+B)^(r+s) - alpha(A)^(r+s-1) * alpha(rB - sB) >= 0."""
-    if a.size == 0:
-        raise ValueError("A must be nonempty")
+    """alpha(A+B)^(r+s) - alpha(A)^(r+s-1) * alpha(rB - sB) >= 0; an empty
+    A is vacuous, (0, True)."""
     return _verdict(plunnecke_ruzsa_rows, a, b, r=r, s=s)
 
 
@@ -324,9 +323,8 @@ def energy_doubling_rows(group: FiniteAbelianGroup, a: np.ndarray):
 
 
 def check_energy_bound(a: GroupSubset) -> tuple[Fraction, bool]:
-    """Slack energy_upper_bound(alpha(A)) - normalized_energy(A) >= 0."""
-    if a.size == 0:
-        raise ValueError("A must be nonempty")
+    """Slack energy_upper_bound(alpha(A)) - normalized_energy(A) >= 0; an
+    empty A is vacuous, (0, True)."""
     return _verdict(energy_bound_rows, a)
 
 

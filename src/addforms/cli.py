@@ -224,11 +224,19 @@ def _describe_instance(subsets) -> dict:
 def _cmd_check(args):
     kind = args.kind
     region = kind in ("region-graph", "region-energy")
-    # a region check reads only the point, the other kinds all but the point
+    pairwise = kind in ("kneser", "plunnecke-ruzsa")
+    # an option that the mode does not read is a usage error
     sets = [f"{name}{end}" for name in ("set", "set_a", "set_b") for end in ("", "_file")]
-    for name in ["group", "exhaustive", "random", *sets] if region else ["x", "y"]:
+    sweep = " --exhaustive" if args.exhaustive else "" if args.random is None else " --random"
+    unread = ["group", "exhaustive", "random"] if region else ["x", "y"]
+    unread += [n for n in sets if region or sweep or n.startswith("set_") != pairwise]
+    unread += [] if args.random is not None else ["seed"]
+    unread += [] if kind == "plunnecke-ruzsa" else ["r", "s"]
+    for name in unread:
         if getattr(args, name) is not None:
-            raise ValueError(f"--{name.replace('_', '-')} is not read by --{kind}")
+            mode = f"--{kind}" + ("" if region else sweep)
+            raise ValueError(f"--{name.replace('_', '-')} is not read by {mode}")
+    seed, r, s = (d if v is None else v for v, d in ((args.seed, 0), (args.r, 1), (args.s, 1)))
     if region:
         for name in ("x", "y"):
             if getattr(args, name) is None:
@@ -247,16 +255,15 @@ def _cmd_check(args):
     if args.group is None:
         raise ParseError(f"missing --group for --{kind}")
     group = abelian.parse_group(args.group)
-    pairwise = kind in ("kneser", "plunnecke-ruzsa")
 
     slack = {
         "kneser": bounds.kneser_rows,
-        "plunnecke-ruzsa": lambda g, a, b: bounds.plunnecke_ruzsa_rows(g, a, b, args.r, args.s),
+        "plunnecke-ruzsa": lambda g, a, b: bounds.plunnecke_ruzsa_rows(g, a, b, r, s),
         "energy-doubling": bounds.energy_doubling_rows,
         "energy-bound": bounds.energy_bound_rows,
     }[kind]
     if args.random is not None:
-        batches = _random_batches(group, args.random, args.seed, pairwise)
+        batches = _random_batches(group, args.random, seed, pairwise)
         return _sweep(f"check-{kind}", group, batches, slack)
     if args.exhaustive:
         cap = _EXHAUSTIVE_PAIR_MAX_ORDER if pairwise else _EXHAUSTIVE_SUBSET_MAX_ORDER
@@ -504,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--random", type=_int_at_least(0), help="number of random instances"
     )
-    p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), help="random sweeps; default 0")
+    p.add_argument("--r", type=int, help="Plunnecke-Ruzsa only; default 1")
+    p.add_argument("--s", type=int, help="Plunnecke-Ruzsa only; default 1")
     p.add_argument("--x", help="first coordinate for region checks")
     p.add_argument("--y", help="second coordinate for region checks")
     _add_common(p)

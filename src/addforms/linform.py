@@ -12,15 +12,15 @@ of each direction of the others' free coefficients by its own gather.
 `count_rows` counts the completions of every row from those tables by
 variable elimination, pair counts through `abelian.pair_count_rows` and
 the last two or three variables through `_stack_counts`, which
-`reduction`'s graphs share; a system no rule covers has its first free
-variable pinned to every value and is counted again.  `solve_rows` lists
-the completions: it binds the free variables one per level, and each
-level's table of its free variable grows the frontier of all rows at
-once, so unsatisfiable prefixes are pruned early.  The density and
-quantum functions are 1-row calls of `count_rows`, `enumerate_satisfying`
-of `solve_rows`, and `estimate_density` tests its samples against the
-tables of a row with no pinned variable.  Counts are exact integers and
-densities exact rationals.
+`reduction`'s graphs share.  `solve_rows` lists the completions: it binds
+the free variables one per level, and one step, `_grow`, extends the
+frontier of all rows by the values where a level's table holds, so
+unsatisfiable prefixes are pruned early; a system no rule covers has its
+first free variable pinned by the same step and is counted again.  The
+density and quantum functions call `count_rows`, `enumerate_satisfying`
+`solve_rows`, and `estimate_density` tests its samples against the tables
+of a row with no pinned variable.  Counts are exact integers, densities
+exact rationals.
 """
 
 from __future__ import annotations
@@ -178,25 +178,37 @@ def _pinned_terms(coeffs: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _levels(system: LinearSystem, nfix: int, exponent: int) -> tuple:
-    """The systems that bind the free variables one at a time: level i holds
-    the forms whose last free variable is free variable i (level 0 also the
-    forms without one), truncated to nfix + i + 1 variables, or None when no
-    form ends there.  The dropped coefficients are multiples of the group
-    exponent, so every level is satisfied exactly where its forms are.
-    Cached: the reduction verifiers list a few systems for many prefixes."""
+    """The plans (`_plan`) that bind the free variables one at a time: level
+    i holds the forms whose last free variable is free variable i (level 0
+    also the forms without one), truncated to m = nfix + i + 1 variables,
+    over m - 1 pinned ones; a level where no form ends has no table.  The
+    dropped coefficients are multiples of the group exponent, so every level
+    is satisfied exactly where its forms are.  Cached: the reduction
+    verifiers list a few systems for many prefixes."""
     buckets: list[list[LinearForm]] = [[] for _ in range(system.arity - nfix)]
     for form in system.forms:
         last = max((i for i, c in enumerate(form.coefficients) if c % exponent), default=0)
-        buckets[max(0, last - nfix)].append(form)
+        m = max(nfix, last) + 1
+        buckets[m - nfix - 1].append(LinearForm(m, form.coefficients[:m], form.negated))
     return tuple(
-        LinearSystem(
-            nfix + i + 1,
-            tuple(LinearForm(nfix + i + 1, f.coefficients[: nfix + i + 1], f.negated) for f in b),
-        )
-        if b
-        else None
-        for i, b in enumerate(buckets)
+        _plan(LinearSystem(m, tuple(b)), m - 1, exponent) if b else ((), None, (), ())
+        for m, b in enumerate(buckets, nfix + 1)
     )
+
+
+def _grow(group, bits, which, plan: tuple, owner: np.ndarray, frontier: np.ndarray) -> tuple:
+    """(owner, frontier) with each row of the (rows, m) `frontier` extended
+    by every value of variable m at which the table of `plan` (a level of
+    `_levels`) holds, in (row, value) order; owner[i] is carried along, the
+    index into `which` of the row's subset when `which` is not None."""
+    owners, grown = [owner[:0]], [np.zeros((0, frontier.shape[1] + 1), dtype=np.int64)]
+    at = None if which is None else which[owner]
+    for live, tabs in _chunks(group, bits, at, plan, frontier):
+        r, v = np.nonzero(_unary(tabs, 0, live.size, group.order))
+        r = live[r]
+        owners.append(owner[r])
+        grown.append(np.column_stack([frontier[r], v]))
+    return np.concatenate(owners), np.concatenate(grown, axis=0)
 
 
 def solve_rows(
@@ -216,49 +228,35 @@ def solve_rows(
     per prefix, |G|^kfree * d, before anything is allocated, so it admits a
     whole batch when it admits one row.
 
-    The free variables are bound one per level (`_levels`): the frontier of
-    partial assignments is extended by the values where the level's table
-    of its free variable holds, so a form is tested as soon as its last
-    variable is bound; with no free variable, the rows that pass are kept.
-    A partial assignment reads the subset of the prefix row it extends."""
+    The free variables are bound one per level (`_levels`): `_grow` extends
+    the frontier of partial assignments by the values where the level's
+    table of its free variable holds (every value at a level with no form),
+    so a form is tested as soon as its last variable is bound; with no free
+    variable, the rows that pass are kept.  A partial assignment reads the
+    subset of the prefix row it extends."""
     group, bits, which = _members(subset)
     prefixes, kfree = _checked_prefixes(system, group, prefixes, budget, which)
-    rows, nfix = prefixes.shape
+    nfix = prefixes.shape[1]
     exponent = math.lcm(*group.moduli)
-    if kfree == 0:
-        plan = _plan(system, nfix, exponent)
-        kept = [live for live, _ in _chunks(group, bits, which, plan, prefixes)]
-        owner = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
-        return owner, np.zeros((owner.size, 0), dtype=np.int64)
-    n = group.order
-    owner, frontier = np.arange(rows, dtype=np.int64), prefixes
-    for level in _levels(system, nfix, exponent):
-        if level is None:  # no form ends here: every value extends every row
-            owner = np.repeat(owner, n)
-            every = np.tile(np.arange(n, dtype=np.int64), len(frontier))
-            frontier = np.column_stack([np.repeat(frontier, n, axis=0), every])
-            continue
-        owners, grown = [], []
-        plan = _plan(level, frontier.shape[1], exponent)
-        at = None if which is None else which[owner]
-        for live, tabs in _chunks(group, bits, at, plan, frontier):
-            r, v = np.nonzero(_unary(tabs, 0, live.size, n))
-            r = live[r]
-            owners.append(owner[r])
-            grown.append(np.column_stack([frontier[r], v]))
-        if not grown:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, kfree), dtype=np.int64)
-        owner, frontier = np.concatenate(owners), np.concatenate(grown, axis=0)
+    owner, frontier = np.arange(len(prefixes), dtype=np.int64), prefixes
+    if kfree == 0:  # no level: the rows that pass the forms
+        chunks = _chunks(group, bits, which, _plan(system, nfix, exponent), prefixes)
+        owner = np.concatenate([owner[:0], *(live for live, _ in chunks)])
+        frontier = prefixes[owner]
+    for plan in _levels(system, nfix, exponent) if kfree else ():
+        owner, frontier = _grow(group, bits, which, plan, owner, frontier)
     return owner, frontier[:, nfix:]
 
 
 # The elimination engine behind `count_rows`.
 
 def _cycle_counts(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """trace(X @ Y @ Z), int64 per row, of three boolean stacks of shapes
-    (rows, a, b), (rows, b, c) and (rows, c, a): the sum of (X @ Y) * Z^T."""
+    """trace(X @ Y @ Z), int64 per row, of three 0/1 stacks of shapes
+    (rows, a, b), (rows, b, c) and (rows, c, a), boolean or float64: the
+    sum of (X @ Y) * Z^T."""
     # exact in float64: every path count and partial sum is an integer <= b < 2^53
-    paths = np.matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
+    x, y = x.astype(np.float64, copy=False), y.astype(np.float64, copy=False)
+    paths = np.matmul(x, y).astype(np.int64)
     return (paths * z.transpose(0, 2, 1)).sum(axis=(1, 2))
 
 
@@ -452,7 +450,8 @@ def _stack_counts(group, links: tuple, tabs: dict, rows: int, wide: bool) -> np.
             if len(links) == 1:
                 got, w = mats[0].sum(axis=1), weight[b]
                 total[r] += (got if w is None else got * w).sum(axis=1)
-            else:
+            else:  # the (b, c) stack, kept across slices, goes to float64 once
+                mats[1] = mats[1].astype(np.float64, copy=False)
                 total[r] += _cycle_counts(*mats)
     return total
 
@@ -493,18 +492,17 @@ def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
 
 def _pinned_counts(system, group, bits, which, prefixes, counts: np.ndarray, budget) -> np.ndarray:
     """`counts` filled with the counts of `prefixes` as the sums of the
-    counts of each row widened by every value of the first free variable;
-    chunked so a widened block has about 2^20 rows, each in its row's
-    subset."""
-    n = group.order
-    step = max(1, _ENUM_CHUNK // n)
-    every = np.arange(n, dtype=np.int64)
+    counts of each row widened by the values of the first free variable
+    that the system's first level admits (`_grow`); chunked so a widened
+    block has at most about 2^20 rows, each in its row's subset."""
+    plan = _levels(system, prefixes.shape[1], math.lcm(*group.moduli))[0]
+    step = max(1, _ENUM_CHUNK // group.order)
     for start in range(0, len(prefixes), step):
         part = prefixes[start : start + step]
-        wider = np.column_stack([np.repeat(part, n, axis=0), np.tile(every, len(part))])
-        at = None if which is None else np.repeat(which[start : start + step], n)
+        owner, wider = _grow(group, bits, which, plan, np.arange(start, start + len(part)), part)
+        at = None if which is None else which[owner]
         got = _counts(system, group, bits, at, wider, budget).astype(counts.dtype)
-        counts[start : start + len(part)] = got.reshape(len(part), n).sum(axis=1)
+        np.add.at(counts, owner, got)  # exact for Python integers too
     return counts
 
 
@@ -600,9 +598,9 @@ def count_rows(
     forms without a free variable and one table per direction of the free
     coefficients of the others (`_plan`), and the free variables are summed
     out by the rules of `_eliminate`.  When no rule covers the system, the
-    first free variable is pinned to every value (`_pinned_counts`); two
-    free variables always have a plan, so this ends.  The budget is checked
-    as in `solve_rows`."""
+    first free variable is pinned to each value its first level admits
+    (`_pinned_counts`); two free variables always have a plan, so this
+    ends.  The budget is checked as in `solve_rows`."""
     return _counts(system, *_members(subset), prefixes, budget)
 
 
@@ -733,27 +731,24 @@ def quantum_sum_rows(
     """The sum over the rows of a (rows, nfix) prefix matrix of `q` with the
     first variables of every factor pinned to the row, exact.
 
-    A factor is counted once per row, for all rows that need it in one
-    `count_rows` call; a row stops evaluating a term's factors once the
-    term's product is 0 there.
+    Each distinct factor is counted by one `count_rows` call over all rows,
+    and a term sums the products of its factors' count columns; with no
+    rows nothing is counted and the sum is 0.
     """
-    rows = len(prefixes)
+    rows, nfix = prefixes.shape
+    if not rows:
+        return Fraction(0)
     order = subset.group.order
-    counts: dict[LinearSystem, np.ndarray] = {}  # Python ints; -1 marks rows not counted
+    counts = {  # Python integers, so the products are exact
+        factor: count_rows(factor, subset, prefixes, budget=budget).astype(object)
+        for factor in dict.fromkeys(f for _, factors in q.terms for f in factors)
+    }
     total = Fraction(0)
     for coeff, factors in q.terms:
         num = np.ones(rows, dtype=object)
-        den = 1
         for factor in factors:
-            live = np.flatnonzero(num)
-            if live.size == 0:
-                break
-            got = counts.setdefault(factor, np.full(rows, -1, dtype=object))
-            todo = live[got[live] < 0]
-            if todo.size:
-                got[todo] = count_rows(factor, subset, prefixes[todo], budget=budget)
-            num[live] *= got[live]
-            den *= order ** (factor.arity - prefixes.shape[1])
+            num = num * counts[factor]
+        den = math.prod(order ** (factor.arity - nfix) for factor in factors)
         total += coeff * Fraction(int(num.sum()), den)
     return total
 

@@ -380,6 +380,19 @@ def _energy_of_file(group, text):
         (_half_point("--region-energy") + ["--set-b", "{1}"], "--set-b is not read by --region-energy"),
         (["check", "--kneser", "--group", "Z4", "--random", "2", "--x", "1/2"], "--x is not read by --kneser"),
         (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--y", "0"], "--y is not read by --energy-bound"),
+        # a sweep reads no subset, only a random sweep the seed, only
+        # Plunnecke-Ruzsa the fold counts and one instance its kind's subsets
+        (["check", "--kneser", "--group", "Z4", "--random", "3", "--set-a", "{0}", "--set-b", "{1}", "--r", "5"], "--set-a is not read by --kneser --random"),
+        (["check", "--energy-bound", "--group", "Z4", "--random", "0", "--set", "{}"], "--set is not read by --energy-bound --random"),
+        (["check", "--energy-doubling", "--group", "Z4", "--exhaustive", "--set-file", "a.txt"], "--set-file is not read by --energy-doubling --exhaustive"),
+        (["check", "--kneser", "--group", "Z4", "--exhaustive", "--seed", "3"], "--seed is not read by --kneser --exhaustive"),
+        (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--seed", "0"], "--seed is not read by --energy-bound"),
+        (_half_point("--region-graph") + ["--seed", "1"], "--seed is not read by --region-graph"),
+        (["check", "--kneser", "--group", "Z4", "--random", "3", "--r", "2"], "--r is not read by --kneser --random"),
+        (["check", "--energy-doubling", "--group", "Z4", "--set", "{0}", "--s", "1"], "--s is not read by --energy-doubling"),
+        (_half_point("--region-energy") + ["--r", "1"], "--r is not read by --region-energy"),
+        (["check", "--kneser", "--group", "Z4", "--set", "{0}", "--set-a", "{0}", "--set-b", "{1}"], "--set is not read by --kneser"),
+        (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--set-b-file", "b.txt"], "--set-b-file is not read by --energy-bound"),
     ],
 )
 def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
@@ -482,11 +495,13 @@ def test_batches_draw_the_per_subset_instances(monkeypatch):
 
 
 def test_random_zero_is_an_empty_sweep(capsys):
-    # `--random 0` sweeps no instance; it is not read as "no --random"
-    for kind, sets in [("--kneser", []), ("--energy-bound", ["--set", "{}"])]:
-        code, report = run_json(capsys, "check", kind, "--group", "Z4", "--random", "0", *sets)
-        assert code == 0
-        assert (report["checked"], report["violations"], report["witnesses"]) == (0, 0, [])
+    # `--random 0` sweeps no instance; it is not read as "no --random", so
+    # a subset beside it is refused as beside any sweep
+    code, report = run_json(capsys, "check", "--kneser", "--group", "Z4", "--random", "0")
+    assert code == 0
+    assert (report["checked"], report["violations"], report["witnesses"]) == (0, 0, [])
+    code, out, err = run_cli(capsys, "check", "--energy-bound", "--group", "Z4", "--random", "0", "--set", "{}")
+    assert (code, out) == (2, "") and "--set is not read by --energy-bound --random" in err
 
 
 def test_energy_bound_sweep_beyond_int64(capsys):

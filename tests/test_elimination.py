@@ -134,6 +134,7 @@ _RULE_CASES = [
     ("[g2+g3; g1+g2; g1+2g2; g3]", 0, {"pair": 1, "grid": 1}),  # integer u_b
     ("[g1; g2-g3+g1; g3-g4; g4-g2; g2; g3; g4]", 1, {"triangle": 1}),  # (d), three
     ("[g1+g2+g3; g1-g2+2g3]", 0, {"pin": 1, "grid": 1}),  # (e), then (d) per value
+    ("[g1; g1+g2+g3; g1-g2+2g3]", 0, {"pin": 1, "grid": 1}),  # (e) on the values g1 admits
 ]
 
 
@@ -173,14 +174,19 @@ def test_the_no_plan_fallback_counts_without_listing(ran):
     assert 4 * peak < 32 * want
 
 
-def test_a_one_row_triangle_is_sliced_along_its_support():
+def test_a_one_row_triangle_is_sliced_along_its_support(monkeypatch):
     # one row of three free variables over a random half A of Z2000: the
     # stacks on S_a = S_b = S_c = A have |A|^2 entries, over the cap, so the
     # stacks that hold g1 come in slices of S_a, and only the (g2, g3) stack
-    # is whole; the peak stays under three float64 copies of one stack
+    # is whole, converted to float64 once and shared by every slice; the peak
+    # stays under three float64 copies of one stack
     group = FiniteAbelianGroup([2000])
     bits = np.random.default_rng(0).random(group.order) < 0.5
     system = parse_system("[g1; g2; g3; g1-g2; g2-g3; g3-g1]")
+    ys, cycle_counts = [], linform._cycle_counts
+    monkeypatch.setattr(
+        linform, "_cycle_counts", lambda x, y, z: ys.append(y) or cycle_counts(x, y, z)
+    )
     tracemalloc.start()
     try:
         (count,) = count_rows(
@@ -194,6 +200,7 @@ def test_a_one_row_triangle_is_sliced_along_its_support():
     edges = bits[(elements[:, None] - elements[None, :]) % group.order].astype(np.float64)
     assert count == int(np.trace(edges @ edges @ edges))
     assert peak < 3 * 8 * elements.size**2
+    assert len(ys) > 1 and all(y is ys[0] for y in ys) and ys[0].dtype == np.float64
 
 
 # the rule cases, plus systems whose forms without a free variable filter
@@ -366,6 +373,13 @@ def test_counts_beyond_int64_are_exact_python_integers():
     half = GroupSubset.from_indices(group, range(128))
     negated = parse_system("[" + "; ".join(f"g{i}" for i in range(1, 8)) + "; !g8]")
     assert count_rows(negated, half, np.zeros((1, 0), dtype=np.int64), budget=10**30)[0] == 2**56
+    # two pair steps on Python-integer tables: 2^21 * 128^6 = 2^63 completions
+    chain = parse_system("[g1+g2; g2-g3; g1]")
+    wide = parse_system("[g1+g2; g2-g3; g1; " + "; ".join(f"g{i}" for i in range(4, 10)) + "]")
+    (short,) = count_rows(chain, half, np.zeros((1, 0), dtype=np.int64))
+    (long,) = count_rows(wide, half, np.zeros((1, 0), dtype=np.int64), budget=10**30)
+    assert short.dtype == np.int64 and type(long) is int
+    assert long == int(short) * 128**6 == 2**63
 
 
 def test_equal_systems_hash_equal():

@@ -210,6 +210,14 @@ def test_estimate_density_endpoints():
     assert radius == pytest.approx(math.sqrt(math.log(200) / 2000))
 
 
+def test_a_form_that_is_zero_everywhere_fails_every_sample():
+    # 0 * g1 = 0 lies outside A = {1, 2}, so no sample is drawn or tested
+    z5 = FiniteAbelianGroup([5])
+    system, a = parse_system("[0g1]"), GroupSubset.from_indices(z5, [1, 2])
+    assert estimate_density(system, a, 1000, seed=3) == (0.0, math.sqrt(math.log(200) / 2000))
+    assert eval_density(system, a) == 0
+
+
 def test_estimate_density_deterministic_and_thread_invariant():
     group = FiniteAbelianGroup([100])
     a = GroupSubset.from_indices(group, range(50))

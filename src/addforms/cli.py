@@ -599,8 +599,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:
+        print(f"resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (AddformsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,22 +5,23 @@ A system is a list of forms sum_i c_i * g_i, each required to land inside a
 subset (or outside it, when negated).  The exact evaluators take a matrix
 of pinned prefixes, one row per prefix, and either one subset for every
 row or one subset per row, so a single call serves many (subset, prefix)
-pairs.  They work in chunks of rows (`_chunks`): per chunk, `_tables`
-reads membership from the subsets' bit matrix at each row's subset, keeps
-the rows that pass the forms without a free variable and builds the table
-of each direction of the others' free coefficients by its own gather.
-`count_rows` counts the completions of every row from those tables by
-variable elimination, pair counts through `abelian.pair_count_rows` and
-the last two or three variables through `_stack_counts`, which
-`reduction`'s graphs share.  `solve_rows` lists the completions: it binds
-the free variables one per level, and one step, `_grow`, extends the
-frontier of all rows by the values where a level's table holds, so
-unsatisfiable prefixes are pruned early; a system no rule covers has its
-first free variable pinned by the same step and is counted again.  The
-density and quantum functions call `count_rows`, `enumerate_satisfying`
-`solve_rows`, and `estimate_density` tests its samples against the tables
-of a row with no pinned variable.  Counts are exact integers, densities
-exact rationals.
+pairs; `_members` gives every call one int64 row -> subset index, zeros
+for a shared subset.  They work in chunks of rows (`_chunks`): per chunk,
+`_tables` reads membership from the subsets' bit matrix at each row's
+subset, keeps the rows that pass the forms without a free variable and
+builds the table of each direction of the others' free coefficients by
+its own gather.  `count_rows` counts the completions of every row from
+those tables by variable elimination, pair counts through
+`abelian.pair_count_rows` and the last two or three variables through
+`_stack_counts`, which `reduction`'s graphs share.  `solve_rows` lists the
+completions: it binds the free variables one per level, and one step,
+`_grow`, extends the frontier of all rows by the values where a level's
+table holds, so unsatisfiable prefixes are pruned early; a system no rule
+covers has its first free variable pinned by the same step and is counted
+again.  The density and quantum functions call `count_rows`,
+`enumerate_satisfying` `solve_rows`, and `estimate_density` tests its
+samples against the tables of a row with no pinned variable.  Counts are
+exact integers, densities exact rationals.
 """
 
 from __future__ import annotations
@@ -133,17 +134,12 @@ def eval_form(form: LinearForm, assignment: Sequence[GroupElement]) -> GroupElem
     return GroupElement(group, tuple(residues))
 
 
-def _checked_prefixes(
-    system: LinearSystem, group, prefixes, budget, which
-) -> tuple[np.ndarray, int]:
+def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np.ndarray, int]:
     """The prefixes as an int64 (rows, nfix) matrix and the number of free
-    variables, after the shape, budget and index checks; `which` is the
-    row -> subset index of `_members`, one entry per row, or None."""
+    variables, after the shape, budget and index checks."""
     prefixes = np.asarray(prefixes, dtype=np.int64)
     if prefixes.ndim != 2:
         raise ValueError("prefixes must be a (rows, nfix) index matrix")
-    if which is not None and len(which) != len(prefixes):
-        raise ValueError(f"{len(which)} subsets for {len(prefixes)} prefix rows")
     if prefixes.shape[1] > system.arity:
         raise ValueError("more fixed values than variables")
     kfree = system.arity - prefixes.shape[1]
@@ -199,11 +195,10 @@ def _levels(system: LinearSystem, nfix: int, exponent: int) -> tuple:
 def _grow(group, bits, which, plan: tuple, owner: np.ndarray, frontier: np.ndarray) -> tuple:
     """(owner, frontier) with each row of the (rows, m) `frontier` extended
     by every value of variable m at which the table of `plan` (a level of
-    `_levels`) holds, in (row, value) order; owner[i] is carried along, the
-    index into `which` of the row's subset when `which` is not None."""
+    `_levels`) holds, in (row, value) order; owner[i], the index into
+    `which` of the row's subset, is carried along."""
     owners, grown = [owner[:0]], [np.zeros((0, frontier.shape[1] + 1), dtype=np.int64)]
-    at = None if which is None else which[owner]
-    for live, tabs in _chunks(group, bits, at, plan, frontier):
+    for live, tabs in _chunks(group, bits, which[owner], plan, frontier):
         r, v = np.nonzero(_unary(tabs, 0, live.size, group.order))
         r = live[r]
         owners.append(owner[r])
@@ -234,8 +229,8 @@ def solve_rows(
     so a form is tested as soon as its last variable is bound; with no free
     variable, the rows that pass are kept.  A partial assignment reads the
     subset of the prefix row it extends."""
-    group, bits, which = _members(subset)
-    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget, which)
+    group, bits, which = _members(subset, prefixes)
+    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
     nfix = prefixes.shape[1]
     exponent = math.lcm(*group.moduli)
     owner, frontier = np.arange(len(prefixes), dtype=np.int64), prefixes
@@ -500,8 +495,7 @@ def _pinned_counts(system, group, bits, which, prefixes, counts: np.ndarray, bud
     for start in range(0, len(prefixes), step):
         part = prefixes[start : start + step]
         owner, wider = _grow(group, bits, which, plan, np.arange(start, start + len(part)), part)
-        at = None if which is None else which[owner]
-        got = _counts(system, group, bits, at, wider, budget).astype(counts.dtype)
+        got = _counts(system, group, bits, which[owner], wider, budget).astype(counts.dtype)
         np.add.at(counts, owner, got)  # exact for Python integers too
     return counts
 
@@ -513,7 +507,7 @@ def _tables(
     (from `_plan`) and, per table entry, its boolean (live rows, |G|) table
     under its key, from one `combine` and one gather.  Membership is read
     from the (s, |G|) bit matrix `bits` of the subsets, row i of `part` in
-    subset which[i]; with s = 1 `which` is not read."""
+    subset which[i]; with s = 1, `which` is not read and no offset added."""
     pinned, filters, tables, _ = plan
     n = group.order
     memb = bits.reshape(-1)
@@ -541,36 +535,39 @@ def _tables(
 
 def _chunks(group, bits: np.ndarray, which, plan: tuple, prefixes: np.ndarray):
     """(rows, tables) of `_tables` per chunk of `prefixes` with a live row,
-    rows indexing `prefixes` (and `which`, when not None).  A chunk holds
-    about 2^20 table entries, |G| per row and form of a table entry."""
+    rows indexing `prefixes` and its row -> subset index `which`.  A chunk
+    holds about 2^20 table entries, |G| per row and form of a table entry."""
     forms = sum(len(at) for _, (at, _, _) in plan[2])
     step = max(1, _ENUM_CHUNK // (group.order * max(1, forms)))
     for start in range(0, len(prefixes), step):
         end = start + step
-        at = None if which is None else which[start:end]
-        live, tabs = _tables(group, bits, at, plan, prefixes[start:end])
+        live, tabs = _tables(group, bits, which[start:end], plan, prefixes[start:end])
         if live.size:
             yield start + live, tabs
 
 
-def _members(subset) -> tuple:
+def _members(subset, prefixes) -> tuple:
     """(group, bits, which) of `subset`, one GroupSubset shared by every
-    prefix row or a sequence of one per row: the (s, |G|) bit matrix of the
-    subsets and the row -> subset index, None for one shared subset."""
+    row of `prefixes` or a sequence of one per row: the (s, |G|) bit matrix
+    of the subsets and the int64 row -> subset index, zeros for a shared one."""
     if isinstance(subset, GroupSubset):
-        return subset.group, subset.bits[None], None
+        # zero strides allocate nothing per row; np.broadcast_to would take 8 us
+        which = np.ndarray(len(prefixes), np.int64, np.zeros(1, np.int64), strides=(0,))
+        return subset.group, subset.bits[None], which
     subsets = list(subset)
     if not subsets:
         raise ValueError("an empty subset list has no group; pass one GroupSubset")
+    if len(subsets) != len(prefixes):
+        raise ValueError(f"{len(subsets)} subsets for {len(prefixes)} prefix rows")
     group = subsets[0].group
     if any(a.group != group for a in subsets):
         raise GroupMismatchError("the subsets of the rows mix groups")
-    return group, np.stack([a.bits for a in subsets]), np.arange(len(subsets))
+    return group, np.stack([a.bits for a in subsets]), np.arange(len(subsets), dtype=np.int64)
 
 
 def _counts(system, group, bits, which, prefixes, budget) -> np.ndarray:
     """`count_rows` over the subsets of `_members`."""
-    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget, which)
+    prefixes, kfree = _checked_prefixes(system, group, prefixes, budget)
     plan = _plan(system, prefixes.shape[1], math.lcm(*group.moduli))
     wide = group.order**kfree >= 1 << 63
     counts = np.zeros(len(prefixes), dtype=object if wide else np.int64)
@@ -601,7 +598,7 @@ def count_rows(
     first free variable is pinned to each value its first level admits
     (`_pinned_counts`); two free variables always have a plan, so this
     ends.  The budget is checked as in `solve_rows`."""
-    return _counts(system, *_members(subset), prefixes, budget)
+    return _counts(system, *_members(subset, prefixes), prefixes, budget)
 
 
 def prefix_row(subset: GroupSubset, fixed: Sequence[GroupElement]) -> np.ndarray:
@@ -663,46 +660,46 @@ def estimate_density(
     """Monte Carlo estimate of the satisfaction density.
 
     Returns (estimate, radius) where radius is the 99% Hoeffding half-width
-    sqrt(ln(200) / (2 * samples)).  Sampling uses per-chunk counter-based
-    substreams, so the result depends only on (seed, samples), not on the
-    thread count.  Samples are tested against the tables of `_tables` for
-    a row with no pinned variable: one gather per direction of the
-    system's forms.
+    sqrt(ln(200) / (2 * samples)).  Chunk ci of _SAMPLE_CHUNK samples is
+    drawn from the counter-based substream `jumped(ci)`, and worker w of
+    min(threads, chunks) counts the hits of chunks w, w + workers, ...; so
+    the result depends only on (seed, samples), and memory does not grow
+    with `samples`.  Samples are tested against the tables of `_tables` for
+    a row with no pinned variable: one gather per direction of the forms.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    group = subset.group
+    none = np.zeros((1, 0), dtype=np.int64)
+    group, bits, which = _members(subset, none)
     radius = math.sqrt(math.log(200.0) / (2.0 * samples))
     plan = _plan(system, 0, math.lcm(*group.moduli))
-    none = np.zeros((1, 0), dtype=np.int64)
-    live, tabs = _tables(group, subset.bits[None], None, plan, none)
+    live, tabs = _tables(group, bits, which, plan, none)
     if live.size == 0:
         return 0.0, radius  # a form that is 0 at every assignment fails
     base = np.random.Philox(key=int(seed))
-    chunks = [
-        (ci, min(_SAMPLE_CHUNK, samples - ci * _SAMPLE_CHUNK))
-        for ci in range((samples + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK)
-    ]
+    chunks = -(-samples // _SAMPLE_CHUNK)
+    workers = min(threads, chunks)
 
-    def run(chunk: tuple[int, int]) -> int:
-        ci, m = chunk
+    def hits_of(ci: int) -> int:
+        m = min(_SAMPLE_CHUNK, samples - ci * _SAMPLE_CHUNK)
         gen = np.random.Generator(base.jumped(ci))
         cols = gen.integers(0, group.order, size=(m, system.arity), dtype=np.int64).T
-        ok = None
+        ok = np.ones(m, dtype=bool)
         for key, table in tabs.items():
             if isinstance(key, int):
                 w = cols[key]  # a lone variable is its own index
             else:
                 w = group.combine([(c, cols[i]) for i, c in enumerate(key) if c])
-            hit = table[0][w]
-            ok = hit if ok is None else ok & hit
-        return m if ok is None else int(ok.sum())
+            ok &= table[0][w]
+        return int(ok.sum())
 
-    if threads <= 1 or len(chunks) == 1:
-        hits = sum(run(c) for c in chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run, chunks))
+    def run(first: int) -> int:
+        return sum(hits_of(ci) for ci in range(first, chunks, workers))
+
+    # worker 0 is the calling thread: a pool thread's malloc arena keeps memory
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rest = pool.map(run, range(1, workers))
+        hits = run(0) + sum(rest)
     return hits / samples, radius
 
 
@@ -763,6 +760,8 @@ def _parse_var(sc: Scanner) -> int:
     idx = sc.expect_int("variable index")
     if idx < 1:
         raise sc.error("variable indices start at 1", pos)
+    if idx > 1 << 20:  # a form's coefficient vector is dense up to its last variable
+        raise sc.error("variable indices stop at 1048576", pos)
     return idx - 1
 
 

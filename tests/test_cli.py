@@ -315,108 +315,181 @@ def _energy_of_file(group, text):
     return ["energy", "--group", group, "--set-file", _File(text)]
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["verify", "homdensity", "--group", "Z1", "--k", "2"], "admitted M"),
-        (["verify", "homdensity", "--group", "Z2", "--k", "2", "--pairs", "3"], "admitted M"),
-        (["check", "--kneser", "--exhaustive"], "missing --group"),
-        (["verify", "pinpoint", "--k", "2", "--threads", "0"], "--threads"),
-        (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--threads", "-2"], "--threads"),
-        (["check", "--region-graph", "--x", "2/3", "--y", "5"], _OUTSIDE_BOX),
-        (["check", "--region-graph", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
-        (["check", "--region-energy", "--x", "2/3", "--y", "5"], _OUTSIDE_BOX),
-        (["check", "--region-energy", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
-        (["check", "--region-graph", "--y", "1/2"], "missing --x"),
-        (["check", "--region-energy", "--x", "1/2"], "missing --y"),
-        (["check", "--energy-bound", "--group", "Z8", "--random", "-3"], "--random"),
-        (
-            ["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "5"],
-            "not allowed with argument --exhaustive",
-        ),
-        (_energy_of_file("Z3xZ2", "[[1.7, 0], [true, 1]]"), "parse error: JSON residues"),
-        (_energy_of_file("Z3xZ2", "[[0, 0], [true, 1]]"), "parse error: JSON residues"),
-        (_energy_of_file("Z3xZ2", "[1, 2]"), "parse error: JSON residues"),
-        (_energy_of_file("Z3xZ2", "[[0, 0]"), "parse error: malformed JSON"),
-        (_energy_of_file("Z16", "# residues\n0\n1_0\n"), "malformed residue line (line 3, column 1)"),
-        (_energy_of_file("Z16", "0\n\u0661\n"), "malformed residue line (line 2, column 1)"),
-        (_energy_of_file("Z16", "0\n1.0\n"), "malformed residue line (line 2, column 1)"),
-        (_energy_of_file("Z16", "0 # a, b\n1,2\n"), "element has 2 residues, group has rank 1 (line 2"),
-        (_PR_EMPTY_A + ["--r", "-1", "--s", "0"], "error: fold counts must be nonnegative"),
-        (_PR_EMPTY_A + ["--r", "0", "--s", "0"], "error: need r + s >= 1"),
-        # L(1) has no dilate, so B_1 of the witness is not pinned to {1} x H
-        (["witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
-        (["verify", "witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
-        # counts refuse negatives instead of checking nothing
-        (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--pairs", "-3"], "--pairs"),
-        (["verify", "bollobas", "--t-max", "-4"], "--t-max"),
-        (["verify", "delta-claims", "--t-max", "-1"], "--t-max"),
-        (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--max-work", "-1"], "--max-work"),
-        # --max-work is offered only by the verbs that read it
-        (["energy", "--group", "Z4", "--set", "{0}", "--max-work", "5"], "unrecognized arguments: --max-work"),
-        # seeds, slice moduli and k are checked by the parser
-        (["check", "--kneser", "--group", "Z4", "--random", "3", "--seed", "-1"], "--seed"),
-        (["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples", "10", "--seed", "-1"], "--seed"),
-        (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", "-1"], "--seed"),
-        (["witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
-        (["verify", "witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
-        (["reduce", "--poly", "x1", "--k", "0"], "argument --k: must be at least 1, got 0"),
-        # Philox keys take 128 bits
-        (["check", "--kneser", "--group", "Z4", "--random", "3", "--seed", str(1 << 128)], "--seed: must be at most"),
-        (["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples", "10", "--seed", str(1 << 128)], "--seed: must be at most"),
-        (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", str(1 << 128)], "--seed: must be at most"),
-        # a subset is given inline or by file, never both
-        (["energy", "--group", "Z4", "--set", "{0,2}", "--set-file", _File("1\n")], "argument --set-file: not allowed with argument --set"),
-        # a report that cannot be written is an error, not a failed check
-        (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath("missing/r.json")], "error: [Errno 2] No such file or directory"),
-        (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath(".")], "error: [Errno 21] Is a directory"),
-        (["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "0"], "not allowed with argument --exhaustive"),
-        (_half_point("--region-graph") + ["--random", "5"], "--random is not read by --region-graph"),
-        (_half_point("--region-graph") + ["--random", "0"], "--random is not read by --region-graph"),
-        (_half_point("--region-energy") + ["--group", "Z4"], "--group is not read by --region-energy"),
-        (_half_point("--region-graph") + ["--exhaustive"], "--exhaustive is not read by --region-graph"),
-        (_half_point("--region-energy") + ["--set", "{0}"], "--set is not read by --region-energy"),
-        (_half_point("--region-graph") + ["--set-a-file", "a.txt"], "--set-a-file is not read by --region-graph"),
-        (_half_point("--region-energy") + ["--set-b", "{1}"], "--set-b is not read by --region-energy"),
-        (["check", "--kneser", "--group", "Z4", "--random", "2", "--x", "1/2"], "--x is not read by --kneser"),
-        (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--y", "0"], "--y is not read by --energy-bound"),
-        # a sweep reads no subset, only a random sweep the seed, only
-        # Plunnecke-Ruzsa the fold counts and one instance its kind's subsets
-        (["check", "--kneser", "--group", "Z4", "--random", "3", "--set-a", "{0}", "--set-b", "{1}", "--r", "5"], "--set-a is not read by --kneser --random"),
-        (["check", "--energy-bound", "--group", "Z4", "--random", "0", "--set", "{}"], "--set is not read by --energy-bound --random"),
-        (["check", "--energy-doubling", "--group", "Z4", "--exhaustive", "--set-file", "a.txt"], "--set-file is not read by --energy-doubling --exhaustive"),
-        (["check", "--kneser", "--group", "Z4", "--exhaustive", "--seed", "3"], "--seed is not read by --kneser --exhaustive"),
-        (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--seed", "0"], "--seed is not read by --energy-bound"),
-        (_half_point("--region-graph") + ["--seed", "1"], "--seed is not read by --region-graph"),
-        (["check", "--kneser", "--group", "Z4", "--random", "3", "--r", "2"], "--r is not read by --kneser --random"),
-        (["check", "--energy-doubling", "--group", "Z4", "--set", "{0}", "--s", "1"], "--s is not read by --energy-doubling"),
-        (_half_point("--region-energy") + ["--r", "1"], "--r is not read by --region-energy"),
-        (["check", "--kneser", "--group", "Z4", "--set", "{0}", "--set-a", "{0}", "--set-b", "{1}"], "--set is not read by --kneser"),
-        (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--set-b-file", "b.txt"], "--set-b-file is not read by --energy-bound"),
-    ],
-)
-def test_usage_errors_exit_2_without_traceback(tmp_path, argv, message):
+_USAGE_ERRORS = [
+    (["verify", "homdensity", "--group", "Z1", "--k", "2"], "admitted M"),
+    (["verify", "homdensity", "--group", "Z2", "--k", "2", "--pairs", "3"], "admitted M"),
+    (["check", "--kneser", "--exhaustive"], "missing --group"),
+    (["verify", "pinpoint", "--k", "2", "--threads", "0"], "--threads"),
+    (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--threads", "-2"], "--threads"),
+    (["check", "--region-graph", "--x", "2/3", "--y", "5"], _OUTSIDE_BOX),
+    (["check", "--region-graph", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
+    (["check", "--region-energy", "--x", "2/3", "--y", "5"], _OUTSIDE_BOX),
+    (["check", "--region-energy", "--x", "1/3", "--y", "-1"], _OUTSIDE_BOX),
+    (["check", "--region-graph", "--y", "1/2"], "missing --x"),
+    (["check", "--region-energy", "--x", "1/2"], "missing --y"),
+    (["check", "--energy-bound", "--group", "Z8", "--random", "-3"], "--random"),
+    (
+        ["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "5"],
+        "not allowed with argument --exhaustive",
+    ),
+    (_energy_of_file("Z3xZ2", "[[1.7, 0], [true, 1]]"), "parse error: JSON residues"),
+    (_energy_of_file("Z3xZ2", "[[0, 0], [true, 1]]"), "parse error: JSON residues"),
+    (_energy_of_file("Z3xZ2", "[1, 2]"), "parse error: JSON residues"),
+    (_energy_of_file("Z3xZ2", "[[0, 0]"), "parse error: malformed JSON"),
+    (_energy_of_file("Z16", "# residues\n0\n1_0\n"), "malformed residue line (line 3, column 1)"),
+    (_energy_of_file("Z16", "0\n\u0661\n"), "malformed residue line (line 2, column 1)"),
+    (_energy_of_file("Z16", "0\n1.0\n"), "malformed residue line (line 2, column 1)"),
+    (_energy_of_file("Z16", "0 # a, b\n1,2\n"), "element has 2 residues, group has rank 1 (line 2"),
+    (_PR_EMPTY_A + ["--r", "-1", "--s", "0"], "error: fold counts must be nonnegative"),
+    (_PR_EMPTY_A + ["--r", "0", "--s", "0"], "error: need r + s >= 1"),
+    # L(1) has no dilate, so B_1 of the witness is not pinned to {1} x H
+    (["witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
+    (["verify", "witness", "--k", "1", "--n", "3"], "error: k must be >= 2"),
+    # counts refuse negatives instead of checking nothing
+    (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--pairs", "-3"], "--pairs"),
+    (["verify", "bollobas", "--t-max", "-4"], "--t-max"),
+    (["verify", "delta-claims", "--t-max", "-1"], "--t-max"),
+    (["density", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--max-work", "-1"], "--max-work"),
+    # --max-work is offered only by the verbs that read it
+    (["energy", "--group", "Z4", "--set", "{0}", "--max-work", "5"], "unrecognized arguments: --max-work"),
+    # seeds, slice moduli and k are checked by the parser
+    (["check", "--kneser", "--group", "Z4", "--random", "3", "--seed", "-1"], "--seed"),
+    (["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples", "10", "--seed", "-1"], "--seed"),
+    (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", "-1"], "--seed"),
+    (["witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
+    (["verify", "witness", "--k", "2", "--n", "3,x"], "argument --n: invalid int list: '3,x'"),
+    (["reduce", "--poly", "x1", "--k", "0"], "argument --k: must be at least 1, got 0"),
+    # Philox keys take 128 bits
+    (["check", "--kneser", "--group", "Z4", "--random", "3", "--seed", str(1 << 128)], "--seed: must be at most"),
+    (["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples", "10", "--seed", str(1 << 128)], "--seed: must be at most"),
+    (["verify", "homdensity", "--group", "Z9xZ2", "--k", "2", "--seed", str(1 << 128)], "--seed: must be at most"),
+    # a subset is given inline or by file, never both
+    (["energy", "--group", "Z4", "--set", "{0,2}", "--set-file", _File("1\n")], "argument --set-file: not allowed with argument --set"),
+    # a report that cannot be written is an error, not a failed check
+    (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath("missing/r.json")], "error: [Errno 2] No such file or directory"),
+    (["energy", "--group", "Z4", "--set", "{0}", "--out", _TmpPath(".")], "error: [Errno 21] Is a directory"),
+    (["check", "--kneser", "--group", "Z4", "--exhaustive", "--random", "0"], "not allowed with argument --exhaustive"),
+    (_half_point("--region-graph") + ["--random", "5"], "--random is not read by --region-graph"),
+    (_half_point("--region-graph") + ["--random", "0"], "--random is not read by --region-graph"),
+    (_half_point("--region-energy") + ["--group", "Z4"], "--group is not read by --region-energy"),
+    (_half_point("--region-graph") + ["--exhaustive"], "--exhaustive is not read by --region-graph"),
+    (_half_point("--region-energy") + ["--set", "{0}"], "--set is not read by --region-energy"),
+    (_half_point("--region-graph") + ["--set-a-file", "a.txt"], "--set-a-file is not read by --region-graph"),
+    (_half_point("--region-energy") + ["--set-b", "{1}"], "--set-b is not read by --region-energy"),
+    (["check", "--kneser", "--group", "Z4", "--random", "2", "--x", "1/2"], "--x is not read by --kneser"),
+    (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--y", "0"], "--y is not read by --energy-bound"),
+    # a sweep reads no subset, only a random sweep the seed, only
+    # Plunnecke-Ruzsa the fold counts and one instance its kind's subsets
+    (["check", "--kneser", "--group", "Z4", "--random", "3", "--set-a", "{0}", "--set-b", "{1}", "--r", "5"], "--set-a is not read by --kneser --random"),
+    (["check", "--energy-bound", "--group", "Z4", "--random", "0", "--set", "{}"], "--set is not read by --energy-bound --random"),
+    (["check", "--energy-doubling", "--group", "Z4", "--exhaustive", "--set-file", "a.txt"], "--set-file is not read by --energy-doubling --exhaustive"),
+    (["check", "--kneser", "--group", "Z4", "--exhaustive", "--seed", "3"], "--seed is not read by --kneser --exhaustive"),
+    (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--seed", "0"], "--seed is not read by --energy-bound"),
+    (_half_point("--region-graph") + ["--seed", "1"], "--seed is not read by --region-graph"),
+    (["check", "--kneser", "--group", "Z4", "--random", "3", "--r", "2"], "--r is not read by --kneser --random"),
+    (["check", "--energy-doubling", "--group", "Z4", "--set", "{0}", "--s", "1"], "--s is not read by --energy-doubling"),
+    (_half_point("--region-energy") + ["--r", "1"], "--r is not read by --region-energy"),
+    (["check", "--kneser", "--group", "Z4", "--set", "{0}", "--set-a", "{0}", "--set-b", "{1}"], "--set is not read by --kneser"),
+    (["check", "--energy-bound", "--group", "Z4", "--set", "{0}", "--set-b-file", "b.txt"], "--set-b-file is not read by --energy-bound"),
+    # a form's coefficient vector is dense, so variable indices are bounded
+    (["density", "--group", "Z4", "--set", "{0}", "--system", "[g99999999999]"], "parse error: variable indices stop at 1048576 (line 1, column 3)"),
+]
+
+# Runs `cli.main` on each argv of the JSON list on stdin and writes one
+# [code, stdout, stderr] per argv as JSON; an exception's traceback goes to
+# its argv's stderr, so every argv runs.
+_USAGE_CHILD = """
+import contextlib, io, json, sys, traceback
+from addforms import cli
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except (Exception, SystemExit):
+            traceback.print_exc()
+            code = None
+    runs.append([code, out.getvalue(), err.getvalue()])
+json.dump(runs, sys.stdout)
+"""
+
+
+def _child_env():
+    path = [_SRC, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def _resolved(argv, root):
+    """argv with each _File written under the directory `root` and replaced
+    by its path, and each _TmpPath replaced by its path under `root`."""
+    root.mkdir()
     argv = list(argv)
     for i, arg in enumerate(argv):
         if isinstance(arg, _File):
-            (tmp_path / f"{i}.subset").write_text(arg)
-            argv[i] = str(tmp_path / f"{i}.subset")
+            (root / f"{i}.subset").write_text(arg)
+            argv[i] = str(root / f"{i}.subset")
         elif isinstance(arg, _TmpPath):
-            argv[i] = str(tmp_path / arg)
-    # a fresh process with a timeout, so a hang fails the test instead of the run
-    path = [_SRC, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+            argv[i] = str(root / arg)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def usage_error_runs(tmp_path_factory):
+    """(code, stdout, stderr) of every argv of _USAGE_ERRORS, in order."""
+    root = tmp_path_factory.mktemp("usage")
+    argvs = [_resolved(argv, root / str(n)) for n, (argv, _) in enumerate(_USAGE_ERRORS)]
+    # one child process with a timeout, so a hang fails the tests instead of the run
     proc = subprocess.run(
-        [sys.executable, "-m", "addforms", *argv],
+        [sys.executable, "-c", _USAGE_CHILD],
+        input=json.dumps(argvs),
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS)
+def test_usage_errors_exit_2_without_traceback(usage_error_runs, argv, message):
+    code, out, err = usage_error_runs[_USAGE_ERRORS.index((argv, message))]
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", [3, len(_USAGE_ERRORS) - 1])
+def test_usage_errors_exit_2_from_a_fresh_process(tmp_path, n):
+    argv, message = _USAGE_ERRORS[n]
+    proc = subprocess.run(
+        [sys.executable, "-m", "addforms", *_resolved(argv, tmp_path / "argv")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
     )
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# numpy's allocation failures carry a message, Python's often none
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError(), "out of memory"), (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB")],
+)
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch, error, message):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_density", exhausted)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # reads the patched verb
+    code, out, err = run_cli(capsys, "density", "--group", "Z4", "--set", "{0}", "--system", "[g1]")
+    assert (code, out, err) == (3, "", f"resource cap: {message}\n")
 
 
 # sha256 of the reports of the benchmark's sweeps, recorded from the
@@ -640,11 +713,9 @@ def test_one_parser_per_process_matches_fresh_parsers(capsys, monkeypatch):
 
 
 def test_parser_is_not_built_at_import():
-    path = [_SRC, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     probe = "import addforms.cli as c; print(c._parser.cache_info().currsize)"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=_child_env()
     )
     assert proc.stdout.strip() == "0", proc.stderr
 

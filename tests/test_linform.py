@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import subset_from_mask, subset_from_tuples
 
+from addforms import linform
 from addforms.abelian import FiniteAbelianGroup, GroupSubset, additive_energy
 from addforms.errors import CapExceeded, GroupMismatchError, ParseError
 from addforms.linform import (
@@ -228,6 +230,26 @@ def test_estimate_density_deterministic_and_thread_invariant():
     assert r1 == r2 == r3
 
 
+def test_sampling_memory_does_not_grow_with_the_chunk_count(monkeypatch):
+    monkeypatch.setattr(linform, "_SAMPLE_CHUNK", 1)
+    group = FiniteAbelianGroup([7])
+    a = GroupSubset.from_indices(group, [0, 1, 3])
+    system = parse_system("[g1; g1+g2]")
+    estimate_density(system, a, 1, seed=5)  # the plan and numpy's first-call state
+    samples, estimates = 3000, set()
+    for threads in (1, 2, 4):
+        tracemalloc.start()
+        try:
+            estimates.add(estimate_density(system, a, samples, seed=5, threads=threads))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a list with one (index, size) tuple per chunk alone takes over 64
+        # bytes a chunk
+        assert peak < samples * 64 // 4
+    assert len(estimates) == 1
+
+
 _M3 = (
     (9, 2),
     "[!(4g1); g2-2g1; g3-3g1; 2g2-4g1; 2g3-6g1; 3g2-6g1; 3g3-9g1; 4g2-8g1; "
@@ -301,6 +323,11 @@ def test_parse_system_errors_have_positions():
         parse_system("g1; g2")
     with pytest.raises(ParseError):
         parse_system("[g1 ")
+    # a form holds a dense vector up to its last variable, so indices stop at 2^20
+    assert parse_system("[g1048576]").arity == 1 << 20
+    with pytest.raises(ParseError, match="variable indices stop at 1048576") as err:
+        parse_system("[g1; g1048577]")
+    assert err.value.column == 7
 
 
 def test_parse_quantum_round_trip():

@@ -475,6 +475,22 @@ def test_verify_witness_2_2_measures_quarter():
         assert not stat.agree
 
 
+@pytest.mark.parametrize(
+    "k, n", [(2, [5, 5]), (2, [4, 4]), (2, [3, 5]), (2, [6, 6]), (2, [4, 6]), (3, [2, 2, 2])]
+)
+def test_witness_3_cycles_follow_their_closed_form(k, n):
+    # k3 = 1 - 3/n + (3 - [n | 3h]) / n^2 for class h of slot j, n = n_j: the
+    # claim 2x^2 - x = (1 - 1/n)(1 - 2/n) exactly when n divides 3h, 1/n^2
+    # more otherwise; which side is off, the construction or the claim, is open
+    report = verify_witness(build_witness(k, n))
+    assert report.ok and report.classes
+    for stat in report.classes:
+        m = n[stat.j - 1]
+        divides = 3 * stat.h_class % m == 0
+        assert stat.k3_measured == 1 - Fraction(3, m) + Fraction(3 - divides, m * m)
+        assert stat.agree == divides
+
+
 def test_verify_pinpoint_small():
     rep2 = verify_pinpoint(2)
     assert rep2.checked == 81 and rep2.ok

@@ -164,9 +164,9 @@ class FiniteAbelianGroup:
         Each c is an integer or an int64 array of integers; the index and
         coefficient arrays broadcast against each other.  `offsets` is a
         residue tuple, needed when there are no terms (it is then the Python
-        integer index of `offsets`).  This is the one writer of the C-order
-        mixed-radix index: each component is gathered from `residue_table`,
-        reduced mod n and folded in as flat * n + comp.
+        integer index of `offsets`).  The index is the C-order mixed-radix one
+        that `from_residues` writes and `residue_matrix` reads with numpy's
+        (un)ravel: residues from `residue_table`, folded as flat * n + comp.
         """
         flat = 0
         for t, n in enumerate(self.moduli):

@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     _add_subset_options(p)
     p.add_argument("--system", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)

@@ -13,15 +13,15 @@ builds the table of each direction of the others' free coefficients by
 its own gather.  `count_rows` counts the completions of every row from
 those tables by variable elimination, pair counts through
 `abelian.pair_count_rows` and the last two or three variables through
-`_stack_counts`, which `reduction`'s graphs share.  `solve_rows` lists the
-completions: it binds the free variables one per level, and one step,
-`_grow`, extends the frontier of all rows by the values where a level's
-table holds, so unsatisfiable prefixes are pruned early; a system no rule
-covers has its first free variable pinned by the same step and is counted
-again.  The density and quantum functions call `count_rows`,
-`enumerate_satisfying` `solve_rows`, and `estimate_density` tests its
-samples against the tables of a row with no pinned variable.  Counts are
-exact integers, densities exact rationals.
+`_stack_counts`, which `reduction`'s graphs share; `_link` builds each of
+its stacks.  `solve_rows` lists the completions: it binds the free
+variables one per level, and one step, `_grow`, extends the frontier of
+all rows by the values where a level's table holds, so unsatisfiable
+prefixes are pruned early; a system no rule covers has its first free
+variable pinned by the same step and is counted again.  The density and
+quantum functions call `count_rows`, `enumerate_satisfying` `solve_rows`,
+and `estimate_density` tests its samples against the tables of a row with
+no pinned variable.  Counts are exact integers, densities exact rationals.
 """
 
 from __future__ import annotations
@@ -123,15 +123,23 @@ def eval_form(form: LinearForm, assignment: Sequence[GroupElement]) -> GroupElem
             f"assignment has {len(assignment)} elements, form arity is {form.arity}"
         )
     group = assignment[0].group
-    for g in assignment[1:]:
-        if g.group != group:
-            raise GroupMismatchError("assignment mixes groups")
+    if any(g.group != group for g in assignment[1:]):
+        raise GroupMismatchError("assignment mixes groups")
     residues = []
     for t, n in enumerate(group.moduli):
         residues.append(
             sum(c * g.residues[t] for c, g in zip(form.coefficients, assignment)) % n
         )
     return GroupElement(group, tuple(residues))
+
+
+def _check_work(predicted: int, budget, power: str, hint: str) -> None:
+    """Refuse (CapExceeded) `predicted` work over `budget` (default DEFAULT_WORK_BUDGET),
+    written as `power` beyond 64 bits, where Python may not print its digits."""
+    cap = DEFAULT_WORK_BUDGET if budget is None else int(budget)
+    if predicted > cap:
+        work = predicted if predicted.bit_length() <= 64 else power
+        raise CapExceeded(f"predicted work {work} exceeds budget {cap}; raise the budget or {hint}")
 
 
 def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np.ndarray, int]:
@@ -143,17 +151,9 @@ def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np
     if prefixes.shape[1] > system.arity:
         raise ValueError("more fixed values than variables")
     kfree = system.arity - prefixes.shape[1]
-    limit = DEFAULT_WORK_BUDGET if budget is None else int(budget)
     n, d = group.order, len(system.forms)
-    predicted = n**kfree * d
-    if predicted > limit:
-        # a long work figure is written as its power: its decimal digits can
-        # be more than Python converts to a string
-        work = predicted if predicted.bit_length() <= 64 else f"{n}^{kfree} * {d}"
-        raise CapExceeded(
-            f"predicted work {work} exceeds budget {limit}; raise the budget "
-            "or use estimate_density for a Monte Carlo estimate"
-        )
+    hint = "use estimate_density for a Monte Carlo estimate"
+    _check_work(n**kfree * d, budget, f"{n}^{kfree} * {d}", hint)
     if prefixes.size and (prefixes.min() < 0 or prefixes.max() >= group.order):
         raise ValueError("prefix index out of range")
     return prefixes, kfree
@@ -247,11 +247,10 @@ def solve_rows(
 
 def _cycle_counts(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """trace(X @ Y @ Z), int64 per row, of three 0/1 stacks of shapes
-    (rows, a, b), (rows, b, c) and (rows, c, a), boolean or float64: the
-    sum of (X @ Y) * Z^T."""
+    (rows, a, b), (rows, b, c) and (rows, c, a), y float64 and x, z boolean
+    or float64: the sum of (X @ Y) * Z^T."""
     # exact in float64: every path count and partial sum is an integer <= b < 2^53
-    x, y = x.astype(np.float64, copy=False), y.astype(np.float64, copy=False)
-    paths = np.matmul(x, y).astype(np.int64)
+    paths = np.matmul(x.astype(np.float64, copy=False), y).astype(np.int64)
     return (paths * z.transpose(0, 2, 1)).sum(axis=(1, 2))
 
 
@@ -398,63 +397,59 @@ def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
 
 
 def _unary(tabs: dict, v: int, rows: int, n: int) -> np.ndarray:
-    """Variable v's unary table, taken out of `tabs`; all True when no form
-    constrains v alone."""
+    """Variable v's unary table, popped from `tabs`; all True when it has none."""
     u = tabs.pop(v, None)
     return np.ones((rows, n), dtype=bool) if u is None else u
 
 
-def _stack_counts(group, links: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
-    """Per-row counts of the values of the variables of `links` at which
-    their unaries and tables, taken out of `tabs`, all hold: `links` is
-    ((a, b, dirs),) for two variables, or the 3-cycle ((a, b, (d_ab,)),
-    (b, c, (d_bc,)), (c, a, (d_ca,))) of boolean tables.  Per block of rows,
-    each variable p is gathered onto its support S_p, the values some row's
-    unary admits (all of G without one), and link (p, q, dirs) is the (rows,
-    |S_p|, |S_q|) stack of u_p(S_p[i]) times its tables at d . (S_p[i],
-    S_q[j]), summed against u_b or traced as a product (`_cycle_counts`).
-    Blocks of rows, and slices of S_a when one row is wider, keep each stack
-    that holds a within _GRID_BLOCK entries; the (b, c) stack serves all."""
-    a, b = links[0][:2]
-    unary = {p: tabs.pop(p, None) for p in {a, b, links[-1][0]}}
-    tables = {d: tabs.pop(d) for _, _, dirs in links for d in dirs}
-    size = {p: group.order if u is None else u.any(axis=0).sum() for p, u in unary.items()}
+def _link(group, unary: dict, tables: dict, r: slice, link: tuple, sp, sq) -> np.ndarray:
+    """The (rows, |sp|, |sq|) stack of link (p, q, dirs) on the rows r: u_p at
+    sp (left out when None, or boolean on one row: all True on its support)
+    times each table d at d . (sp[i], sq[j]), one `combine` and gather each."""
+    p, q, dirs = link
+    u = unary[p] if unary[p] is None else unary[p][r]
+    mat = None if u is None or (len(u) == 1 and u.dtype == bool) else u[:, sp, None]
+    for d in dirs:
+        hit = np.take(tables[d][r], group.combine([(d[p], sp[:, None]), (d[q], sq[None])]), axis=1)
+        mat = hit if mat is None else mat * hit
+    return mat
+
+
+def _stack_counts(group, links, unary: dict, tables: dict, rows: int, wide: bool) -> np.ndarray:
+    """Per-row counts of the values of the variables of `links`, ((a, b, dirs),)
+    or the 3-cycle ((a, b, (d_ab,)), (b, c, (d_bc,)), (c, a, (d_ca,))), where
+    their `unary` tables (None for none) and direction `tables` all hold; it
+    changes neither dict.  Per block of rows each link is its `_link` stack on
+    the supports S_p x S_q, S_p the values some row's u_p admits (all of G
+    without one), summed against u_b or traced (`_cycle_counts`).  Blocks,
+    and slices of S_a when one row is wider, keep each stack that holds a
+    within _GRID_BLOCK entries; the (b, c) stack is built in float64 once per block."""
+    (a, b, _), c = links[0], links[-1][0]
+    own, every = [(p, unary[p]) for p in {a, b, c}], np.arange(group.order)
+    size = {p: group.order if u is None else u.any(axis=0).sum() for p, u in own}
     step = max(1, _GRID_BLOCK // max(1, *(size[p] * size[q] for p, q, _ in links)))
     total = np.zeros(rows, dtype=object if wide else np.int64)
     for s in range(0, rows, step):
-        r, mats, support, weight = slice(s, s + step), [None] * len(links), {}, {}
-        for p, u in unary.items():
-            u = None if u is None else u[r]
-            support[p] = np.arange(group.order) if u is None else np.flatnonzero(u.any(axis=0))
-            # a boolean unary of one row is all True on its support
-            weight[p] = None if u is None or (len(u) == 1 and u.dtype == bool) else u[:, support[p]]
+        r, y = slice(s, s + step), None
+        support = {p: every if u is None else np.flatnonzero(u[r].any(axis=0)) for p, u in own}
         cut = max(1, _GRID_BLOCK // max(1, *(x.size for p, x in support.items() if p != a)))
-        for i in range(0, support[a].size, cut):
-            on = {p: slice(i, i + cut) if p == a else slice(None) for p in support}
-            for j, (p, q, dirs) in enumerate(links):
-                if i and a not in (p, q):
-                    continue  # the 3-cycle's (b, c) stack serves every slice of S_a
-                w = weight[p]
-                mat = None if w is None else w[:, on[p], None]
-                sp, sq = support[p][on[p], None], support[q][None, on[q]]
-                for d in dirs:
-                    idx = group.combine([(d[p], sp), (d[q], sq)])
-                    hit = np.take(tables[d][r], idx, axis=1)
-                    mat = hit if mat is None else mat * hit
-                mats[j] = mat
+        if len(links) == 3 and support[a].size:
+            y = _link(group, unary, tables, r, links[1], support[b], support[c]).astype(np.float64)
+        for sa in (support[a][i : i + cut] for i in range(0, support[a].size, cut)):
+            x = _link(group, unary, tables, r, links[0], sa, support[b])
             if len(links) == 1:
-                got, w = mats[0].sum(axis=1), weight[b]
-                total[r] += (got if w is None else got * w).sum(axis=1)
-            else:  # the (b, c) stack, kept across slices, goes to float64 once
-                mats[1] = mats[1].astype(np.float64, copy=False)
-                total[r] += _cycle_counts(*mats)
+                got, u = x.sum(axis=1), unary[b]
+                total[r] += (got if u is None else got * u[r][:, support[b]]).sum(axis=1)
+            else:
+                z = _link(group, unary, tables, r, links[2], support[c], sa)
+                total[r] += _cycle_counts(x, y, z)
     return total
 
 
 def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
     """Per-row counts of the elimination `steps` over the (rows, |G|) tables
-    `tabs`, which they consume: int64, or Python integers when `wide`; the
-    "grid" and "triangle" steps are `_stack_counts` calls."""
+    `tabs`, which they consume: int64, or Python integers when `wide`; a
+    "grid" or "triangle" step pops its unaries and tables for `_stack_counts`."""
     n = group.order
     count = np.ones(rows, dtype=object if wide else np.int64)
     for step in steps:
@@ -481,7 +476,10 @@ def _run(group, steps: tuple, tabs: dict, rows: int, wide: bool) -> np.ndarray:
             old = tabs.get(target)
             tabs[target] = table if old is None else old * table
         else:
-            count = count * _stack_counts(group, step[1], tabs, rows, wide)
+            links = step[1]
+            unary = {p: tabs.pop(p, None) for p in {*links[0][:2], links[-1][0]}}
+            tables = {d: tabs.pop(d) for _, _, dirs in links for d in dirs}
+            count = count * _stack_counts(group, links, unary, tables, rows, wide)
     return count
 
 
@@ -603,9 +601,8 @@ def count_rows(
 
 def prefix_row(subset: GroupSubset, fixed: Sequence[GroupElement]) -> np.ndarray:
     """The (1, nfix) index matrix of a pinned prefix of group elements."""
-    for g in fixed:
-        if g.group != subset.group:
-            raise GroupMismatchError("fixed element from a different group")
+    if any(g.group != subset.group for g in fixed):
+        raise GroupMismatchError("fixed element from a different group")
     return np.array([g.index() for g in fixed], dtype=np.int64).reshape(1, len(fixed))
 
 
@@ -656,6 +653,7 @@ def estimate_density(
     seed: int,
     *,
     threads: int = 1,
+    budget: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the satisfaction density.
 
@@ -666,9 +664,12 @@ def estimate_density(
     the result depends only on (seed, samples), and memory does not grow
     with `samples`.  Samples are tested against the tables of `_tables` for
     a row with no pinned variable: one gather per direction of the forms.
+    Refuses (CapExceeded) samples * forms over `budget`, before any draw.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    d = len(system.forms)
+    _check_work(samples * d, budget, f"{samples} * {d}", "draw fewer samples")
     none = np.zeros((1, 0), dtype=np.int64)
     group, bits, which = _members(subset, none)
     radius = math.sqrt(math.log(200.0) / (2.0 * samples))
@@ -807,8 +808,7 @@ def _parse_system_body(sc: Scanner) -> LinearSystem:
     while sc.match(";"):
         raw.append(_parse_form(sc))
     sc.expect("]")
-    arity = max((max(c, default=-1) for c, _ in raw), default=-1) + 1
-    arity = max(arity, 1)
+    arity = 1 + max((var for coeffs, _ in raw for var in coeffs), default=0)
     forms = []
     for coeffs, negated in raw:
         vec = [0] * arity

@@ -206,15 +206,15 @@ def _graph_counts(group, vertex_rows, connection_rows, shifts) -> tuple[np.ndarr
     """Ordered pair and directed 3-cycle counts, int64 per shift s_i, of the
     graph on B_i with b1 -> b2 iff t_i(b1 - b2) = C_i(b1 - b2 + s_i) holds,
     B_i and C_i rows of the boolean (rows or 1, |G|) `vertex_rows` and
-    `connection_rows`: `linform._stack_counts` with t_i on the edges and B_i
-    as unaries, of `_CYCLE`'s first edge (pairs) and of all of it."""
+    `connection_rows`: `linform._stack_counts` of the same dicts, t_i on the
+    edges and B_i as unaries, for `_CYCLE`'s first edge (pairs) and all of it."""
     every = np.arange(group.order, dtype=np.int64)
     shifted = group.combine([(1, every[None, :]), (1, shifts[:, None])])
     t = np.take_along_axis(connection_rows, shifted, axis=1)
     b = np.broadcast_to(vertex_rows, t.shape)
-    tabs = {0: b, 1: b, 2: b, **{d: t for _, _, (d,) in _CYCLE}}
-    pairs = linform._stack_counts(group, _CYCLE[:1], dict(tabs), len(t), False)
-    return pairs, linform._stack_counts(group, _CYCLE, tabs, len(t), False)
+    unary, tables = {0: b, 1: b, 2: b}, {d: t for _, _, (d,) in _CYCLE}
+    pairs = linform._stack_counts(group, _CYCLE[:1], unary, tables, len(t), False)
+    return pairs, linform._stack_counts(group, _CYCLE, unary, tables, len(t), False)
 
 
 def graph_densities(u: DirectedCayleyGraph) -> tuple[Fraction, Fraction]:

@@ -191,6 +191,24 @@ def test_estimate_deterministic(capsys):
     assert abs(report["estimate"] - 0.5) <= report["radius"]
 
 
+def test_estimate_refuses_oversized_sampling_before_drawing(capsys, monkeypatch):
+    argv = ["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples"]
+
+    def drawn(*args):
+        raise AssertionError("a table was built for sampling")
+
+    # samples * forms over the default budget of 10^9 is refused before any
+    # table is built or any sample drawn
+    monkeypatch.setattr(linform, "_tables", drawn)
+    code, out, err = run_cli(capsys, *argv, "99999999999999")
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: predicted work 99999999999999 exceeds budget 1000000000")
+    assert "Traceback" not in err
+    code, out, err = run_cli(capsys, *argv, "0")
+    assert code == 2 and out == ""
+    assert "argument --samples: must be at least 1, got 0" in err
+
+
 def test_byte_identical_reports_across_invocations(capsys):
     invocations = [
         ("density", "--group", "Z9xZ2", "--set", "{(0,0),(1,1)}", "--system", "[g1; g2]"),

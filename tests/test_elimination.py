@@ -178,8 +178,8 @@ def test_a_one_row_triangle_is_sliced_along_its_support(monkeypatch):
     # one row of three free variables over a random half A of Z2000: the
     # stacks on S_a = S_b = S_c = A have |A|^2 entries, over the cap, so the
     # stacks that hold g1 come in slices of S_a, and only the (g2, g3) stack
-    # is whole, converted to float64 once and shared by every slice; the peak
-    # stays under three float64 copies of one stack
+    # is whole, built in float64 once and shared by every slice; the peak
+    # stays under two float64 copies of one stack
     group = FiniteAbelianGroup([2000])
     bits = np.random.default_rng(0).random(group.order) < 0.5
     system = parse_system("[g1; g2; g3; g1-g2; g2-g3; g3-g1]")
@@ -199,7 +199,7 @@ def test_a_one_row_triangle_is_sliced_along_its_support(monkeypatch):
     elements = np.flatnonzero(bits)
     edges = bits[(elements[:, None] - elements[None, :]) % group.order].astype(np.float64)
     assert count == int(np.trace(edges @ edges @ edges))
-    assert peak < 3 * 8 * elements.size**2
+    assert peak < 2 * 8 * elements.size**2
     assert len(ys) > 1 and all(y is ys[0] for y in ys) and ys[0].dtype == np.float64
 
 

@@ -212,6 +212,20 @@ def test_estimate_density_endpoints():
     assert radius == pytest.approx(math.sqrt(math.log(200) / 2000))
 
 
+def test_estimate_density_refuses_samples_times_forms_over_the_budget():
+    z4 = FiniteAbelianGroup([4])
+    system = parse_system("[g1; g1+g2; !(2g2)]")
+    a = GroupSubset.from_indices(z4, [0, 1])
+    # 1000 samples of 3 forms: refused at a budget of 2999, run at 3000
+    with pytest.raises(CapExceeded, match="predicted work 3000 exceeds budget 2999"):
+        estimate_density(system, a, 1000, seed=1, budget=2999)
+    want = estimate_density(system, a, 1000, seed=1)
+    assert estimate_density(system, a, 1000, seed=1, budget=3000) == want
+    # work beyond 64 bits is written as its product
+    with pytest.raises(CapExceeded, match=f"predicted work {10**30} \\* 3 exceeds budget"):
+        estimate_density(system, a, 10**30, seed=1)
+
+
 def test_a_form_that_is_zero_everywhere_fails_every_sample():
     # 0 * g1 = 0 lies outside A = {1, 2}, so no sample is drawn or tested
     z5 = FiniteAbelianGroup([5])

@@ -405,7 +405,7 @@ def _cmd_estimate(args):
     subset = _load_subset(args, group, "set")
     system = linform.parse_system(args.system)
     estimate, radius = linform.estimate_density(
-        system, subset, args.samples, args.seed, threads=args.threads
+        system, subset, args.samples, args.seed, threads=args.threads, budget=args.max_work
     )
     report = make_report(
         "estimate",
@@ -439,7 +439,7 @@ def _add_common(p: argparse.ArgumentParser, *, max_work: bool = False) -> None:
             "--max-work",
             type=_int_at_least(0),
             default=None,
-            help=f"exact-evaluation work budget (default {linform.DEFAULT_WORK_BUDGET})",
+            help=f"work budget (default {linform.DEFAULT_WORK_BUDGET})",
         )
 
 
@@ -571,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0, _MAX_SEED), default=0)
-    _add_common(p)
+    _add_common(p, max_work=True)
     p.set_defaults(func=_cmd_estimate)
 
     return parser

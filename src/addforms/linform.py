@@ -123,8 +123,9 @@ def eval_form(form: LinearForm, assignment: Sequence[GroupElement]) -> GroupElem
             f"assignment has {len(assignment)} elements, form arity is {form.arity}"
         )
     group = assignment[0].group
-    if any(g.group != group for g in assignment[1:]):
-        raise GroupMismatchError("assignment mixes groups")
+    for g in assignment[1:]:
+        if g.group != group:
+            raise GroupMismatchError("assignment mixes groups")
     residues = []
     for t, n in enumerate(group.moduli):
         residues.append(
@@ -397,7 +398,8 @@ def _plan(system: LinearSystem, nfix: int, exponent: int) -> tuple:
 
 
 def _unary(tabs: dict, v: int, rows: int, n: int) -> np.ndarray:
-    """Variable v's unary table, popped from `tabs`; all True when it has none."""
+    """Variable v's unary table, taken out of `tabs`; all True when no form
+    constrains v alone."""
     u = tabs.pop(v, None)
     return np.ones((rows, n), dtype=bool) if u is None else u
 
@@ -601,8 +603,9 @@ def count_rows(
 
 def prefix_row(subset: GroupSubset, fixed: Sequence[GroupElement]) -> np.ndarray:
     """The (1, nfix) index matrix of a pinned prefix of group elements."""
-    if any(g.group != subset.group for g in fixed):
-        raise GroupMismatchError("fixed element from a different group")
+    for g in fixed:
+        if g.group != subset.group:
+            raise GroupMismatchError("fixed element from a different group")
     return np.array([g.index() for g in fixed], dtype=np.int64).reshape(1, len(fixed))
 
 
@@ -669,7 +672,7 @@ def estimate_density(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = len(system.forms)
-    _check_work(samples * d, budget, f"{samples} * {d}", "draw fewer samples")
+    _check_work(samples * d, budget, f">= 2^{samples.bit_length() - 1} * {d}", "draw fewer samples")
     none = np.zeros((1, 0), dtype=np.int64)
     group, bits, which = _members(subset, none)
     radius = math.sqrt(math.log(200.0) / (2.0 * samples))
@@ -808,7 +811,8 @@ def _parse_system_body(sc: Scanner) -> LinearSystem:
     while sc.match(";"):
         raw.append(_parse_form(sc))
     sc.expect("]")
-    arity = 1 + max((var for coeffs, _ in raw for var in coeffs), default=0)
+    arity = max((max(c, default=-1) for c, _ in raw), default=-1) + 1
+    arity = max(arity, 1)
     forms = []
     for coeffs, negated in raw:
         vec = [0] * arity

@@ -197,13 +197,18 @@ def test_estimate_refuses_oversized_sampling_before_drawing(capsys, monkeypatch)
     def drawn(*args):
         raise AssertionError("a table was built for sampling")
 
-    # samples * forms over the default budget of 10^9 is refused before any
-    # table is built or any sample drawn
+    # --max-work moves the budget: 1000 samples of one form run at 1000
+    code, out, _ = run_cli(capsys, *argv, "1000", "--max-work", "1000")
+    assert code == 0 and json.loads(out)["params"]["samples"] == 1000
+    # samples * forms over the budget, 10^9 by default, is refused before
+    # any table is built or any sample drawn
     monkeypatch.setattr(linform, "_tables", drawn)
     code, out, err = run_cli(capsys, *argv, "99999999999999")
     assert code == 3 and out == ""
     assert err.startswith("resource cap: predicted work 99999999999999 exceeds budget 1000000000")
     assert "Traceback" not in err
+    code, out, err = run_cli(capsys, *argv, "1000", "--max-work", "999")
+    assert code == 3 and "predicted work 1000 exceeds budget 999; raise the budget" in err
     code, out, err = run_cli(capsys, *argv, "0")
     assert code == 2 and out == ""
     assert "argument --samples: must be at least 1, got 0" in err

@@ -221,9 +221,12 @@ def test_estimate_density_refuses_samples_times_forms_over_the_budget():
         estimate_density(system, a, 1000, seed=1, budget=2999)
     want = estimate_density(system, a, 1000, seed=1)
     assert estimate_density(system, a, 1000, seed=1, budget=3000) == want
-    # work beyond 64 bits is written as its product
-    with pytest.raises(CapExceeded, match=f"predicted work {10**30} \\* 3 exceeds budget"):
+    # a sample count beyond 64 bits is written by its bit length, even one
+    # with more decimal digits than Python converts to a string
+    with pytest.raises(CapExceeded, match="predicted work >= 2\\^99 \\* 3 exceeds budget"):
         estimate_density(system, a, 10**30, seed=1)
+    with pytest.raises(CapExceeded, match="predicted work >= 2\\^16609 \\* 3 exceeds budget"):
+        estimate_density(system, a, 10**5000, seed=1)
 
 
 def test_a_form_that_is_zero_everywhere_fails_every_sample():

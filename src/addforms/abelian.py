@@ -9,8 +9,10 @@ densities, energies and counts are exact: integers or `fractions.Fraction`.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +49,15 @@ _BATCH_BYTES = 1 << 20
 # int64 holds every integer below this: pair counts, their squares' sums and
 # the butterflies' partial sums are at most |G|^3.
 _I64_EXACT = 1 << 63
+# `FiniteAbelianGroup.sum_code` gives a code at most this many times |G| long.
+_CODE_SPREAD = 16
+# The codes of `sum_code` and their multiples, cached by the groups' moduli
+# (every group of the same moduli shares them), hold at most _CODE_CACHE
+# entries in all: `_keep` drops the oldest first, under _CODE_LOCK, since
+# threads may share a group.
+_CODE_CACHE = 1 << 22
+_CODES: dict = {}
+_CODE_LOCK = threading.Lock()
 
 
 def max_order_cap(explicit: int | None = None) -> int:
@@ -158,6 +169,25 @@ class FiniteAbelianGroup:
             self._tables["diff"] = table
         return table
 
+    def sum_code(self, coeffs: Sequence[int], limit: int) -> "SumCode | None":
+        """The carry-free code (`SumCode`) of the sums sum_i c_i * x_i with the
+        integer coefficients `coeffs`, or None when its length E exceeds
+        `limit` or _CODE_SPREAD * |G|.  The one selection rule of the code
+        path: a caller passes as `limit` the entries its gather serves per
+        row of the table it decodes, so the table gathered at the decode
+        costs no more entries than the block, and takes `combine` on None.
+        Two reduced terms with coefficient 1 give E = prod_t (2 n_t - 1), so
+        a cyclic group always has a code and Z2^k only while 3^k <= 16 * 2^k."""
+        spread = sum(map(abs, coeffs))
+        neg = (spread - sum(coeffs)) // 2
+        most, key = min(limit, _CODE_SPREAD * self.order), ("code", self.moduli, spread, neg)
+        code = _CODES.get(key)
+        if code is None:
+            if math.prod(spread * (n - 1) + 1 for n in self.moduli) > most:
+                return None
+            code = _keep(key, SumCode(self.moduli, spread, neg))
+        return code if code.decode.size <= most else None
+
     def combine(self, terms, offsets: Sequence[int] | None = None):
         """Flat indices of offsets + sum of c * x over (c, index array) terms.
 
@@ -167,6 +197,12 @@ class FiniteAbelianGroup:
         integer index of `offsets`).  The index is the C-order mixed-radix one
         that `from_residues` writes and `residue_matrix` reads with numpy's
         (un)ravel: residues from `residue_table`, folded as flat * n + comp.
+
+        It makes a pass per term, a `%` and a fold per component, so the
+        engine's table gathers take a `SumCode` instead; `combine` serves the
+        scalar and parse-time callers, the small (parts, rows) block of the
+        pinned parts in `linform._tables`, and the gathers whose code
+        `sum_code` refuses.
         """
         flat = 0
         for t, n in enumerate(self.moduli):
@@ -187,6 +223,86 @@ class FiniteAbelianGroup:
             else:
                 flat = comp
         return flat
+
+
+def _keep(key, value):
+    """`value`, cached under `key` in _CODES unless it holds more than
+    _CODE_CACHE entries (`size`); the oldest entries are dropped while the
+    cache holds more."""
+    if value.size <= _CODE_CACHE:
+        with _CODE_LOCK:
+            _CODES[key] = value
+            while sum(v.size for v in _CODES.values()) > _CODE_CACHE:
+                del _CODES[next(iter(_CODES))]
+    return value
+
+
+class SumCode:
+    """A carry-free mixed-radix code for the sums sum_i c_i * x_i of group
+    terms, x_i element indices of the group of `moduli` and c_i integers
+    whose absolute values sum to `spread`, from `FiniteAbelianGroup.sum_code`.
+
+    Digit t of a sum is its unreduced component sum s_t = sum_i c_i *
+    res_t(x_i), which lies in [lo_t, hi_t] with hi_t - lo_t = spread (n_t - 1),
+    so its radix is R_t = spread (n_t - 1) + 1, the first digit slowest.  The
+    code of a sum is then the sum of its terms' codes, c_i * weight[x_i] with
+    weight[x] = sum_t res_t(x) prod_{u > t} R_u, each computed on its term's
+    own shape, and nothing is reduced mod n_t.  `decode`, of length
+    E = prod_t R_t <= _CODE_SPREAD * |G|, maps a code to the flat index of the
+    sum: gathered once at `decode`, a (rows, |G|) table is indexed by codes,
+    so a block costs one broadcast add and one gather.  Codes below 0
+    (negative c_i) index it from the end, as numpy does, so it is stored
+    rotated by the lower bound.  Codes and multiples are cached (`_keep`).
+    """
+
+    __slots__ = ("moduli", "radices", "spread", "weight", "decode", "size")
+
+    def __init__(self, moduli: tuple[int, ...], spread: int, neg: int):
+        self.moduli, self.spread = moduli, spread
+        self.radices = radices = [spread * (n - 1) + 1 for n in moduli]
+        order = math.prod(moduli)
+        # "wrap" acts only at spread 0, where every radix is 1 and every code 0
+        every = np.unravel_index(np.arange(order), moduli)
+        weight = np.ravel_multi_index(every, radices, mode="wrap")
+        weight.flags.writeable = False
+        self.weight = None if len(moduli) == 1 else weight  # a cyclic weight is the index
+        # digit t of a code is s_t - lo_t with lo_t = -neg (n_t - 1), so s_t is
+        # the digit plus neg mod n_t; the sum with every s_t at lo_t has code
+        # -neg * weight[-1], and a code c sits at c mod E
+        digits = np.unravel_index(np.arange(math.prod(radices)), radices)
+        decode = np.ravel_multi_index([(d + neg) % n for d, n in zip(digits, moduli)], moduli)
+        self.decode = np.roll(decode, -neg * int(weight[-1])) if neg else decode
+        self.decode.flags.writeable = False
+        self.size = self.decode.size + (0 if self.weight is None else order)  # for `_keep`
+
+    def __call__(self, x):
+        """The codes of the element indices x: weight[x], on a cyclic group x."""
+        return x if self.weight is None else self.weight[x]
+
+    def encode(self, terms):
+        """The codes of the sums of c * x over (c, index array) terms with
+        the coefficients the code was made for: `decode` of them is
+        `combine(terms)`."""
+        code = None
+        for c, x in terms:
+            part = self(x) if c == 1 else c * self(x)
+            code = part if code is None else code + part
+        return code
+
+    def multiple(self, m) -> np.ndarray:
+        """The codes of m * x reduced, as a term of coefficient 1, for every x:
+        (|G|,) for an integer m and (forms, 1, |G|) for a (forms, 1, 1) array
+        of them; cached."""
+        key = m if isinstance(m, int) else tuple(m.ravel().tolist())
+        key = ("multiple", self.moduli, self.spread, key)
+        codes = _CODES.get(key)
+        if codes is None:
+            every = np.unravel_index(np.arange(math.prod(self.moduli)), self.moduli)
+            reduced = [m * r % n for r, n in zip(every, self.moduli)]
+            codes = np.ravel_multi_index(reduced, self.radices)
+            codes.flags.writeable = False
+            _keep(key, codes)
+        return codes
 
 
 class GroupElement:

@@ -407,12 +407,21 @@ def _unary(tabs: dict, v: int, rows: int, n: int) -> np.ndarray:
 def _link(group, unary: dict, tables: dict, r: slice, link: tuple, sp, sq) -> np.ndarray:
     """The (rows, |sp|, |sq|) stack of link (p, q, dirs) on the rows r: u_p at
     sp (left out when None, or boolean on one row: all True on its support)
-    times each table d at d . (sp[i], sq[j]), one `combine` and gather each."""
+    times each table d at d . (sp[i], sq[j]), one index block and gather
+    each.  The block is the codes of d_p * sp plus those of d_q * sq (both
+    reduced first) when `sum_code` admits a code of |sp| * |sq| entries, and
+    the table is gathered at its decode; otherwise one `combine`."""
     p, q, dirs = link
     u = unary[p] if unary[p] is None else unary[p][r]
     mat = None if u is None or (len(u) == 1 and u.dtype == bool) else u[:, sp, None]
+    code = group.sum_code((1, 1), sp.size * sq.size)
     for d in dirs:
-        hit = np.take(tables[d][r], group.combine([(d[p], sp[:, None]), (d[q], sq[None])]), axis=1)
+        if code is None:
+            table, idx = tables[d][r], group.combine([(d[p], sp[:, None]), (d[q], sq[None])])
+        else:
+            table = tables[d][r].take(code.decode, axis=1)
+            idx = code.multiple(d[p])[sp][:, None] + code.multiple(d[q])[sq]
+        hit = np.take(table, idx, axis=1)
         mat = hit if mat is None else mat * hit
     return mat
 
@@ -505,9 +514,14 @@ def _tables(
 ) -> tuple[np.ndarray, dict]:
     """The rows of the prefix chunk `part` that pass the filters of `plan`
     (from `_plan`) and, per table entry, its boolean (live rows, |G|) table
-    under its key, from one `combine` and one gather.  Membership is read
-    from the (s, |G|) bit matrix `bits` of the subsets, row i of `part` in
-    subset which[i]; with s = 1, `which` is not read and no offset added."""
+    under its key, from one gather.  Membership is read from the (s, |G|)
+    bit matrix `bits` of the subsets, row i of `part` in subset which[i];
+    with s = 1, `which` is not read and no offset added.  The index of a
+    table is m * w plus a pinned part, both reduced: by the `SumCode` of two
+    terms when `sum_code` admits it for the tables' (forms, rows, |G|)
+    entries, so the bit matrix is gathered once at its decode, for every
+    table, and an index block is the cached codes of m * w plus those of the
+    pinned parts; otherwise by one `combine` per table."""
     pinned, filters, tables, _ = plan
     n = group.order
     memb = bits.reshape(-1)
@@ -525,11 +539,23 @@ def _tables(
         idx = off[at]
         live = live[(memb[idx if base is None else idx + base] != neg).all(axis=0)]
         off = off[:, live]
+    block = n * live.size * sum(len(at) for _, (at, _, _) in tables)
+    code = group.sum_code((1, 1), block // len(bits))
+    if code is not None:  # one gather of the bits for every table; subset s starts at s * E
+        if base is None:
+            memb, off = memb[code.decode], code(off)
+        else:
+            memb = bits.take(code.decode, axis=1).reshape(-1)
+            off = code(off) + which[live] * code.decode.size
     tabs = {}
     every = np.arange(n, dtype=np.int64)[None, None, :]
     for key, (at, m, neg) in tables:
-        idx = group.combine([(m, every), (1, off[at][:, :, None])])
-        tabs[key] = (memb[idx if base is None else idx + base[live, None]] != neg).all(axis=0)
+        if code is not None:
+            idx = code.multiple(m) + off[at][:, :, None]
+        else:
+            idx = group.combine([(m, every), (1, off[at][:, :, None])])
+            idx = idx if base is None else idx + base[live, None]
+        tabs[key] = (memb[idx] != neg).all(axis=0)
     return live, tabs
 
 
@@ -667,6 +693,10 @@ def estimate_density(
     the result depends only on (seed, samples), and memory does not grow
     with `samples`.  Samples are tested against the tables of `_tables` for
     a row with no pinned variable: one gather per direction of the forms.
+    A direction's coefficients apply unreduced to the sample columns, as
+    the `SumCode` of its table gathered once per call at the decode, when
+    `sum_code` admits a code of at most `samples` entries (on a cyclic
+    group the codes are the columns themselves); otherwise by `combine`.
     Refuses (CapExceeded) samples * forms over `budget`, before any draw.
     """
     if samples < 1:
@@ -684,17 +714,24 @@ def estimate_density(
     chunks = -(-samples // _SAMPLE_CHUNK)
     workers = min(threads, chunks)
 
+    # (variable or direction, its code or None, its table at the code's decode)
+    tests = []
+    for key, table in tabs.items():
+        code = None if isinstance(key, int) else group.sum_code(key, samples)
+        tests.append((key, code, table[0] if code is None else table[0][code.decode]))
+
     def hits_of(ci: int) -> int:
         m = min(_SAMPLE_CHUNK, samples - ci * _SAMPLE_CHUNK)
         gen = np.random.Generator(base.jumped(ci))
         cols = gen.integers(0, group.order, size=(m, system.arity), dtype=np.int64).T
         ok = np.ones(m, dtype=bool)
-        for key, table in tabs.items():
+        for key, code, table in tests:
             if isinstance(key, int):
                 w = cols[key]  # a lone variable is its own index
             else:
-                w = group.combine([(c, cols[i]) for i, c in enumerate(key) if c])
-            ok &= table[0][w]
+                terms = [(c, cols[i]) for i, c in enumerate(key) if c]
+                w = group.combine(terms) if code is None else code.encode(terms)
+            ok &= table[w]
         return int(ok.sum())
 
     def run(first: int) -> int:

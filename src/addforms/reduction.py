@@ -207,10 +207,16 @@ def _graph_counts(group, vertex_rows, connection_rows, shifts) -> tuple[np.ndarr
     graph on B_i with b1 -> b2 iff t_i(b1 - b2) = C_i(b1 - b2 + s_i) holds,
     B_i and C_i rows of the boolean (rows or 1, |G|) `vertex_rows` and
     `connection_rows`: `linform._stack_counts` of the same dicts, t_i on the
-    edges and B_i as unaries, for `_CYCLE`'s first edge (pairs) and all of it."""
-    every = np.arange(group.order, dtype=np.int64)
-    shifted = group.combine([(1, every[None, :]), (1, shifts[:, None])])
-    t = np.take_along_axis(connection_rows, shifted, axis=1)
+    edges and B_i as unaries, for `_CYCLE`'s first edge (pairs) and all of it.
+    t is gathered by the `SumCode` of x + s_i when `sum_code` admits it."""
+    code = group.sum_code((1, 1), len(shifts) * group.order // len(connection_rows))
+    if code is None:
+        every = np.arange(group.order, dtype=np.int64)
+        conn, shifted = connection_rows, group.combine([(1, every[None, :]), (1, shifts[:, None])])
+    else:
+        conn = connection_rows.take(code.decode, axis=1)
+        shifted = code.multiple(1) + code(shifts)[:, None]
+    t = np.take_along_axis(conn, shifted, axis=1)
     b = np.broadcast_to(vertex_rows, t.shape)
     unary, tables = {0: b, 1: b, 2: b}, {d: t for _, _, (d,) in _CYCLE}
     pairs = linform._stack_counts(group, _CYCLE[:1], unary, tables, len(t), False)

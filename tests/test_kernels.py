@@ -5,6 +5,9 @@ difference table, Walsh-Hadamard butterflies on Z2^k, the certified FFT and
 pairwise counting), plus the rule that chooses between them, the
 certificate fallbacks and the exact energy sum."""
 
+import math
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -182,6 +185,79 @@ def test_combine_matches_oracle(moduli, data):
     table = group.combine(((c1, x[:, None]), (c2, y[None, :])), offsets)
     assert table.tolist() == [[want((c1, r), (c2, c)) for c in cols] for r in rows]
     assert group.combine((), shift) == index[oracles.t_add(moduli, tuples[0], shift)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.data())
+def test_sum_code_gathers_what_combine_gathers(moduli, data):
+    # the carry-free code against `combine`: its selection rule, sums with
+    # negative and zero-residue coefficients, cached multiples with array
+    # coefficients, and a bit matrix gathered at the decode with one subset
+    # per row
+    group = FiniteAbelianGroup(moduli)
+    n = group.order
+    coeff = st.integers(-3, 3) | st.sampled_from([-n, n, *moduli])
+    coeffs = data.draw(st.lists(coeff, min_size=1, max_size=3))
+    size = math.prod(sum(map(abs, coeffs)) * (m - 1) + 1 for m in moduli)
+    assert (group.sum_code(coeffs, size) is None) == (size > 16 * n)
+    assert group.sum_code(coeffs, size - 1) is None
+    with mock.patch.object(abelian, "_CODE_SPREAD", float("inf")):
+        code = group.sum_code(coeffs, size) if size <= 1 << 16 else None
+        pair = group.sum_code((1, 1), 1 << 20)
+    elements = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
+    if code is not None:
+        shapes = [(-1,) + (1,) * i for i in range(len(coeffs))]  # broadcast to a block
+        terms = [(c, np.array(data.draw(elements)).reshape(s)) for c, s in zip(coeffs, shapes)]
+        assert code.decode.size == size
+        assert np.array_equal(code.decode[code.encode(terms)], group.combine(terms))
+    m = np.array(data.draw(st.lists(coeff, min_size=1, max_size=3))).reshape(-1, 1, 1)
+    every = np.arange(n)
+    for c in (int(m[0, 0, 0]), m):
+        assert np.array_equal(pair.decode[pair.multiple(c)], group.combine([(c, every)]))
+    rows = data.draw(st.integers(1, 4))
+    bits = np.random.default_rng(data.draw(st.integers(0, 99))).random((rows, n)) < 0.5
+    which = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=5)))
+    offsets = st.lists(st.integers(0, n - 1), min_size=len(which), max_size=len(which))
+    off = np.array(data.draw(offsets))
+    want = bits[which[:, None], group.combine([(m, every), (1, off[:, None])])]
+    ext = bits[:, pair.decode].reshape(-1)
+    got = ext[pair.multiple(m) + (pair(off) + which * pair.decode.size)[:, None]]
+    assert np.array_equal(got, want)
+
+
+def test_threads_keep_the_code_cache_bounded_and_right(monkeypatch):
+    # a cache of 200 entries keeps the codes of spreads 1 to 3 on Z7xZ3
+    # (42, 86 and 154 entries) only one or two at a time, so the threads'
+    # inserts keep evicting one another's codes
+    monkeypatch.setattr(abelian, "_CODE_CACHE", 200)
+    group = FiniteAbelianGroup([7, 3])
+    x = np.arange(group.order)
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(300):
+                coeffs = rng.integers(-2, 3, size=2).tolist()
+                terms = [(c, x[::step]) for c, step in zip(coeffs, (1, -1))]
+                code = group.sum_code([c for c, _ in terms], 1 << 20)
+                if code is not None:
+                    assert np.array_equal(code.decode[code.encode(terms)], group.combine(terms))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert sum(v.size for v in abelian._CODES.values()) <= 200
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import subset_from_mask, subset_from_tuples
 
-from addforms import linform
+from addforms import abelian, linform
 from addforms.abelian import FiniteAbelianGroup, GroupSubset, additive_energy
 from addforms.errors import CapExceeded, GroupMismatchError, ParseError
 from addforms.linform import (
@@ -495,3 +495,50 @@ def test_rows_reject_bad_prefixes():
         count_rows(system, a, np.array([[4]]))
     with pytest.raises(ValueError):
         count_rows(system, a, np.array([[0, 1, 2]]))
+
+
+_SUM_CODE = FiniteAbelianGroup.sum_code
+
+
+@pytest.mark.parametrize("moduli, coded", [((9, 5, 5), True), ((2,) * 12, False)])
+def test_rows_and_estimates_agree_on_both_sides_of_the_code_selection(moduli, coded, monkeypatch):
+    # the engine gathers its tables by the carry-free code where `sum_code`
+    # admits it (Z9xZ5xZ5, with E = 17 * 9 * 9 for two terms) and by `combine`
+    # where it refuses (Z2^12: 3^12 > 16 * 2^12); taking the other path
+    # changes no count, completion or estimate
+    group = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(11)
+    subsets = [GroupSubset(group, rng.random(group.order) < 0.5) for _ in range(4)]
+    system = parse_system("[g1; !g2; g1+g2; g1-g3; !(2g1+g3)]")
+    grid = parse_system("[g1; g2; g3; g1-g2; g2-g3; !(g1+g2+g3)]")
+    prefixes = rng.integers(0, group.order, size=(40, 2))
+    taken = []
+
+    def spy(self, coeffs, limit):
+        code = _SUM_CODE(self, coeffs, limit)
+        taken.append(code is not None)
+        return code
+
+    def run():
+        return (
+            count_rows(system, subsets[0], prefixes[:, :1]).tolist(),
+            count_rows(system, subsets * 10, prefixes[:, :1]).tolist(),
+            count_rows(grid, subsets[1], subsets[1].indices()[:2, None]).tolist(),
+            [x.tolist() for x in solve_rows(system, subsets * 10, prefixes)],
+            estimate_density(system, subsets[0], 4000, seed=2),
+        )
+
+    monkeypatch.setattr(FiniteAbelianGroup, "sum_code", spy)
+    got = run()
+    # on Z9xZ5xZ5 the code of 2g1 + g3 is refused, 25 * 13 * 13 > 16 * 225
+    assert (any(taken), all(taken)) == (coded, False)
+    if coded:
+        monkeypatch.setattr(FiniteAbelianGroup, "sum_code", lambda self, coeffs, limit: None)
+    else:
+        monkeypatch.setattr(abelian, "_CODE_SPREAD", float("inf"))
+        monkeypatch.setattr(
+            FiniteAbelianGroup, "sum_code", lambda self, coeffs, limit: spy(self, coeffs, 1 << 20)
+        )
+        taken.clear()
+    assert run() == got
+    assert coded or all(taken)

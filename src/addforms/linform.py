@@ -153,7 +153,7 @@ def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np
         raise ValueError("more fixed values than variables")
     kfree = system.arity - prefixes.shape[1]
     n, d = group.order, len(system.forms)
-    hint = "use estimate_density for a Monte Carlo estimate"
+    hint = "use the `estimate` verb (`estimate_density` in the library) for a Monte Carlo estimate"
     _check_work(n**kfree * d, budget, f"{n}^{kfree} * {d}", hint)
     if prefixes.size and (prefixes.min() < 0 or prefixes.max() >= group.order):
         raise ValueError("prefix index out of range")

@@ -8,6 +8,7 @@ frozen expectations for the library.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 
@@ -155,3 +156,34 @@ def group_presentations(max_order):
         return p
 
     return sorted(out, key=lambda t: (prod(t), len(t), t))
+
+
+# The subset-file line syntax as the regular expressions that defined it: a
+# residue is an optional sign and ASCII digits, with spaces or tabs around it
+# (a `\r` before a line break counts as a space).
+_RESIDUE = r"[ \t\r]*[-+]?[0-9]+[ \t\r]*"
+_RESIDUE_RE = re.compile(_RESIDUE)
+
+
+def _lines_re(rank):
+    """Lines that are blank or hold `rank` comma-separated residues; a match
+    from the start ends in the first line that does not."""
+    line = rf"(?:{_RESIDUE}(?:,{_RESIDUE}){{{rank - 1}}}|[ \t\r]*)"
+    return re.compile(rf"(?:{line}\n)*{line}")
+
+
+def oracle_subset_lines(text, rank):
+    """The residue rows of a line-format subset file as Python ints, or the
+    (message, line, column) of the error for its first bad line."""
+    body = re.sub(r"#[^\n]*", "", text)
+    pattern = _lines_re(rank)
+    if pattern.fullmatch(body):
+        tokens = [int(t) for t in body.replace(",", " ").split()]
+        return [tuple(tokens[i : i + rank]) for i in range(0, len(tokens), rank)]
+    stop = pattern.match(body).end()
+    start = body.rfind("\n", 0, stop) + 1
+    lineno = body.count("\n", 0, start) + 1
+    parts = body[start:].split("\n", 1)[0].split(",")
+    if not all(_RESIDUE_RE.fullmatch(p) for p in parts):
+        return ("malformed residue line", lineno, 1)
+    return (f"element has {len(parts)} residues, group has rank {rank}", lineno, 1)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import subset_from_mask, subset_from_tuples
@@ -17,6 +19,7 @@ from addforms.abelian import (
     element_scale,
     parse_group,
     parse_subset,
+    _residue_table,
     parse_subset_file,
     representation_counts,
     signed_iterated_sumset,
@@ -299,6 +302,80 @@ def test_subset_serialization_round_trips():
     assert parse_subset_file("3, -2\n\t-2,+5\r\n+2,006\n", g) == a
     with pytest.raises(ValueError):
         parse_subset_file("[[0, 0], [1]]", g)
+
+
+# Pieces of subset-file text: every byte class of the line syntax, a comment,
+# a non-ASCII digit, a lone surrogate and residues of 19 digits or more.
+_PIECES = st.sampled_from(
+    ["0", "7", "12", "006", "-", "+", " ", "\t", "\r", "\n", ",", "#", "# 1, x\n", "\u0661", "\ud800",
+     "1234567890123456789", "9223372036854775808", "-" + "9" * 25, "0" * 20 + "5"]
+)
+_FIELDS = st.tuples(
+    st.sampled_from(["", " ", "\t", " \r"]),
+    st.sampled_from(["", "", "-", "+"]),
+    st.sampled_from(["0", "3", "42", "65535", "9" * 19, "0" * 21 + "7"]),
+    st.sampled_from(["", " ", "\r"]),
+).map("".join)
+
+
+@st.composite
+def _subset_texts(draw, rank):
+    """Texts near the line syntax: rows of `rank` fields, give or take one,
+    blank lines and comments, with random pieces spliced in."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t\r", "# c", " # x,y"])))
+            continue
+        width = draw(st.sampled_from([rank, rank, rank, rank - 1, rank + 1]))
+        lines.append(",".join(draw(st.lists(_FIELDS, min_size=width, max_size=width))))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_PIECES) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_subset_file_reader_matches_the_regex_oracle(data):
+    rank = data.draw(st.integers(1, 4))
+    text = data.draw(_subset_texts(rank) | st.lists(_PIECES, max_size=12).map("".join))
+    expected = oracles.oracle_subset_lines(text, rank)
+    try:
+        got = [tuple(row) for row in _residue_table(text, rank).tolist()]
+    except ParseError as exc:
+        got = (exc.message, exc.line, exc.column)
+    assert got == expected
+    if isinstance(expected, list):
+        group = FiniteAbelianGroup([3, 5, 2, 4][:rank])
+        assert parse_subset_file(text, group) == GroupSubset.from_residues(group, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4).flatmap(
+    lambda moduli: st.tuples(st.just(moduli), st.integers(0, 2**32 - 1))
+))
+def test_subset_lines_round_trip(case):
+    moduli, seed = case
+    g = FiniteAbelianGroup(moduli)
+    a = GroupSubset(g, np.random.default_rng(seed).random(g.order) < 0.5)
+    rows = "".join(",".join(map(str, r)) + "\n" for r in a.residue_lists())
+    assert subset_to_lines(a) == f"# subset of {g.literal()}, size {a.size}\n{rows}"
+    assert parse_subset_file(subset_to_lines(a), g) == a
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 12, (256, 256)])
+def test_large_subsets_round_trip_through_lines(moduli):
+    g = FiniteAbelianGroup(moduli)
+    a = GroupSubset(g, np.random.default_rng(3).random(g.order) < 0.5)
+    assert parse_subset_file(subset_to_lines(a), g) == a
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \t\r\n\n", "# only a comment", "# a\n\n  # b\n"])
+def test_blank_and_comment_only_files_are_the_empty_subset(text):
+    g = FiniteAbelianGroup([3, 2])
+    assert parse_subset_file(text, g) == GroupSubset.empty(g)
 
 
 def test_from_residues_refuses_non_integer_residues():

@@ -273,7 +273,11 @@ def test_exit_code_cap(capsys):
         "1000",
     )
     assert code2 == 3
-    assert "estimate_density" in err2
+    # the hint names the CLI verb, with the library function beside it
+    assert err2 == (
+        "resource cap: predicted work 67108864 exceeds budget 1000; raise the budget or use "
+        "the `estimate` verb (`estimate_density` in the library) for a Monte Carlo estimate\n"
+    )
 
 
 @pytest.mark.parametrize("arity", [3000, 99999])

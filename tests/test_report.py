@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from addforms.report import dump_json
+from addforms.report import _BLOCK_CELLS, dump_json, int_rows
 
 
 def reference(obj) -> str:
@@ -50,15 +50,42 @@ _SHAPES = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(arrays(np.int64, _SHAPES), _TREES)
-def test_integer_matrices_dump_as_their_rows(matrix, tree):
-    assert dump_json(matrix) == reference(matrix.tolist())
+def _int_matrices(dtype):
+    """Matrices of `dtype` whose entries favour its extremes and the edges of
+    the writer's four-digit limbs."""
+    info = np.iinfo(dtype)
+    edges = [info.min, info.max, 0, -1, 9, 10, 9999, 10**4, 10**18, 2**63]
+    edges = [v for v in edges if info.min <= v <= info.max]
+    return arrays(dtype, _SHAPES, elements=st.integers(info.min, info.max) | st.sampled_from(edges))
+
+
+_INT_MATRICES = st.sampled_from(
+    [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+).flatmap(_int_matrices)
+_WRAPS = st.lists(st.sampled_from([lambda v: {"m": v, "n": 1}, lambda v: [v, "x"]]), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INT_MATRICES, _WRAPS, _TREES)
+def test_integer_matrices_dump_as_their_rows(matrix, wraps, tree):
+    nested, plain = matrix, matrix.tolist()
+    for wrap in wraps:
+        nested, plain = wrap(nested), wrap(plain)
+    assert dump_json(nested) == reference(plain)
     report = {"elements": matrix, "size": len(matrix), "rest": [tree, {"m": matrix}]}
     plain = {"elements": matrix.tolist(), "size": len(matrix), "rest": [tree, {"m": matrix.tolist()}]}
     assert dump_json(report) == reference(plain)
 
 
+def test_integer_rows_across_blocks_of_different_widths():
+    # 20000 x 3 entries span several blocks; their widths change every 1000 rows
+    rng = np.random.default_rng(5)
+    digits = 10 ** (np.arange(20000) // 1000 % 19)[:, None]
+    matrix = rng.integers(-digits, digits, size=(20000, 3))
+    assert len(matrix) * 3 > 4 * _BLOCK_CELLS
+    assert dump_json({"m": matrix}) == reference({"m": matrix.tolist()})
+    lines = "".join(",".join(map(str, row)) + "\n" for row in matrix.tolist())
+    assert "".join(int_rows(matrix, "", ",", "\n")) == lines
 @pytest.mark.parametrize(
     "obj",
     [{1: 2}, np.zeros((2, 2)), np.arange(3), np.int64(3), {"a": {1, 2}}],

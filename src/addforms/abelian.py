@@ -169,24 +169,21 @@ class FiniteAbelianGroup:
             self._tables["diff"] = table
         return table
 
-    def sum_code(self, coeffs: Sequence[int], limit: int) -> "SumCode | None":
-        """The carry-free code (`SumCode`) of the sums sum_i c_i * x_i with the
-        integer coefficients `coeffs`, or None when its length E exceeds
-        `limit` or _CODE_SPREAD * |G|.  The one selection rule of the code
-        path: a caller passes as `limit` the entries its gather serves per
-        row of the table it decodes, so the table gathered at the decode
-        costs no more entries than the block, and takes `combine` on None.
-        Two reduced terms with coefficient 1 give E = prod_t (2 n_t - 1), so
-        a cyclic group always has a code and Z2^k only while 3^k <= 16 * 2^k."""
-        spread = sum(map(abs, coeffs))
-        neg = (spread - sum(coeffs)) // 2
-        most, key = min(limit, _CODE_SPREAD * self.order), ("code", self.moduli, spread, neg)
-        code = _CODES.get(key)
-        if code is None:
-            if math.prod(spread * (n - 1) + 1 for n in self.moduli) > most:
-                return None
-            code = _keep(key, SumCode(self.moduli, spread, neg))
-        return code if code.decode.size <= most else None
+    def sum_code(self, terms: int) -> "SumCode | IndexCode":
+        """The carry-free code (`SumCode`) of the sums of `terms` >= 1 element
+        indices while its length E = prod_t (terms (n_t - 1) + 1) is at most
+        _CODE_SPREAD * |G| and the code takes at most half the cache (E
+        entries, plus |G| weights on a non-cyclic group), leaving the other
+        half to its multiples; else the `IndexCode`: the engine's one choice
+        of gather.  Two terms give E = prod_t (2 n_t - 1): a cyclic group of up
+        to 2^20 elements has a code, Z2^k while 3^k <= 16 * 2^k, Z512xZ512 but
+        not Z1024xZ1024 or Z32^4."""
+        size = math.prod(terms * (n - 1) + 1 for n in self.moduli)
+        weights = 0 if len(self.moduli) == 1 else self.order  # `SumCode.size` counts both
+        if size > min(_CODE_SPREAD * self.order, _CODE_CACHE // 2 - weights):
+            return IndexCode(self)
+        key = ("code", self.moduli, terms)
+        return _CODES.get(key) or _keep(key, SumCode(self.moduli, terms))
 
     def combine(self, terms, offsets: Sequence[int] | None = None):
         """Flat indices of offsets + sum of c * x over (c, index array) terms.
@@ -199,10 +196,9 @@ class FiniteAbelianGroup:
         (un)ravel: residues from `residue_table`, folded as flat * n + comp.
 
         It makes a pass per term, a `%` and a fold per component, so the
-        engine's table gathers take a `SumCode` instead; `combine` serves the
-        scalar and parse-time callers, the small (parts, rows) block of the
-        pinned parts in `linform._tables`, and the gathers whose code
-        `sum_code` refuses.
+        engine's table gathers index by `sum_code` instead.  `combine` serves
+        the scalar and parse-time callers, the small (parts, rows) block of
+        the pinned parts in `linform._tables`, and the `IndexCode` fallback.
         """
         flat = 0
         for t, n in enumerate(self.moduli):
@@ -238,40 +234,33 @@ def _keep(key, value):
 
 
 class SumCode:
-    """A carry-free mixed-radix code for the sums sum_i c_i * x_i of group
-    terms, x_i element indices of the group of `moduli` and c_i integers
-    whose absolute values sum to `spread`, from `FiniteAbelianGroup.sum_code`.
+    """A carry-free mixed-radix code for the sums x_1 + ... + x_k of k =
+    `spread` >= 1 element indices of the group of `moduli`, from
+    `FiniteAbelianGroup.sum_code`; a term c * x enters as the index of c * x
+    (`multiple`).
 
-    Digit t of a sum is its unreduced component sum s_t = sum_i c_i *
-    res_t(x_i), which lies in [lo_t, hi_t] with hi_t - lo_t = spread (n_t - 1),
-    so its radix is R_t = spread (n_t - 1) + 1, the first digit slowest.  The
-    code of a sum is then the sum of its terms' codes, c_i * weight[x_i] with
-    weight[x] = sum_t res_t(x) prod_{u > t} R_u, each computed on its term's
-    own shape, and nothing is reduced mod n_t.  `decode`, of length
-    E = prod_t R_t <= _CODE_SPREAD * |G|, maps a code to the flat index of the
-    sum: gathered once at `decode`, a (rows, |G|) table is indexed by codes,
-    so a block costs one broadcast add and one gather.  Codes below 0
-    (negative c_i) index it from the end, as numpy does, so it is stored
-    rotated by the lower bound.  Codes and multiples are cached (`_keep`).
+    Digit t of a sum is its unreduced component sum s_t = sum_i res_t(x_i),
+    which lies in [0, spread (n_t - 1)], so its radix is R_t = spread (n_t - 1)
+    + 1, the first digit slowest.  The code of a sum is then the sum of its
+    terms' codes weight[x_i] with weight[x] = sum_t res_t(x) prod_{u > t} R_u,
+    each computed on its term's own shape, and nothing is reduced mod n_t.
+    `decode`, of length E = prod_t R_t, maps a code to the flat index of the
+    sum: gathered once at `decode` (`ready`), a (rows, |G|) table is indexed
+    by codes, so a block costs one broadcast add and one gather.  Codes and
+    multiples are cached (`_keep`).
     """
 
     __slots__ = ("moduli", "radices", "spread", "weight", "decode", "size")
 
-    def __init__(self, moduli: tuple[int, ...], spread: int, neg: int):
+    def __init__(self, moduli: tuple[int, ...], spread: int):
         self.moduli, self.spread = moduli, spread
         self.radices = radices = [spread * (n - 1) + 1 for n in moduli]
         order = math.prod(moduli)
-        # "wrap" acts only at spread 0, where every radix is 1 and every code 0
-        every = np.unravel_index(np.arange(order), moduli)
-        weight = np.ravel_multi_index(every, radices, mode="wrap")
+        weight = np.ravel_multi_index(np.unravel_index(np.arange(order), moduli), radices)
         weight.flags.writeable = False
         self.weight = None if len(moduli) == 1 else weight  # a cyclic weight is the index
-        # digit t of a code is s_t - lo_t with lo_t = -neg (n_t - 1), so s_t is
-        # the digit plus neg mod n_t; the sum with every s_t at lo_t has code
-        # -neg * weight[-1], and a code c sits at c mod E
         digits = np.unravel_index(np.arange(math.prod(radices)), radices)
-        decode = np.ravel_multi_index([(d + neg) % n for d, n in zip(digits, moduli)], moduli)
-        self.decode = np.roll(decode, -neg * int(weight[-1])) if neg else decode
+        self.decode = np.ravel_multi_index([d % n for d, n in zip(digits, moduli)], moduli)
         self.decode.flags.writeable = False
         self.size = self.decode.size + (0 if self.weight is None else order)  # for `_keep`
 
@@ -279,13 +268,19 @@ class SumCode:
         """The codes of the element indices x: weight[x], on a cyclic group x."""
         return x if self.weight is None else self.weight[x]
 
-    def encode(self, terms):
-        """The codes of the sums of c * x over (c, index array) terms with
-        the coefficients the code was made for: `decode` of them is
-        `combine(terms)`."""
+    def ready(self, table: np.ndarray) -> np.ndarray:
+        """`table`, over the elements on its last axis, gathered at `decode`,
+        so that codes index it."""
+        return table.take(self.decode, axis=-1)
+
+    def index(self, terms):
+        """The codes of the sums of c * x over at most `spread` (c, index
+        array) terms: `decode` of them is `combine(terms)`.  Each term is
+        reduced first (`multiple`; an array c takes a 1-D x)."""
         code = None
         for c, x in terms:
-            part = self(x) if c == 1 else c * self(x)
+            unit = not isinstance(c, np.ndarray) and c == 1
+            part = self(x) if unit else self.multiple(c).take(x, axis=-1)
             code = part if code is None else code + part
         return code
 
@@ -303,6 +298,19 @@ class SumCode:
             codes.flags.writeable = False
             _keep(key, codes)
         return codes
+
+
+class IndexCode:
+    """The fallback of `FiniteAbelianGroup.sum_code`, with `SumCode`'s methods:
+    a sum's code is its flat index (`combine`), and a table is ready as is."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, group: FiniteAbelianGroup):
+        self.index = group.combine
+
+    def ready(self, table: np.ndarray) -> np.ndarray:
+        return table
 
 
 class GroupElement:

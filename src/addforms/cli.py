@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -217,6 +218,22 @@ def _sweep(kind: str, group: FiniteAbelianGroup, batches, slack):
     return report, violations > 0
 
 
+def _check_fold_digits(order: int, folds: int) -> None:
+    """Refuse (CapExceeded), before any sumset pass, a Plunnecke-Ruzsa check
+    whose exact denominator |G|^(r+s) has more decimal digits than Python
+    writes (`sys.get_int_max_str_digits()`, 0 for no limit)."""
+    most = sys.get_int_max_str_digits()
+    if not most or order < 2 or folds < 1:
+        return
+    # log10(|G|) >= 0.3 bounds the float; within 1 of the limit, compare exactly
+    log = min(folds, 4 * most + 4) * math.log10(order)
+    if log >= most + 1 or (log > most - 1 and order**folds >= 10**most):
+        raise CapExceeded(
+            f"the exact denominator {order}^(r+s) has more than {most} digits, "
+            "more than Python writes; lower --r or --s"
+        )
+
+
 def _describe_instance(subsets) -> dict:
     return {name: s.residue_lists() for name, s in zip("AB", subsets)}
 
@@ -255,6 +272,8 @@ def _cmd_check(args):
     if args.group is None:
         raise ParseError(f"missing --group for --{kind}")
     group = abelian.parse_group(args.group)
+    if kind == "plunnecke-ruzsa":
+        _check_fold_digits(group.order, r + s)
 
     slack = {
         "kneser": bounds.kneser_rows,

@@ -10,15 +10,17 @@ for a shared subset.  They work in chunks of rows (`_chunks`): per chunk,
 `_tables` reads membership from the subsets' bit matrix at each row's
 subset, keeps the rows that pass the forms without a free variable and
 builds the table of each direction of the others' free coefficients by
-its own gather.  `count_rows` counts the completions of every row from
-those tables by variable elimination, pair counts through
-`abelian.pair_count_rows` and the last two or three variables through
-`_stack_counts`, which `reduction`'s graphs share; `_link` builds each of
-its stacks.  `solve_rows` lists the completions: it binds the free
-variables one per level, and one step, `_grow`, extends the frontier of
-all rows by the values where a level's table holds, so unsatisfiable
-prefixes are pruned early; a system no rule covers has its first free
-variable pinned by the same step and is counted again.  The density and
+its own gather.  Every table gather indexes through the group's
+`sum_code`, which alone chooses the carry-free code or `combine`.
+`count_rows` counts the completions of every row from those tables by
+variable elimination, pair counts through `abelian.pair_count_rows` and
+the last two or three variables through `_stack_counts`, which
+`reduction`'s graphs share; `_link` builds each of its stacks.
+`solve_rows` lists the completions: it binds the free variables one per
+level, and one step, `_grow`, extends the frontier of all rows by the
+values where a level's table holds, so unsatisfiable prefixes are pruned
+early; a system no rule covers has its first free variable pinned by the
+same step and is counted again.  The density and
 quantum functions call `count_rows`, `enumerate_satisfying` `solve_rows`,
 and `estimate_density` tests its samples against the tables of a row with
 no pinned variable.  Counts are exact integers, densities exact rationals.
@@ -407,21 +409,15 @@ def _unary(tabs: dict, v: int, rows: int, n: int) -> np.ndarray:
 def _link(group, unary: dict, tables: dict, r: slice, link: tuple, sp, sq) -> np.ndarray:
     """The (rows, |sp|, |sq|) stack of link (p, q, dirs) on the rows r: u_p at
     sp (left out when None, or boolean on one row: all True on its support)
-    times each table d at d . (sp[i], sq[j]), one index block and gather
-    each.  The block is the codes of d_p * sp plus those of d_q * sq (both
-    reduced first) when `sum_code` admits a code of |sp| * |sq| entries, and
-    the table is gathered at its decode; otherwise one `combine`."""
+    times each table d at d . (sp[i], sq[j]): one index block, by the
+    group's two-term `sum_code`, and one gather each."""
     p, q, dirs = link
     u = unary[p] if unary[p] is None else unary[p][r]
     mat = None if u is None or (len(u) == 1 and u.dtype == bool) else u[:, sp, None]
-    code = group.sum_code((1, 1), sp.size * sq.size)
+    code = group.sum_code(2)
     for d in dirs:
-        if code is None:
-            table, idx = tables[d][r], group.combine([(d[p], sp[:, None]), (d[q], sq[None])])
-        else:
-            table = tables[d][r].take(code.decode, axis=1)
-            idx = code.multiple(d[p])[sp][:, None] + code.multiple(d[q])[sq]
-        hit = np.take(table, idx, axis=1)
+        idx = code.index([(d[p], sp[:, None]), (d[q], sq[None])])
+        hit = np.take(code.ready(tables[d][r]), idx, axis=1)
         mat = hit if mat is None else mat * hit
     return mat
 
@@ -517,16 +513,11 @@ def _tables(
     under its key, from one gather.  Membership is read from the (s, |G|)
     bit matrix `bits` of the subsets, row i of `part` in subset which[i];
     with s = 1, `which` is not read and no offset added.  The index of a
-    table is m * w plus a pinned part, both reduced: by the `SumCode` of two
-    terms when `sum_code` admits it for the tables' (forms, rows, |G|)
-    entries, so the bit matrix is gathered once at its decode, for every
-    table, and an index block is the cached codes of m * w plus those of the
-    pinned parts; otherwise by one `combine` per table."""
+    table is m * w plus a pinned part, one index block by the group's
+    two-term `sum_code`, into the rows of the bit matrix that the live rows
+    use, readied for it once for every table."""
     pinned, filters, tables, _ = plan
     n = group.order
-    memb = bits.reshape(-1)
-    # subset s starts at s * |G| in the flat bit matrix
-    base = None if len(bits) == 1 else which * n
     # the pinned parts, (distinct parts, rows); one part of zeros when every
     # form's is 0, so each table has a row per live row
     if pinned:
@@ -536,25 +527,22 @@ def _tables(
     live = np.arange(len(part))
     if filters is not None:
         at, _, neg = filters
-        idx = off[at]
-        live = live[(memb[idx if base is None else idx + base] != neg).all(axis=0)]
+        idx = off[at] if len(bits) == 1 else off[at] + which * n  # subset s at s * |G|
+        live = live[(bits.reshape(-1)[idx] != neg).all(axis=0)]
         off = off[:, live]
-    block = n * live.size * sum(len(at) for _, (at, _, _) in tables)
-    code = group.sum_code((1, 1), block // len(bits))
-    if code is not None:  # one gather of the bits for every table; subset s starts at s * E
-        if base is None:
-            memb, off = memb[code.decode], code(off)
-        else:
-            memb = bits.take(code.decode, axis=1).reshape(-1)
-            off = code(off) + which[live] * code.decode.size
+    code = group.sum_code(2)
+    if len(bits) == 1:
+        memb = code.ready(bits).reshape(-1)
+    else:  # only the live rows' subsets are readied, the k-th at k * ready.shape[1]
+        sub, k = np.unique(which[live], return_inverse=True)
+        ready = code.ready(bits[sub])
+        memb, base = ready.reshape(-1), k[:, None] * ready.shape[1]
     tabs = {}
-    every = np.arange(n, dtype=np.int64)[None, None, :]
+    every = np.arange(n, dtype=np.int64)
     for key, (at, m, neg) in tables:
-        if code is not None:
-            idx = code.multiple(m) + off[at][:, :, None]
-        else:
-            idx = group.combine([(m, every), (1, off[at][:, :, None])])
-            idx = idx if base is None else idx + base[live, None]
+        idx = code.index([(m, every), (1, off[at][:, :, None])])  # a new block: add in place
+        if len(bits) > 1:
+            idx += base
         tabs[key] = (memb[idx] != neg).all(axis=0)
     return live, tabs
 
@@ -693,10 +681,8 @@ def estimate_density(
     the result depends only on (seed, samples), and memory does not grow
     with `samples`.  Samples are tested against the tables of `_tables` for
     a row with no pinned variable: one gather per direction of the forms.
-    A direction's coefficients apply unreduced to the sample columns, as
-    the `SumCode` of its table gathered once per call at the decode, when
-    `sum_code` admits a code of at most `samples` entries (on a cyclic
-    group the codes are the columns themselves); otherwise by `combine`.
+    A direction indexes its table, readied once per call, by the codes of
+    the sample columns' sum with its coefficients (`sum_code`'s `index`).
     Refuses (CapExceeded) samples * forms over `budget`, before any draw.
     """
     if samples < 1:
@@ -714,11 +700,14 @@ def estimate_density(
     chunks = -(-samples // _SAMPLE_CHUNK)
     workers = min(threads, chunks)
 
-    # (variable or direction, its code or None, its table at the code's decode)
+    # (variable or direction, the code of its terms, its table readied for it)
     tests = []
     for key, table in tabs.items():
-        code = None if isinstance(key, int) else group.sum_code(key, samples)
-        tests.append((key, code, table[0] if code is None else table[0][code.decode]))
+        if isinstance(key, int):
+            tests.append((key, None, table[0]))
+        else:
+            code = group.sum_code(sum(map(bool, key)))
+            tests.append((key, code, code.ready(table[0])))
 
     def hits_of(ci: int) -> int:
         m = min(_SAMPLE_CHUNK, samples - ci * _SAMPLE_CHUNK)
@@ -729,8 +718,7 @@ def estimate_density(
             if isinstance(key, int):
                 w = cols[key]  # a lone variable is its own index
             else:
-                terms = [(c, cols[i]) for i, c in enumerate(key) if c]
-                w = group.combine(terms) if code is None else code.encode(terms)
+                w = code.index([(c, cols[i]) for i, c in enumerate(key) if c])
             ok &= table[w]
         return int(ok.sum())
 

@@ -6,7 +6,9 @@ variables themselves, the substituted families V_j / E_j / T_j over extra
 slot variables, and the quantum combination psi matching a cleared input
 polynomial.  Verifiers exhaustively confirm the pin-down property, the
 vertex/edge/triangle density identities against directed difference graphs,
-and the explicit product-group witness.
+and the explicit product-group witness; `_graph_counts` counts the
+difference graphs through `linform._stack_counts`, with the group's
+`sum_code` indexing its gather as it does the engine's.
 
 Variable layout everywhere: the k original variables first, then the slot
 variables z, z', z'' as needed (V_j has k+1 variables, E_j k+2, T_j k+3).
@@ -208,15 +210,10 @@ def _graph_counts(group, vertex_rows, connection_rows, shifts) -> tuple[np.ndarr
     B_i and C_i rows of the boolean (rows or 1, |G|) `vertex_rows` and
     `connection_rows`: `linform._stack_counts` of the same dicts, t_i on the
     edges and B_i as unaries, for `_CYCLE`'s first edge (pairs) and all of it.
-    t is gathered by the `SumCode` of x + s_i when `sum_code` admits it."""
-    code = group.sum_code((1, 1), len(shifts) * group.order // len(connection_rows))
-    if code is None:
-        every = np.arange(group.order, dtype=np.int64)
-        conn, shifted = connection_rows, group.combine([(1, every[None, :]), (1, shifts[:, None])])
-    else:
-        conn = connection_rows.take(code.decode, axis=1)
-        shifted = code.multiple(1) + code(shifts)[:, None]
-    t = np.take_along_axis(conn, shifted, axis=1)
+    t is gathered at x + s_i by the group's two-term `sum_code`."""
+    code, every = group.sum_code(2), np.arange(group.order, dtype=np.int64)
+    shifted = code.index([(1, every[None, :]), (1, shifts[:, None])])
+    t = np.take_along_axis(code.ready(connection_rows), shifted, axis=1)
     b = np.broadcast_to(vertex_rows, t.shape)
     unary, tables = {0: b, 1: b, 2: b}, {d: t for _, _, (d,) in _CYCLE}
     pairs = linform._stack_counts(group, _CYCLE[:1], unary, tables, len(t), False)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,46 @@ def test_exit_code_cap(capsys):
         "resource cap: predicted work 67108864 exceeds budget 1000; raise the budget or use "
         "the `estimate` verb (`estimate_density` in the library) for a Monte Carlo estimate\n"
     )
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit of 4300 digits for writing an integer."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one sumset pass per fold: this ran past a 30 s timeout
+        ["--random", "3", "--r", "3000000"],
+        # the report could not write 6^100001 (exit 2, "Exceeds the limit")
+        ["--set-a", "{0}", "--set-b", "{0,1}", "--r", "100000"],
+        # 6^5526 has 4301 digits
+        ["--set-a", "{0}", "--set-b", "{0,1}", "--r", "5525"],
+        # past what a float holds
+        ["--set-a", "{0}", "--set-b", "{0,1}", "--r", "9" * 400],
+    ],
+)
+def test_plunnecke_ruzsa_refuses_denominators_past_the_digit_limit(capsys, digit_limit, argv):
+    code, out, err = run_cli(capsys, "check", "--plunnecke-ruzsa", "--group", "Z6", *argv)
+    assert code == 3 and out == ""
+    assert err == (
+        "resource cap: the exact denominator 6^(r+s) has more than 4300 digits, "
+        "more than Python writes; lower --r or --s\n"
+    )
+
+
+def test_plunnecke_ruzsa_writes_a_denominator_at_the_digit_limit(capsys, digit_limit):
+    # 6^5525 has 4300 digits; A + B = {0, 1} and 5524B - B = G
+    argv = ["--group", "Z6", "--set-a", "{0}", "--set-b", "{0,1}", "--r", "5524"]
+    code, out, err = run_cli(capsys, "check", "--plunnecke-ruzsa", *argv)
+    assert code == 0 and err == ""
+    lhs = json.loads(out)["lhs"]
+    assert Fraction(int(lhs["num"]), int(lhs["den"])) == Fraction(2**5525 - 6, 6**5525)
 
 
 @pytest.mark.parametrize("arity", [3000, 99999])

@@ -23,6 +23,8 @@ from addforms import abelian
 from addforms.abelian import (
     FiniteAbelianGroup,
     GroupSubset,
+    IndexCode,
+    SumCode,
     additive_energy_raw,
     additive_energy_rows,
     pair_count_rows,
@@ -190,28 +192,40 @@ def test_combine_matches_oracle(moduli, data):
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.data())
 def test_sum_code_gathers_what_combine_gathers(moduli, data):
-    # the carry-free code against `combine`: its selection rule, sums with
-    # negative and zero-residue coefficients, cached multiples with array
-    # coefficients, and a bit matrix gathered at the decode with one subset
-    # per row
+    # the group-only selection rule of `sum_code`, and both of its objects
+    # (the carry-free code and the `combine` fallback) against `combine`:
+    # sums with negative and zero-residue coefficients, cached multiples with
+    # array coefficients, and a bit matrix readied for the index blocks with
+    # one subset per row
+    assert isinstance(FiniteAbelianGroup([2] * 6).sum_code(2), SumCode)  # 3^6 <= 16 * 2^6
+    assert isinstance(FiniteAbelianGroup([2] * 7).sum_code(2), IndexCode)  # 3^7 > 16 * 2^7
+    # codes of more than half the cache, 2^21 entries: 2047^2 + 2^20 and 63^4 + 2^20
+    assert isinstance(FiniteAbelianGroup([1024, 1024]).sum_code(2), IndexCode)
+    assert isinstance(FiniteAbelianGroup([32] * 4).sum_code(2), IndexCode)
     group = FiniteAbelianGroup(moduli)
     n = group.order
     coeff = st.integers(-3, 3) | st.sampled_from([-n, n, *moduli])
     coeffs = data.draw(st.lists(coeff, min_size=1, max_size=3))
-    size = math.prod(sum(map(abs, coeffs)) * (m - 1) + 1 for m in moduli)
-    assert (group.sum_code(coeffs, size) is None) == (size > 16 * n)
-    assert group.sum_code(coeffs, size - 1) is None
+    size = math.prod(len(coeffs) * (m - 1) + 1 for m in moduli)
+    assert type(group.sum_code(len(coeffs))) is (SumCode if size <= 16 * n else IndexCode)
+    weights = 0 if len(moduli) == 1 else n
+    with mock.patch.object(abelian, "_CODE_CACHE", 2 * (size + weights)):
+        assert type(group.sum_code(len(coeffs))) is (SumCode if size <= 16 * n else IndexCode)
+    with mock.patch.object(abelian, "_CODE_CACHE", 2 * (size + weights) - 1):
+        assert type(group.sum_code(len(coeffs))) is IndexCode
     with mock.patch.object(abelian, "_CODE_SPREAD", float("inf")):
-        code = group.sum_code(coeffs, size) if size <= 1 << 16 else None
-        pair = group.sum_code((1, 1), 1 << 20)
-    elements = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
-    if code is not None:
-        shapes = [(-1,) + (1,) * i for i in range(len(coeffs))]  # broadcast to a block
-        terms = [(c, np.array(data.draw(elements)).reshape(s)) for c, s in zip(coeffs, shapes)]
-        assert code.decode.size == size
-        assert np.array_equal(code.decode[code.encode(terms)], group.combine(terms))
-    m = np.array(data.draw(st.lists(coeff, min_size=1, max_size=3))).reshape(-1, 1, 1)
+        coded, pair = group.sum_code(len(coeffs)), group.sum_code(2)
+    with mock.patch.object(abelian, "_CODE_SPREAD", 0):
+        plain, fallback = group.sum_code(len(coeffs)), group.sum_code(2)
+    assert coded.decode.size == size and type(pair) is SumCode
+    assert type(plain) is type(fallback) is IndexCode
     every = np.arange(n)
+    elements = st.lists(st.integers(0, n - 1), min_size=1, max_size=5)
+    shapes = [(-1,) + (1,) * i for i in range(len(coeffs))]  # broadcast to a block
+    terms = [(c, np.array(data.draw(elements)).reshape(s)) for c, s in zip(coeffs, shapes)]
+    for code in (coded, plain):
+        assert np.array_equal(code.ready(every)[code.index(terms)], group.combine(terms))
+    m = np.array(data.draw(st.lists(coeff, min_size=1, max_size=3))).reshape(-1, 1, 1)
     for c in (int(m[0, 0, 0]), m):
         assert np.array_equal(pair.decode[pair.multiple(c)], group.combine([(c, every)]))
     rows = data.draw(st.integers(1, 4))
@@ -219,10 +233,17 @@ def test_sum_code_gathers_what_combine_gathers(moduli, data):
     which = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=5)))
     offsets = st.lists(st.integers(0, n - 1), min_size=len(which), max_size=len(which))
     off = np.array(data.draw(offsets))
-    want = bits[which[:, None], group.combine([(m, every), (1, off[:, None])])]
-    ext = bits[:, pair.decode].reshape(-1)
-    got = ext[pair.multiple(m) + (pair(off) + which * pair.decode.size)[:, None]]
-    assert np.array_equal(got, want)
+    c2 = data.draw(coeff)
+    blocks = (  # as `linform._tables` and `linform._link` index them
+        [(m, every), (1, off[None, :, None])],
+        [(int(m[0, 0, 0]), off[:, None]), (c2, every[None, :])],
+    )
+    for code in (pair, fallback):
+        ready = code.ready(bits)
+        for block in blocks:
+            want = bits[which[:, None], group.combine(block)]
+            got = ready.reshape(-1)[code.index(block) + which[:, None] * ready.shape[1]]
+            assert np.array_equal(got, want)
 
 
 def test_threads_keep_the_code_cache_bounded_and_right(monkeypatch):
@@ -238,11 +259,10 @@ def test_threads_keep_the_code_cache_bounded_and_right(monkeypatch):
         rng = np.random.default_rng(seed)
         try:
             for _ in range(300):
-                coeffs = rng.integers(-2, 3, size=2).tolist()
-                terms = [(c, x[::step]) for c, step in zip(coeffs, (1, -1))]
-                code = group.sum_code([c for c, _ in terms], 1 << 20)
-                if code is not None:
-                    assert np.array_equal(code.decode[code.encode(terms)], group.combine(terms))
+                coeffs = rng.integers(-2, 3, size=rng.integers(1, 4)).tolist()
+                terms = [(c, np.roll(x[::-1], shift)) for c, shift in zip(coeffs, (0, 1, 5))]
+                code = group.sum_code(len(terms))
+                assert np.array_equal(code.ready(x)[code.index(terms)], group.combine(terms))
         except Exception as exc:  # noqa: BLE001 - reported by the assertion below
             errors.append(exc)
 

@@ -12,7 +12,7 @@ import oracles
 from conftest import subset_from_mask, subset_from_tuples
 
 from addforms import abelian, linform
-from addforms.abelian import FiniteAbelianGroup, GroupSubset, additive_energy
+from addforms.abelian import FiniteAbelianGroup, GroupSubset, SumCode, additive_energy
 from addforms.errors import CapExceeded, GroupMismatchError, ParseError
 from addforms.linform import (
     LinearForm,
@@ -500,12 +500,14 @@ def test_rows_reject_bad_prefixes():
 _SUM_CODE = FiniteAbelianGroup.sum_code
 
 
-@pytest.mark.parametrize("moduli, coded", [((9, 5, 5), True), ((2,) * 12, False)])
+@pytest.mark.parametrize("moduli, coded", [((9, 5, 5), True), ((2,) * 12, False), ((9, 2), True)])
 def test_rows_and_estimates_agree_on_both_sides_of_the_code_selection(moduli, coded, monkeypatch):
-    # the engine gathers its tables by the carry-free code where `sum_code`
-    # admits it (Z9xZ5xZ5, with E = 17 * 9 * 9 for two terms) and by `combine`
-    # where it refuses (Z2^12: 3^12 > 16 * 2^12); taking the other path
-    # changes no count, completion or estimate
+    # the engine's two-term gathers take the carry-free code where `sum_code`
+    # gives one (Z9xZ5xZ5, with E = 17 * 9 * 9, and Z9xZ2, the shape of
+    # `verify homdensity`'s one subset per row) and `combine` where it does
+    # not (Z2^12: 3^12 > 16 * 2^12); forcing the other side through the
+    # selection rule changes no count, completion or estimate.  Every gather
+    # here sums two terms.
     group = FiniteAbelianGroup(moduli)
     rng = np.random.default_rng(11)
     subsets = [GroupSubset(group, rng.random(group.order) < 0.5) for _ in range(4)]
@@ -514,9 +516,9 @@ def test_rows_and_estimates_agree_on_both_sides_of_the_code_selection(moduli, co
     prefixes = rng.integers(0, group.order, size=(40, 2))
     taken = []
 
-    def spy(self, coeffs, limit):
-        code = _SUM_CODE(self, coeffs, limit)
-        taken.append(code is not None)
+    def spy(self, terms):
+        code = _SUM_CODE(self, terms)
+        taken.append(isinstance(code, SumCode))
         return code
 
     def run():
@@ -530,15 +532,9 @@ def test_rows_and_estimates_agree_on_both_sides_of_the_code_selection(moduli, co
 
     monkeypatch.setattr(FiniteAbelianGroup, "sum_code", spy)
     got = run()
-    # on Z9xZ5xZ5 the code of 2g1 + g3 is refused, 25 * 13 * 13 > 16 * 225
-    assert (any(taken), all(taken)) == (coded, False)
-    if coded:
-        monkeypatch.setattr(FiniteAbelianGroup, "sum_code", lambda self, coeffs, limit: None)
-    else:
-        monkeypatch.setattr(abelian, "_CODE_SPREAD", float("inf"))
-        monkeypatch.setattr(
-            FiniteAbelianGroup, "sum_code", lambda self, coeffs, limit: spy(self, coeffs, 1 << 20)
-        )
-        taken.clear()
+    assert set(taken) == {coded}  # every gather, the estimate's directions too
+    # Z2^12's two-term code has 3^12 <= 256 * 2^12 entries
+    monkeypatch.setattr(abelian, "_CODE_SPREAD", 0 if coded else 256)
+    taken.clear()
     assert run() == got
-    assert coded or all(taken)
+    assert set(taken) == {not coded}

@@ -116,16 +116,12 @@ def test_compute_B_C_empty_when_M_fails():
 
 
 def _oracle_graph_densities(u):
+    # edge by edge; the 3-cycles (x, y, z) are the trace of the cube of the
+    # adjacency matrix
     b = u.vertices.elements()
     m = len(b)
-    edges = sum(1 for x in b for y in b if u.has_edge(x, y))
-    tri = sum(
-        1
-        for x in b
-        for y in b
-        for z in b
-        if u.has_edge(x, y) and u.has_edge(y, z) and u.has_edge(z, x)
-    )
+    adj = np.array([[u.has_edge(x, y) for y in b] for x in b], dtype=np.int64).reshape(m, m)
+    edges, tri = int(adj.sum()), int(np.trace(adj @ adj @ adj))
     return Fraction(edges, m * m), Fraction(tri, m**3)
 
 
@@ -203,7 +199,8 @@ def _graph_rows(group, seed, rows):
     return vertices, connections, rng.integers(0, group.order, rows)
 
 
-@pytest.mark.parametrize("moduli", [(12,), (3, 4), (2, 2, 3)])
+# Z2^7 takes the `combine` fallback of `sum_code` (3^7 > 16 * 2^7), the others the code
+@pytest.mark.parametrize("moduli", [(12,), (3, 4), (2, 2, 3), (2,) * 7])
 def test_row_wise_graph_counts_match_per_row_graph_densities(moduli):
     group = FiniteAbelianGroup(moduli)
     vertices, connections, shifts = _graph_rows(group, sum(moduli), 9)

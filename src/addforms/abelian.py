@@ -8,6 +8,7 @@ densities, energies and counts are exact: integers or `fractions.Fraction`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -42,9 +43,11 @@ _PAIRWISE_ROW_PAIRS = 1 << 10
 _BATCH_PAIRS_PER_ELEMENT = 8
 _BATCH_CALL_PAIRS = 1 << 12
 _TABLE_ORDER_PER_AXIS = 32
-# A row of `pair_count_rows` holds up to about 48 bytes of temporaries per
-# group element (measured); `batch_rows` keeps a batch near this many bytes,
-# so sweeps stay within the peak RSS of the per-subset code they replace.
+# A row of `pair_count_rows` holds up to about 44 bytes of temporaries per
+# group element (measured by tracemalloc: the float64 FFT over two axes with
+# an empty row in the batch; 27 on the float32 FFT, 22 on the butterflies);
+# `batch_rows` budgets 48, which keeps a batch within this many bytes, so
+# sweeps stay within the peak RSS of the per-subset code they replace.
 _BATCH_BYTES = 1 << 20
 # int64 holds every integer below this: pair counts, their squares' sums and
 # the butterflies' partial sums are at most |G|^3.
@@ -551,18 +554,67 @@ def _table_counts(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np
 def _certified_fft(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs):
     """Pair counts of the rows of two (rows, |G|) indicator matrices by one
     real FFT convolution over the group axes (the C-order index makes
-    `reshape(rows, *moduli)` the array to transform), rounded to int64, with
-    a per-row certificate: every value lies within 1/4 of an integer and the
-    row sums to `pairs` (|A_i| * |B_i|).  Pass `b is a` for A + A."""
+    `reshape(rows, *moduli)` the array to transform), in the precision of
+    `_fft_dtype`, rounded to int64, with a per-row certificate: every value
+    lies within 1/4 of an integer and the row sums to `pairs`
+    (|A_i| * |B_i|).  Pass `b is a` for A + A."""
     rows = len(a)
     shape = (rows, *group.moduli)
     axes = tuple(range(1, group.rank + 1))
-    fa = np.fft.rfftn(a.reshape(shape), axes=axes)
-    fb = fa if b is a else np.fft.rfftn(b.reshape(shape), axes=axes)
-    raw = np.fft.irfftn(fa * fb, s=group.moduli, axes=axes).reshape(rows, group.order)
+    dtype = _fft_dtype(group, pairs)
+    # numpy 2.4 runs a float32 forward transform in double under the default
+    # norm (its scale, the int 1, picks the double loop, through casting
+    # buffers); norm="forward" keeps float32, and on |G| = 2^n its scale
+    # 1/|G| per operand, and the |G|^2 that undoes both, are exact
+    norm = "forward" if dtype is np.float32 else "backward"
+    fa = np.fft.rfftn(a.reshape(shape).astype(dtype), axes=axes, norm=norm)
+    fa *= fa if b is a else np.fft.rfftn(b.reshape(shape).astype(dtype), axes=axes, norm=norm)
+    if dtype is np.float32:
+        fa *= group.order**2
+    raw = np.fft.irfftn(fa, s=group.moduli, axes=axes).reshape(rows, group.order)
+    del fa
     counts = np.rint(raw)
-    ok = (np.abs(raw - counts).max(axis=1) < 0.25) & (counts.sum(axis=1) == pairs)
-    return counts.astype(np.int64), ok
+    raw -= counts
+    np.abs(raw, out=raw)
+    ok = raw.max(axis=1) < 0.25
+    counts = counts.astype(np.int64)
+    ok &= counts.sum(axis=1) == pairs
+    return counts, ok
+
+
+def _fft_dtype(group: FiniteAbelianGroup, pairs):
+    """float32 when Percival's a priori bound proves that a float32 FFT
+    convolution rounds every pair count to the right integer, else float64.
+
+    Percival, Math. Comp. 72 (2003), Thm 5.1: an FFT convolution of integer
+    vectors x, y of length 2^n, in floating point of unit roundoff u with
+    roots of unity within beta of the true ones, is off by less than
+    ||x|| ||y|| ((1 + u)^3n (1 + u sqrt 5)^(3n+1) (1 + beta)^3n - 1) in
+    every entry.  For indicator rows ||x|| ||y|| = sqrt(|A_i| |B_i|), so
+    float32 (u = 2^-24) is used when the batch's largest |A_i| |B_i| keeps
+    the bound below 1/2 (`_float32_pairs`).  numpy's pocketfft computes its
+    float32 roots in double and rounds them, so beta < 2u.  The theorem is
+    for power-of-two lengths, transformed by radix-2 stages.  It is taken to
+    cover a group of order 2^n on any number of axes, whose transform is n
+    radix-2 stages in all (pocketfft runs them as radix-4 and radix-2
+    passes); every other group stays in float64.  The certificate of
+    `_certified_fft` still checks every row."""
+    bits = group.order.bit_length() - 1
+    if group.order == 1 << bits and pairs.max() <= _float32_pairs(bits):
+        return np.float32
+    return np.float64
+
+
+@functools.cache
+def _float32_pairs(bits: int) -> int:
+    """The largest |A| * |B| for which Percival's bound (`_fft_dtype`) on a
+    float32 transform of length 2^bits is below 1/2, in exact rationals:
+    2237/1000 > sqrt 5 and beta = 2u."""
+    u = Fraction(1, 1 << 24)
+    m = 3 * bits
+    growth = (1 + u) ** m * (1 + u * Fraction(2237, 1000)) ** (m + 1) * (1 + 2 * u) ** m - 1
+    # sqrt(pairs) * growth < 1/2  <=>  pairs < 1 / (4 growth^2)
+    return math.ceil(1 / (4 * growth**2)) - 1
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
@@ -674,18 +726,21 @@ def sumset_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np.n
 def signed_iterated_sumset_rows(
     group: FiniteAbelianGroup, b: np.ndarray, r: int, s: int
 ) -> np.ndarray:
-    """Row-wise rB_i - sB_i as a boolean (rows, |G|) matrix."""
+    """Row-wise rB_i - sB_i as a boolean (rows, |G|) matrix.  Each sign's
+    folds stop once a fold changes no row: X + B = X gives X + 2B = X + B,
+    so every later fold is the same."""
     if r < 0 or s < 0:
         raise ValueError("fold counts must be nonnegative")
     if r + s < 1:
         raise ValueError("need r + s >= 1")
     folded = np.zeros_like(b)
     folded[:, 0] = True
-    for _ in range(r):
-        folded = sumset_rows(group, folded, b)
-    negated = _negated_rows(group, b)
-    for _ in range(s):
-        folded = sumset_rows(group, folded, negated)
+    for step, folds in ((b, r), (_negated_rows(group, b), s)):
+        for _ in range(folds):
+            grown = sumset_rows(group, folded, step)
+            if np.array_equal(grown, folded):
+                break
+            folded = grown
     return folded
 
 

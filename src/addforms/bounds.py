@@ -149,17 +149,28 @@ class SegmentResult:
         }
 
 
-def _grid_points(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
-    points = [lo]
-    first = math.ceil(lo / step)
-    last = math.floor(hi / step)
+# The integer coefficients, constant term first, of each claim's function on
+# branch t, keyed by the claim's symbol.
+_BRANCH_COEFFICIENTS = {
+    "delta'": lambda t: (0, -2, 3 * (2 * t + 1), -4 * t * (t + 1)),
+    "delta''": lambda t: (-2, 6 * (2 * t + 1), -12 * t * (t + 1)),
+}
+
+
+def _grid_numerators(coefficients, first: int, last: int, step: Fraction) -> list[int]:
+    """The polynomial of these integer coefficients at i * step for i = first..
+    last, as integer numerators over v^deg where step = u/v: p(iu/v) v^deg =
+    sum of c_k (iu)^k v^(deg-k), by Horner in iu."""
+    u, v = step.numerator, step.denominator
+    deg = len(coefficients) - 1
+    scaled = [c * v ** (deg - k) for k, c in reversed(list(enumerate(coefficients)))]
+    values = []
     for i in range(first, last + 1):
-        p = i * step
-        if lo < p < hi:
-            points.append(p)
-    if hi != lo:
-        points.append(hi)
-    return points
+        x, acc = i * u, 0
+        for c in scaled:
+            acc = acc * x + c
+        values.append(acc)
+    return values
 
 
 @dataclass(frozen=True)
@@ -210,16 +221,30 @@ def verify_delta_derivative_claims(
         )
     segments = []
     for name, lo, hi, t, (on_branch, symbol, bound, fails) in claims:
-        points = _grid_points(lo, hi, step)
-        values = [on_branch(t, p) for p in points]
         below = fails == "<"
+        pick = min if below else max
+        # the grid points strictly inside (lo, hi), by index, and their values
+        # as integer numerators over scale; a Fraction is made only for the
+        # ends, the extreme and the points past the bound
+        coefficients = _BRANCH_COEFFICIENTS[symbol](t)
+        scale = step.denominator ** (len(coefficients) - 1)
+        first, last = math.floor(lo / step) + 1, math.ceil(hi / step) - 1
+        inner = _grid_numerators(coefficients, first, last, step)
+        limit, side = bound.numerator * scale, -1 if below else 1
+        past = [
+            (i * step, Fraction(n, scale))
+            for i, n in enumerate(inner, first)
+            if side * (n * bound.denominator - limit) > 0
+        ]
+        ends = [(p, on_branch(t, p)) for p in ([lo, hi] if hi != lo else [lo])]
         bad = tuple(
             f"{symbol}({p}) = {v} {fails} {bound}"
-            for p, v in zip(points, values)
+            for p, v in ends[:1] + past + ends[1:]
             if (v < bound if below else v > bound)
         )
-        extreme = min(values) if below else max(values)
-        segments.append(SegmentResult(name, lo, hi, t, len(points), extreme, bad))
+        extremes = [v for _, v in ends] + ([Fraction(pick(inner), scale)] if inner else [])
+        points = len(ends) + len(inner)
+        segments.append(SegmentResult(name, lo, hi, t, points, pick(extremes), bad))
     boundary = {}
     for label, point, ts in [
         ("1/3", Fraction(1, 3), (2, 3)),

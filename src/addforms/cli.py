@@ -82,8 +82,10 @@ def _subset_json(subset: GroupSubset) -> dict:
 
 def _mask_rows(masks: np.ndarray, order: int) -> np.ndarray:
     """Boolean (len(masks), order) matrix: element i is in row k when bit i
-    of masks[k] is set."""
-    return (masks[:, None] >> np.arange(order)) & 1 == 1
+    of masks[k] is set (order <= 64): the masks' little-endian octets,
+    unpacked low bit first."""
+    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(len(masks), 8)
+    return np.unpackbits(octets, axis=1, count=order, bitorder="little").view(bool)
 
 
 def _exhaustive_batches(group: FiniteAbelianGroup, pairwise: bool):
@@ -102,11 +104,13 @@ def _exhaustive_batches(group: FiniteAbelianGroup, pairwise: bool):
 def _random_batches(group: FiniteAbelianGroup, count: int, seed: int, pairwise: bool):
     """`count` random subsets, or pairs of consecutive ones, as row batches
     drawn from one Philox stream (a batch draws the same numbers as its rows
-    drawn one at a time)."""
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    drawn one at a time).  An element is in when its raw 64-bit draw is
+    below 2^63: Philox's `random()` is (draw >> 11) * 2^-53, so these are the
+    bits of `random() < 0.5`, without the conversion."""
+    raw = np.random.Philox(key=int(seed)).random_raw
     rows = abelian.batch_rows(group)
     for start in range(0, count, rows):
-        bits = gen.random((min(rows, count - start) * (1 + pairwise), group.order)) < 0.5
+        bits = raw((min(rows, count - start) * (1 + pairwise), group.order)) < 2**63
         yield (bits[0::2], bits[1::2]) if pairwise else (bits,)
 
 

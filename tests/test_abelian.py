@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import subset_from_mask, subset_from_tuples
 
+from addforms import abelian
 from addforms.abelian import (
     FiniteAbelianGroup,
     GroupSubset,
@@ -23,9 +24,11 @@ from addforms.abelian import (
     parse_subset_file,
     representation_counts,
     signed_iterated_sumset,
+    signed_iterated_sumset_rows,
     stabilizer,
     subset_to_lines,
     sumset,
+    sumset_rows,
 )
 from addforms.errors import CapExceeded, GroupMismatchError, ParseError
 
@@ -151,6 +154,40 @@ def test_signed_iterated_sumset_oracle():
         assert {e.residues for e in got.elements()} == oracles.oracle_signed_sumset(
             moduli, b_set, r, s
         )
+
+
+@pytest.mark.parametrize("moduli", [(6,), (2, 4), (3, 3), (8,)])
+def test_signed_folds_stop_at_a_fixed_point_with_the_naive_fold_counts(moduli):
+    # each row's rB - sB against the oracle's every fold, on one batch whose
+    # rows stop changing after different numbers of folds
+    group = FiniteAbelianGroup(moduli)
+    tuples = list(oracles.all_tuples(moduli))
+    rng = np.random.Generator(np.random.Philox(key=group.order))
+    rows = np.vstack([rng.random((6, group.order)) < 0.3, np.eye(2, group.order, dtype=bool)])
+    sets = [{t for t, keep in zip(tuples, row) if keep} for row in rows]
+    for r in range(5):
+        for s in range(5 - r):
+            if r + s == 0:
+                continue
+            got = signed_iterated_sumset_rows(group, rows, r, s)
+            for row, b_set in zip(got, sets):
+                want = oracles.oracle_signed_sumset(moduli, b_set, r, s)
+                assert {t for t, keep in zip(tuples, row) if keep} == want
+
+
+def test_signed_folds_of_a_million_return_at_once(monkeypatch):
+    z6 = FiniteAbelianGroup([6])
+    b = subset_from_tuples(z6, [(0,), (1,)])
+    passes = []
+    monkeypatch.setattr(abelian, "sumset_rows", lambda *args: passes.append(1) or sumset_rows(*args))
+    assert signed_iterated_sumset(b, 10**6, 0) == GroupSubset.full(z6)
+    # {0}, B, ..., 5B = G, and the sixth pass finds 6B = 5B
+    assert len(passes) == 6
+    del passes[:]
+    assert signed_iterated_sumset(b, 10**6, 10**6) == GroupSubset.full(z6)
+    assert len(passes) == 7
+    zero = subset_from_tuples(z6, [(0,)])
+    assert signed_iterated_sumset(zero, 10**6, 10**6) == zero
 
 
 def test_stabilizer_examples():

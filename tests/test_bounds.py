@@ -9,6 +9,7 @@ import pytest
 import oracles
 from conftest import subset_from_mask, subset_from_tuples
 
+from addforms import bounds
 from addforms.abelian import FiniteAbelianGroup, GroupSubset
 from addforms.bounds import (
     bollobas_branch,
@@ -142,6 +143,57 @@ def test_verify_delta_derivative_claims_small_grid():
     assert any(
         s.branch == 2 and s.name == "delta_second[2/5,1/2]" for s in report.segments
     )
+
+
+def _fraction_grid_segment(segment, step):
+    """(points, extreme, violations) of one claim segment with every grid
+    point evaluated in Fractions: lo, then each multiple of step strictly
+    inside (lo, hi), then hi."""
+    if segment.name.startswith("delta_prime"):
+        on_branch, symbol, bound, below = bounds.delta_prime_on_branch, "delta'", Fraction(1, 20), True
+    else:
+        on_branch, symbol, bound, below = bounds.delta_double_prime_on_branch, "delta''", Fraction(-1, 2), False
+    lo, hi = segment.lo, segment.hi
+    inner = [i * step for i in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
+    points = [lo] + [p for p in inner if lo < p < hi] + ([hi] if hi != lo else [])
+    values = [on_branch(segment.branch, p) for p in points]
+    fails = "<" if below else ">"
+    bad = tuple(
+        f"{symbol}({p}) = {v} {fails} {bound}"
+        for p, v in zip(points, values)
+        if (v < bound if below else v > bound)
+    )
+    return len(points), (min if below else max)(values), bad
+
+
+@pytest.mark.parametrize(
+    "step, t_max",
+    [("1/1000", 20), ("1/200", 8), ("1/7", 3), ("3/7", 5), ("1", 4), ("7/12345", 9)],
+)
+def test_delta_claims_grid_matches_fraction_evaluation(step, t_max):
+    step = Fraction(step)
+    report = verify_delta_derivative_claims(step=step, t_max=t_max)
+    assert len(report.segments) == 4 + max(0, t_max - 2)
+    for segment in report.segments:
+        want = _fraction_grid_segment(segment, step)
+        assert (segment.points, segment.extreme, segment.violations) == want
+
+
+def test_delta_claims_grid_reports_violations_in_order(monkeypatch):
+    # delta'' + 2 breaks every delta'' claim near its left end; the table of
+    # integer coefficients, keyed by the symbol, and the function move together
+    second = bounds.delta_double_prime_on_branch
+    monkeypatch.setattr(bounds, "delta_double_prime_on_branch", lambda t, a: second(t, a) + 2)
+    shifted = bounds._BRANCH_COEFFICIENTS["delta''"]
+    monkeypatch.setitem(bounds._BRANCH_COEFFICIENTS, "delta''", lambda t: (0, *shifted(t)[1:]))
+    step = Fraction(1, 100)
+    report = verify_delta_derivative_claims(step=step, t_max=6)
+    assert not report.ok
+    for segment in report.segments:
+        want = _fraction_grid_segment(segment, step)
+        assert (segment.points, segment.extreme, segment.violations) == want
+    seg = next(s for s in report.segments if s.name == "delta_second[7/10,1]")
+    assert seg.violations[0].startswith("delta''(7/10) = ") and len(seg.violations) > 2
 
 
 def test_check_kneser_examples():

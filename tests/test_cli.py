@@ -635,6 +635,29 @@ def test_batches_draw_the_per_subset_instances(monkeypatch):
     assert b.tolist() == masks * 8
 
 
+@pytest.mark.parametrize("seed", [0, 9, 2**31 - 1])
+@pytest.mark.parametrize("moduli, count", [((1,), 5), ((2, 3), 7), ((256,), 200), ((16, 16), 90)])
+def test_random_batches_draw_the_bits_of_random_below_one_half(seed, moduli, count):
+    group = FiniteAbelianGroup(moduli)
+    for pairwise in (False, True):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        want = gen.random((count * (1 + pairwise), group.order)) < 0.5
+        batches = list(cli._random_batches(group, count, seed, pairwise))
+        sides = [np.concatenate(side) for side in zip(*batches)]
+        assert np.array_equal(sides[0], want[0::2] if pairwise else want)
+        if pairwise:
+            assert np.array_equal(sides[1], want[1::2])
+
+
+@pytest.mark.parametrize("order", range(1, 64))
+def test_mask_rows_unpack_the_bits_of_each_mask(order):
+    rng = np.random.Generator(np.random.Philox(key=order))
+    masks = np.append(rng.integers(0, 1 << order, size=40, dtype=np.int64), [0, (1 << order) - 1])
+    got = cli._mask_rows(masks, order)
+    assert got.dtype == bool and got.shape == (len(masks), order)
+    assert np.array_equal(got, (masks[:, None] >> np.arange(order)) & 1 == 1)
+
+
 def test_random_zero_is_an_empty_sweep(capsys):
     # `--random 0` sweeps no instance; it is not read as "no --random", so
     # a subset beside it is refused as beside any sweep

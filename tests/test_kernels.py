@@ -452,12 +452,9 @@ def test_certificate_failure_falls_back_to_pairwise(monkeypatch, defect):
 
 @pytest.mark.parametrize("defect", ["roundoff", "sum"])
 def test_row_certificate_failure_recounts_the_rejected_row(monkeypatch, defect):
-    group = FiniteAbelianGroup((12, 20))
-    rng = np.random.Generator(np.random.Philox(key=2))
-    a, b = rng.random((2, 4, group.order)) < 0.5
-    with forced("pairwise"):
-        want = pair_count_rows(group, a, b)
-    irfftn = np.fft.irfftn
+    # Z12xZ20 transforms in float64, Z16xZ16 in float32 (`_fft_dtype`)
+    irfftn, fft_dtype = np.fft.irfftn, abelian._fft_dtype
+    dtypes = []
 
     def broken(*args, **kwargs):
         out = irfftn(*args, **kwargs)
@@ -467,13 +464,22 @@ def test_row_certificate_failure_recounts_the_rejected_row(monkeypatch, defect):
             out[2].flat[0] += 1.0  # row 2 rounds cleanly, but its total is off
         return out
 
-    monkeypatch.setattr(np.fft, "irfftn", broken)
-    calls = _spy(monkeypatch)
-    with forced("fft"):
-        got = pair_count_rows(group, a, b)
-    assert len(calls) == 1
-    assert calls[0][1].tolist() == np.flatnonzero(a[2]).tolist()
-    assert np.array_equal(got, want)
+    for moduli in ((12, 20), (16, 16)):
+        group = FiniteAbelianGroup(moduli)
+        rng = np.random.Generator(np.random.Philox(key=2))
+        a, b = rng.random((2, 4, group.order)) < 0.5
+        with forced("pairwise"):
+            want = pair_count_rows(group, a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "irfftn", broken)
+            patch.setattr(abelian, "_fft_dtype", lambda *args: dtypes.append(fft_dtype(*args)) or dtypes[-1])
+            calls = _spy(patch)
+            with forced("fft"):
+                got = pair_count_rows(group, a, b)
+        assert len(calls) == 1
+        assert calls[0][1].tolist() == np.flatnonzero(a[2]).tolist()
+        assert np.array_equal(got, want)
+    assert dtypes == [np.float64, np.float32]
 
 
 def test_sum_of_squares_beyond_int64():

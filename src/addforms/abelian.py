@@ -56,8 +56,9 @@ _I64_EXACT = 1 << 63
 _CODE_SPREAD = 16
 # The codes of `sum_code` and their multiples, cached by the groups' moduli
 # (every group of the same moduli shares them), hold at most _CODE_CACHE
-# entries in all: `_keep` drops the oldest first, under _CODE_LOCK, since
-# threads may share a group.
+# entries in all: `_keep` drops the least recently used first (`_cached`
+# makes a hit the most recent), under _CODE_LOCK, since threads may share a
+# group.
 _CODE_CACHE = 1 << 22
 _CODES: dict = {}
 _CODE_LOCK = threading.Lock()
@@ -186,7 +187,7 @@ class FiniteAbelianGroup:
         if size > min(_CODE_SPREAD * self.order, _CODE_CACHE // 2 - weights):
             return IndexCode(self)
         key = ("code", self.moduli, terms)
-        return _CODES.get(key) or _keep(key, SumCode(self.moduli, terms))
+        return _cached(key) or _keep(key, SumCode(self.moduli, terms))
 
     def combine(self, terms, offsets: Sequence[int] | None = None):
         """Flat indices of offsets + sum of c * x over (c, index array) terms.
@@ -224,10 +225,19 @@ class FiniteAbelianGroup:
         return flat
 
 
+def _cached(key):
+    """The entry of `key` in _CODES, made the most recent, or None."""
+    with _CODE_LOCK:
+        value = _CODES.pop(key, None)
+        if value is not None:
+            _CODES[key] = value
+    return value
+
+
 def _keep(key, value):
     """`value`, cached under `key` in _CODES unless it holds more than
-    _CODE_CACHE entries (`size`); the oldest entries are dropped while the
-    cache holds more."""
+    _CODE_CACHE entries (`size`); the least recent entries are dropped while
+    the cache holds more."""
     if value.size <= _CODE_CACHE:
         with _CODE_LOCK:
             _CODES[key] = value
@@ -293,7 +303,7 @@ class SumCode:
         of them; cached."""
         key = m if isinstance(m, int) else tuple(m.ravel().tolist())
         key = ("multiple", self.moduli, self.spread, key)
-        codes = _CODES.get(key)
+        codes = _cached(key)
         if codes is None:
             every = np.unravel_index(np.arange(math.prod(self.moduli)), self.moduli)
             reduced = [m * r % n for r, n in zip(every, self.moduli)]
@@ -759,6 +769,164 @@ def additive_energy_rows(group: FiniteAbelianGroup, counts: np.ndarray) -> np.nd
     if group.order**3 >= _I64_EXACT:
         counts = counts.astype(object)
     return (counts * counts).sum(axis=1)
+
+
+# Tables over every subset of a small group, indexed by its mask: element i is
+# in the subset of mask m when bit i of m is set.  Masks take the smallest
+# unsigned dtype that holds them, and each table costs O(|G| 2^|G|) in all,
+# where the rows pay a pair count of O(|G|^2) per subset.
+
+_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def _mask_dtype(group: FiniteAbelianGroup) -> np.dtype:
+    return np.min_scalar_type((1 << group.order) - 1)
+
+
+def all_masks(group: FiniteAbelianGroup) -> np.ndarray:
+    """The masks 0, 1, ..., 2^|G| - 1 of every subset, in mask order."""
+    return np.arange(1 << group.order, dtype=_mask_dtype(group))
+
+
+def popcount(masks: np.ndarray) -> np.ndarray:
+    """uint8: the number of set bits of each mask of an unsigned integer
+    array, a byte at a time through a 256-entry table (`np.bitwise_count`
+    needs numpy 2.0)."""
+    counts = _BYTE_POPCOUNT.take(masks & 0xFF)
+    for shift in range(8, 8 * masks.dtype.itemsize, 8):
+        counts += _BYTE_POPCOUNT.take(masks >> shift & 0xFF)
+    return counts
+
+
+def _image_tables(images: np.ndarray, dtype) -> list[np.ndarray]:
+    """For each byte of a mask, the (256, maps) table of the masks, in
+    `dtype`, of the images of that byte's bits: images[k, i] is the image of
+    element i under map k.  Each table doubles bit by bit, a contiguous block
+    at a time: entry v + 2^j adds the image of bit j to entry v."""
+    tables = []
+    for low in range(0, images.shape[1], 8):
+        bits = np.left_shift(1, images[:, low : low + 8].T).astype(dtype)
+        table = np.zeros((1 << len(bits), len(images)), dtype=dtype)
+        for j, bit in enumerate(bits):
+            np.bitwise_or(table[: 1 << j], bit, out=table[1 << j : 2 << j])
+        tables.append(table)
+    return tables
+
+
+def _images_below(tables: list[np.ndarray], k: int, bits: int) -> np.ndarray:
+    """The mask of the image under map k of every mask below 2^bits, in mask
+    order: the outer OR of the byte tables of `_image_tables`."""
+    out = tables[0][: 1 << min(bits, 8), k]
+    for j in range(1, -(-bits // 8)):
+        out = (tables[j][: 1 << min(bits - 8 * j, 8), k, None] | out).ravel()
+    return out
+
+
+def _sum_table(group: FiniteAbelianGroup) -> np.ndarray:
+    """int64 |G| x |G| array: entry [x, y] is the index of x + y."""
+    x = np.arange(group.order)
+    return group.combine(((1, x[:, None]), (1, x[None, :])))
+
+
+def translate_masks(group: FiniteAbelianGroup) -> Iterator[np.ndarray]:
+    """The mask of x + S for every mask S, for each element index x in turn."""
+    tables = _image_tables(_sum_table(group), _mask_dtype(group))
+    for x in range(group.order):
+        yield _images_below(tables, x, group.order)
+
+
+def additive_energy_masks(group: FiniteAbelianGroup) -> np.ndarray:
+    """`additive_energy_raw` of every mask, unsigned, as wide as |G|^3 needs.
+
+    A solution (a, b, c, d) of a + b = c + d, one of |G|^3, lies in A exactly
+    when its support mask {a, b, c, d} lies within A's mask.  So E(A) sums,
+    over the masks S within A, the number of solutions of support S: one
+    subset-sum (zeta) transform of those numbers, a pass per element.  Every
+    partial sum is an E(A) of some A, at most |G|^3."""
+    n = group.order
+    d = group.difference_table()[_sum_table(group)]  # [a, b, c]: a + b - c
+    bit = np.left_shift(1, np.arange(n)).astype(_mask_dtype(group))
+    support = bit[:, None, None] | bit[None, :, None] | bit[None, None, :] | bit[d]
+    energy = np.zeros(1 << n, dtype=np.min_scalar_type(n**3))
+    # counted in place: `np.unique` would sort, and numpy's sort kernels,
+    # used nowhere else in a sweep, add about 0.25 MB of resident code
+    np.add.at(energy, support.ravel(), 1)
+    # a pass adds the masks without bit t into those with it, which numpy
+    # does fast only while runs of 2^t are long: the high bits pass in mask
+    # order, the low ones on the transpose, where bit t runs 2^(t + n - low)
+    low = n // 2
+    _zeta_passes(energy, range(low, n))
+    swapped = energy.reshape(-1, 1 << low).T.copy()
+    del energy
+    _zeta_passes(swapped, range(n - low, n))
+    return swapped.T.ravel()
+
+
+def _zeta_passes(table: np.ndarray, bits) -> None:
+    """Add, in place, each entry of `table` whose flat index lacks bit t
+    into the entry with it, for each t in `bits`."""
+    for t in bits:
+        halves = table.reshape(-1, 2, 1 << t)
+        halves[:, 1] += halves[:, 0]
+
+
+def doubled_masks(group: FiniteAbelianGroup) -> np.ndarray:
+    """The mask of A + A for every mask A, by recursion on A's top element
+    x: (A' + {x}) + (A' + {x}) is (A' + A') | (x + A') | {2x}, for each A'
+    below 2^x."""
+    n = group.order
+    adds = _sum_table(group)
+    sums = np.zeros(1 << n, dtype=_mask_dtype(group))
+    tables = _image_tables(adds, sums.dtype)
+    for x in range(n):
+        top = sums[1 << x : 2 << x]
+        np.bitwise_or(sums[: 1 << x], _images_below(tables, x, x), out=top)
+        top |= 1 << int(adds[x, x])
+    return sums
+
+
+def pair_sumset_masks(group: FiniteAbelianGroup) -> np.ndarray:
+    """The mask of A + B for every pair of masks, as a (2^|G|, 2^|G|) table
+    [A, B] (A-major when raveled), by recursion on A's top element x:
+    (A' + {x}) + B is (A' + B) | (x + B)."""
+    n = group.order
+    sums = np.zeros((1 << n, 1 << n), dtype=_mask_dtype(group))
+    for x, translates in enumerate(translate_masks(group)):
+        np.bitwise_or(sums[: 1 << x], translates, out=sums[1 << x : 2 << x])
+    return sums
+
+
+def stabilizer_sizes(group: FiniteAbelianGroup) -> np.ndarray:
+    """The size of the stabilizer of every mask S: the number of x with
+    x + S = S."""
+    masks = all_masks(group)
+    sizes = np.zeros(len(masks), dtype=np.min_scalar_type(group.order))
+    for translates in translate_masks(group):
+        sizes += translates == masks
+    return sizes
+
+
+def signed_iterated_sumset_masks(
+    group: FiniteAbelianGroup, sums: np.ndarray, r: int, s: int
+) -> np.ndarray:
+    """The mask of rB - sB for every mask B, folded by lookups in the
+    `pair_sumset_masks` table `sums`; each sign's folds stop, as in
+    `signed_iterated_sumset_rows`, once a fold changes no mask."""
+    if r < 0 or s < 0:
+        raise ValueError("fold counts must be nonnegative")
+    if r + s < 1:
+        raise ValueError("need r + s >= 1")
+    masks = all_masks(group)
+    negatives = group.combine(((-1, np.arange(group.order)),))[None]
+    negated = _images_below(_image_tables(negatives, masks.dtype), 0, group.order)
+    folded = np.ones_like(masks)  # {0}
+    for step, folds in ((masks, r), (negated, s)):
+        for _ in range(folds):
+            grown = sums[folded, step]
+            if np.array_equal(grown, folded):
+                break
+            folded = grown
+    return folded
 
 
 def _one_row(rows_fn, *subsets, **kwargs):

@@ -12,6 +12,7 @@ the lower branch winning at shared endpoints).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -268,11 +269,18 @@ def verify_delta_derivative_claims(
 # Classical inequality checkers (exact left-hand sides).
 #
 # Each inequality is written once, as an integer numerator of its left-hand
-# side over a power of |G|.  The `*_rows` functions evaluate it on a batch of
-# instances, given as boolean (rows, |G|) matrices, returning (numerators,
-# denominator); the scalar `check_*` are one-row calls of them.  A vacuous
-# instance (an empty A where the inequality needs a nonempty one) has
-# numerator 0, in a batch and alone.
+# side over a power of |G|: a formula over its columns, the sizes of A, B,
+# A + A, A + B, the stabilizer H(A + B) and rB - sB, and the energy E(A).
+# The `*_rows` functions feed it from a batch of instances, given as boolean
+# (rows, |G|) matrices, returning (numerators, denominator); the scalar
+# `check_*` are one-row calls of them.  The `*_masks` functions feed it every
+# instance of a small group, in mask order (pairs A-major), from the mask
+# tables of `abelian`, in blocks.  A vacuous instance (an empty A where the
+# inequality needs a nonempty one) has numerator 0 in every path.
+
+# Instances per block of a `*_masks` sweep: their int64 numerators and the
+# formula's temporaries take a few 32 KiB arrays.
+_MASK_BLOCK = 1 << 12
 
 
 def _verdict(rows_fn, *subsets, **kwargs) -> tuple[Fraction, bool]:
@@ -283,12 +291,40 @@ def _verdict(rows_fn, *subsets, **kwargs) -> tuple[Fraction, bool]:
     return lhs, lhs >= 0
 
 
+def _dtype(bound: int):
+    """int64 while `bound`, the sum of the absolute values of the terms of a
+    formula, fits; Python integers (object) beyond it."""
+    return np.int64 if bound < 2**63 else object
+
+
 def _exact(bound: int, *columns) -> list[np.ndarray]:
-    """The integer columns as int64 while `bound`, the sum of the absolute
-    values of the terms of the formula they feed, fits; as arrays of Python
-    integers beyond it."""
-    dtype = np.int64 if bound < 2**63 else object
-    return [np.asarray(c).astype(dtype, copy=False) for c in columns]
+    """The integer columns in the `_dtype` of the formula they feed."""
+    return [np.asarray(c).astype(_dtype(bound), copy=False) for c in columns]
+
+
+def _mask_blocks(formula, *columns, bound: int = 0):
+    """formula(*blocks) over consecutive blocks of the columns, in row-major
+    order, as (flat numerators, denominator).  A block holds _MASK_BLOCK
+    instances in int64, fewer when `bound`, the one the formula passes to
+    `_exact`, needs Python integers (a pointer and an integer of the bound's
+    size each, not 8 bytes); it splits a row when one row holds more."""
+    per = 8 if _dtype(bound) is np.int64 else 8 + sys.getsizeof(bound)
+    step = max(1, _MASK_BLOCK * 8 // per)
+    columns = [c.reshape(len(c), -1) for c in columns]
+    width = columns[0].shape[1]
+    rows, cols = max(1, step // width), min(step, width)
+    for i in range(0, len(columns[0]), rows):
+        for j in range(0, width, cols):
+            numerators, denominator = formula(*(c[i : i + rows, j : j + cols] for c in columns))
+            yield numerators.ravel(), denominator
+
+
+def _pair_masks(group: FiniteAbelianGroup):
+    """The masks of A and of B in every pair, as (2^|G|, 2^|G|) views [A, B],
+    and the `abelian.pair_sumset_masks` table of A + B."""
+    masks = abelian.all_masks(group)
+    sums = abelian.pair_sumset_masks(group)
+    return np.broadcast_to(masks[:, None], sums.shape), np.broadcast_to(masks, sums.shape), sums
 
 
 def check_kneser(a: GroupSubset, b: GroupSubset) -> tuple[Fraction, bool]:
@@ -296,13 +332,28 @@ def check_kneser(a: GroupSubset, b: GroupSubset) -> tuple[Fraction, bool]:
     return _verdict(kneser_rows, a, b)
 
 
+def _kneser(n: int, a_size, b_size, sum_size, stab_size):
+    """Kneser numerators |A+B| - |A| - |B| + |H(A+B)|, over |G| = n."""
+    a_size, b_size, sum_size, stab_size = _exact(4 * n, a_size, b_size, sum_size, stab_size)
+    return sum_size - a_size - b_size + stab_size, n
+
+
 def kneser_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray):
-    """Kneser numerators |A+B| - |A| - |B| + |H(A+B)| of the row pairs
-    (A_i, B_i), over |G|."""
+    """Kneser numerators of the row pairs (A_i, B_i)."""
     s = abelian.sumset_rows(group, a, b)
     h = abelian.stabilizer_rows(group, s)
-    sum_size, a_size, b_size, stab_size = (m.sum(axis=1) for m in (s, a, b, h))
-    return sum_size - a_size - b_size + stab_size, group.order
+    return _kneser(group.order, *(m.sum(axis=1) for m in (a, b, s, h)))
+
+
+def kneser_masks(group: FiniteAbelianGroup):
+    """Kneser numerators of every pair of subsets, A-major, in blocks."""
+    stabilizer = abelian.stabilizer_sizes(group)
+
+    def formula(a, b, sums):
+        sizes = (abelian.popcount(m) for m in (a, b, sums))
+        return _kneser(group.order, *sizes, stabilizer.take(sums))
+
+    return _mask_blocks(formula, *_pair_masks(group))
 
 
 def check_plunnecke_ruzsa(
@@ -313,19 +364,39 @@ def check_plunnecke_ruzsa(
     return _verdict(plunnecke_ruzsa_rows, a, b, r=r, s=s)
 
 
-def plunnecke_ruzsa_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, r: int, s: int):
-    """Plunnecke-Ruzsa numerators |A+B|^(r+s) - |A|^(r+s-1) * |rB - sB| of the
-    row pairs (A_i, B_i), over |G|^(r+s)."""
-    folded = abelian.signed_iterated_sumset_rows(group, b, r, s)
-    n = group.order
-    sum_size, a_size, folded_size = _exact(
-        2 * n ** (r + s),
-        abelian.sumset_rows(group, a, b).sum(axis=1),
-        a.sum(axis=1),
-        folded.sum(axis=1),
-    )
+def _plunnecke_ruzsa_bound(n: int, r: int, s: int) -> int:
+    """The `_exact` bound of the Plunnecke-Ruzsa numerators over |G| = n."""
+    return 2 * n ** (r + s)
+
+
+def _plunnecke_ruzsa(n: int, r: int, s: int, a_size, sum_size, folded_size):
+    """Plunnecke-Ruzsa numerators |A+B|^(r+s) - |A|^(r+s-1) * |rB - sB|, over
+    |G|^(r+s) with |G| = n; 0 where A is empty."""
+    bound = _plunnecke_ruzsa_bound(n, r, s)
+    a_size, sum_size, folded_size = _exact(bound, a_size, sum_size, folded_size)
     numerators = sum_size ** (r + s) - a_size ** (r + s - 1) * folded_size
     return np.where(a_size == 0, 0, numerators), n ** (r + s)
+
+
+def plunnecke_ruzsa_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, r: int, s: int):
+    """Plunnecke-Ruzsa numerators of the row pairs (A_i, B_i)."""
+    folded = abelian.signed_iterated_sumset_rows(group, b, r, s)
+    sums = abelian.sumset_rows(group, a, b)
+    return _plunnecke_ruzsa(group.order, r, s, a.sum(axis=1), sums.sum(axis=1), folded.sum(axis=1))
+
+
+def plunnecke_ruzsa_masks(group: FiniteAbelianGroup, r: int, s: int):
+    """Plunnecke-Ruzsa numerators of every pair of subsets, A-major, in
+    blocks."""
+    a, _, sums = _pair_masks(group)
+    folded = abelian.signed_iterated_sumset_masks(group, sums, r, s)
+
+    def formula(*masks):
+        return _plunnecke_ruzsa(group.order, r, s, *map(abelian.popcount, masks))
+
+    folded = np.broadcast_to(folded, sums.shape)
+    bound = _plunnecke_ruzsa_bound(group.order, r, s)
+    return _mask_blocks(formula, a, sums, folded, bound=bound)
 
 
 def check_energy_doubling(a: GroupSubset) -> tuple[Fraction, bool]:
@@ -333,18 +404,28 @@ def check_energy_doubling(a: GroupSubset) -> tuple[Fraction, bool]:
     return _verdict(energy_doubling_rows, a)
 
 
+def _energy_doubling(n: int, a_size, energy, doubled_size):
+    """Energy-doubling numerators E(A) * |A+A| - |A|^4, over |G|^4 with
+    |G| = n."""
+    a_size, energy, doubled_size = _exact(2 * n**4, a_size, energy, doubled_size)
+    return energy * doubled_size - (a_size**2) ** 2, n**4  # numpy squares fast
+
+
 def energy_doubling_rows(group: FiniteAbelianGroup, a: np.ndarray):
-    """Energy-doubling numerators E(A) * |A+A| - |A|^4 of the rows A_i, over
-    |G|^4."""
-    n = group.order
+    """Energy-doubling numerators of the rows A_i."""
     reps = abelian.pair_count_rows(group, a, a)
-    energy, a_size, doubled_size = _exact(
-        2 * n**4,
-        abelian.additive_energy_rows(group, reps),
-        a.sum(axis=1),
-        (reps > 0).sum(axis=1),
-    )
-    return energy * doubled_size - a_size**4, n**4
+    energy = abelian.additive_energy_rows(group, reps)
+    return _energy_doubling(group.order, a.sum(axis=1), energy, (reps > 0).sum(axis=1))
+
+
+def energy_doubling_masks(group: FiniteAbelianGroup):
+    """Energy-doubling numerators of every subset, in mask order, in blocks."""
+
+    def formula(a, energy, doubled):
+        return _energy_doubling(group.order, abelian.popcount(a), energy, abelian.popcount(doubled))
+
+    masks, doubled = abelian.all_masks(group), abelian.doubled_masks(group)
+    return _mask_blocks(formula, masks, abelian.additive_energy_masks(group), doubled)
 
 
 def check_energy_bound(a: GroupSubset) -> tuple[Fraction, bool]:
@@ -353,13 +434,26 @@ def check_energy_bound(a: GroupSubset) -> tuple[Fraction, bool]:
     return _verdict(energy_bound_rows, a)
 
 
+def _energy_bound(n: int, a_size, energy):
+    """Energy-bound numerators, over |G|^4 with |G| = n: with m = |A|,
+    E = E(A) and f = n mod m, n^4 * (energy_upper_bound(m/n) - E/n^3) is
+    n m^3 - m^3 f + m^2 f^2 - n E = m^2 (m (n - f) + f^2) - n E.  An empty
+    A has m = E = f = 0, so numerator 0."""
+    rest = n % np.maximum(a_size, 1)
+    a_size, energy, rest = _exact(4 * n**4, a_size, energy, rest)
+    return a_size**2 * (a_size * (n - rest) + rest**2) - n * energy, n**4
+
+
 def energy_bound_rows(group: FiniteAbelianGroup, a: np.ndarray):
-    """Energy-bound numerators of the rows A_i, over |G|^4: with m = |A|,
-    E = E(A) and f = |G| mod m, |G|^4 * (energy_upper_bound(m/|G|) - E/|G|^3)
-    is |G| m^3 - m^3 f + m^2 f^2 - |G| E.  An empty row has m = E = f = 0, so
-    numerator 0."""
-    n = group.order
-    a_size = a.sum(axis=1)
+    """Energy-bound numerators of the rows A_i."""
     energy = abelian.additive_energy_rows(group, abelian.pair_count_rows(group, a, a))
-    energy, a_size, rest = _exact(4 * n**4, energy, a_size, n % np.maximum(a_size, 1))
-    return n * a_size**3 - a_size**3 * rest + a_size**2 * rest**2 - n * energy, n**4
+    return _energy_bound(group.order, a.sum(axis=1), energy)
+
+
+def energy_bound_masks(group: FiniteAbelianGroup):
+    """Energy-bound numerators of every subset, in mask order, in blocks."""
+
+    def formula(a, energy):
+        return _energy_bound(group.order, abelian.popcount(a), energy)
+
+    return _mask_blocks(formula, abelian.all_masks(group), abelian.additive_energy_masks(group))

@@ -88,19 +88,6 @@ def _mask_rows(masks: np.ndarray, order: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=order, bitorder="little").view(bool)
 
 
-def _exhaustive_batches(group: FiniteAbelianGroup, pairwise: bool):
-    """Every subset in mask order, or every pair (A-major), as row batches."""
-    order = group.order
-    total = 1 << (order * (1 + pairwise))
-    rows = abelian.batch_rows(group)
-    for start in range(0, total, rows):
-        k = np.arange(start, min(start + rows, total))
-        if pairwise:
-            yield _mask_rows(k >> order, order), _mask_rows(k & ((1 << order) - 1), order)
-        else:
-            yield (_mask_rows(k, order),)
-
-
 def _random_batches(group: FiniteAbelianGroup, count: int, seed: int, pairwise: bool):
     """`count` random subsets, or pairs of consecutive ones, as row batches
     drawn from one Philox stream (a batch draws the same numbers as its rows
@@ -112,6 +99,29 @@ def _random_batches(group: FiniteAbelianGroup, count: int, seed: int, pairwise: 
     for start in range(0, count, rows):
         bits = raw((min(rows, count - start) * (1 + pairwise), group.order)) < 2**63
         yield (bits[0::2], bits[1::2]) if pairwise else (bits,)
+
+
+def _row_blocks(group: FiniteAbelianGroup, batches, slack):
+    """The `_sweep` blocks of `slack(group, *batch)` over row batches."""
+    for batch in batches:
+        yield (*slack(group, *batch), lambda i, batch=batch: [rows[i] for rows in batch])
+
+
+def _exhaustive_blocks(order: int, pairwise: bool, blocks):
+    """The `_sweep` blocks of the (numerators, denominator) blocks of a
+    `*_masks` sweep: instance k is the subset of mask k, or the pair of
+    masks (k >> order, k mod 2^order)."""
+    start = 0
+    for numerators, denominator in blocks:
+        yield numerators, denominator, functools.partial(_instance_rows, order, pairwise, start)
+        start += len(numerators)
+
+
+def _instance_rows(order: int, pairwise: bool, start: int, i: int) -> np.ndarray:
+    """The bit rows of instance start + i of an exhaustive sweep."""
+    k = start + i
+    masks = [k >> order, k & ((1 << order) - 1)] if pairwise else [k]
+    return _mask_rows(np.array(masks, dtype=np.int64), order)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +206,17 @@ def _check_single(kind: str, instance: dict, holds: bool, **value):
     return report, not holds
 
 
-def _sweep(kind: str, group: FiniteAbelianGroup, batches, slack):
-    """Count the instances of every batch and those whose numerator from
-    `slack(group, *batch)` is negative; keep the first violations, in
-    instance order, as witnesses."""
+def _sweep(kind: str, group: FiniteAbelianGroup, blocks):
+    """Count the instances of every block of (numerators, denominator, rows)
+    and those whose numerator is negative; keep the first violations, in
+    instance order, as witnesses, with the subsets of the bit rows that
+    rows(i) gives for the block's instance i."""
     checked = violations = 0
     witnesses = []
-    for batch in batches:
-        numerators, denominator = slack(group, *batch)
+    for numerators, denominator, rows in blocks:
         bad = np.flatnonzero(numerators < 0)
         for i in bad[: _WITNESS_LIMIT - len(witnesses)]:
-            instance = [GroupSubset(group, rows[i]) for rows in batch]
+            instance = [GroupSubset(group, row) for row in rows(i)]
             lhs = Fraction(int(numerators[i]), denominator)
             witnesses.append(
                 {"instance": _describe_instance(instance), "lhs": rational_json(lhs)}
@@ -279,20 +289,25 @@ def _cmd_check(args):
     if kind == "plunnecke-ruzsa":
         _check_fold_digits(group.order, r + s)
 
-    slack = {
-        "kneser": bounds.kneser_rows,
-        "plunnecke-ruzsa": lambda g, a, b: bounds.plunnecke_ruzsa_rows(g, a, b, r, s),
-        "energy-doubling": bounds.energy_doubling_rows,
-        "energy-bound": bounds.energy_bound_rows,
+    # each kind's numerators from boolean rows and over every mask
+    slack, tables = {
+        "kneser": (bounds.kneser_rows, bounds.kneser_masks),
+        "plunnecke-ruzsa": (
+            lambda g, a, b: bounds.plunnecke_ruzsa_rows(g, a, b, r, s),
+            lambda g: bounds.plunnecke_ruzsa_masks(g, r, s),
+        ),
+        "energy-doubling": (bounds.energy_doubling_rows, bounds.energy_doubling_masks),
+        "energy-bound": (bounds.energy_bound_rows, bounds.energy_bound_masks),
     }[kind]
     if args.random is not None:
         batches = _random_batches(group, args.random, seed, pairwise)
-        return _sweep(f"check-{kind}", group, batches, slack)
+        return _sweep(f"check-{kind}", group, _row_blocks(group, batches, slack))
     if args.exhaustive:
         cap = _EXHAUSTIVE_PAIR_MAX_ORDER if pairwise else _EXHAUSTIVE_SUBSET_MAX_ORDER
         if group.order > cap:
             raise CapExceeded(f"exhaustive sweep over {group.literal()} exceeds order cap {cap}")
-        return _sweep(f"check-{kind}", group, _exhaustive_batches(group, pairwise), slack)
+        blocks = _exhaustive_blocks(group.order, pairwise, tables(group))
+        return _sweep(f"check-{kind}", group, blocks)
 
     names = ("set-a", "set-b") if pairwise else ("set",)
     subsets = [_load_subset(args, group, name) for name in names]

@@ -585,14 +585,21 @@ def test_sweep_reports_pinned(capsys, kind, group, flags):
 
 
 def _every_row_violates(monkeypatch, name):
-    # every left-hand side is below 2, so subtracting 2 makes each negative
-    slack = getattr(bounds, name)
+    # every left-hand side is below 2, so subtracting 2 makes each negative,
+    # in the kind's `*_rows` numerators and in its `*_masks` blocks
+    masks = name.replace("_rows", "_masks")
+    slack, blocks = getattr(bounds, name), getattr(bounds, masks)
 
     def violating(group, *rows):
         numerators, denominator = slack(group, *rows)
         return numerators - 2 * denominator, denominator
 
+    def violating_blocks(group, *args):
+        for numerators, denominator in blocks(group, *args):
+            yield numerators - 2 * denominator, denominator
+
     monkeypatch.setattr(bounds, name, violating)
+    monkeypatch.setattr(bounds, masks, violating_blocks)
 
 
 @pytest.mark.parametrize(
@@ -626,13 +633,18 @@ def test_batches_draw_the_per_subset_instances(monkeypatch):
     (ones,) = zip(*cli._random_batches(group, 7, 9, pairwise=False))
     assert np.array_equal(np.concatenate(ones), singles[:7])
 
-    group = FiniteAbelianGroup([3])
+    # an exhaustive sweep's instances, numbered across blocks of 3: every
+    # subset in mask order, or every pair A-major
     masks = [[i >> j & 1 == 1 for j in range(3)] for i in range(8)]
-    (subsets,) = zip(*cli._exhaustive_batches(group, pairwise=False))
-    assert np.concatenate(subsets).tolist() == masks
-    a, b = (np.concatenate(side) for side in zip(*cli._exhaustive_batches(group, True)))
-    assert a.tolist() == [m for m in masks for _ in masks]
-    assert b.tolist() == masks * 8
+    for pairwise, total in ((False, 8), (True, 64)):
+        numbered = ((np.arange(k, min(k + 3, total)), 1) for k in range(0, total, 3))
+        blocks = list(cli._exhaustive_blocks(3, pairwise, numbered))
+        assert [len(n) for n, _, _ in blocks] == [3] * (total // 3) + [total % 3]
+        instances = [rows(i).tolist() for n, _, rows in blocks for i in range(len(n))]
+        if pairwise:
+            assert instances == [[a, b] for a in masks for b in masks]
+        else:
+            assert instances == [[m] for m in masks]
 
 
 @pytest.mark.parametrize("seed", [0, 9, 2**31 - 1])

@@ -280,6 +280,30 @@ def test_threads_keep_the_code_cache_bounded_and_right(monkeypatch):
     assert sum(v.size for v in abelian._CODES.values()) <= 200
 
 
+def test_a_code_cache_hit_outlives_older_unused_entries(monkeypatch):
+    # on Z7 the codes of spreads 1, 2 and 3 hold 7, 13 and 19 entries, and a
+    # cache of 38 keeps two of them: the third evicts the least recently
+    # used, which is the unused spread-2 code once spread 1 is hit again
+    monkeypatch.setattr(abelian, "_CODE_CACHE", 38)
+    monkeypatch.setattr(abelian, "_CODES", {})
+    group = FiniteAbelianGroup([7])
+    one, two = group.sum_code(1), group.sum_code(2)
+    assert group.sum_code(1) is one
+    group.sum_code(3)
+    assert list(abelian._CODES) == [("code", (7,), 1), ("code", (7,), 3)]
+    assert group.sum_code(1) is one and group.sum_code(2) is not two
+    # a multiple's hit is refreshed the same way: (|G|,) = 7 entries each
+    monkeypatch.setattr(abelian, "_CODE_CACHE", 20)
+    monkeypatch.setattr(abelian, "_CODES", {})
+    code = group.sum_code(1)  # 7 entries
+    doubled, tripled = code.multiple(2), code.multiple(3)  # 14 and 21 in all: the code goes
+    assert list(abelian._CODES) == [("multiple", (7,), 1, 2), ("multiple", (7,), 1, 3)]
+    assert code.multiple(2) is doubled
+    code.multiple(4)
+    assert list(abelian._CODES) == [("multiple", (7,), 1, 2), ("multiple", (7,), 1, 4)]
+    assert code.multiple(2) is doubled and code.multiple(3) is not tripled
+
+
 @settings(max_examples=60, deadline=None)
 @given(subsets(), st.data())
 def test_translate_and_negate_match_oracle(drawn, data):

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import abelian
 from .abelian import FiniteAbelianGroup, GroupSubset
+from .errors import _check_work
 
 # ---------------------------------------------------------------------------
 # Piecewise-linear lower bound on 3-cycle density vs pair density.
@@ -158,6 +159,15 @@ _BRANCH_COEFFICIENTS = {
 }
 
 
+# Grid points of a claim whose numerators are held at once.
+_GRID_CHUNK = 1 << 12
+
+
+def _inner_points(lo: Fraction, hi: Fraction, step: Fraction) -> int:
+    """The number of grid points i * step strictly inside (lo, hi)."""
+    return max(0, math.ceil(hi / step) - math.floor(lo / step) - 1)
+
+
 def _grid_numerators(coefficients, first: int, last: int, step: Fraction) -> list[int]:
     """The polynomial of these integer coefficients at i * step for i = first..
     last, as integer numerators over v^deg where step = u/v: p(iu/v) v^deg =
@@ -196,13 +206,14 @@ class DeltaClaimsReport:
 
 
 def verify_delta_derivative_claims(
-    step=Fraction(1, 1000), t_max: int = 20
+    step=Fraction(1, 1000), t_max: int = 20, budget: int | None = None
 ) -> DeltaClaimsReport:
     """Grid sanity suite (not a continuum proof): delta' >= 1/20 on
     [1/3, 2/5] and [1/2, 7/10]; delta'' <= -1/2 on [2/5, 1/2], [7/10, 1] and
     every [1/(t+1), 1/t] for t = 3..t_max.  Every claim interval sits inside
     one branch, and is evaluated on that branch; both branch values at shared
-    endpoints are reported separately."""
+    endpoints are reported separately.  Refuses (CapExceeded), before any
+    evaluation, grid points times coefficients over `budget`."""
     step = Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
@@ -216,6 +227,17 @@ def verify_delta_derivative_claims(
         ("delta_second[2/5,1/2]", Fraction(2, 5), Fraction(1, 2), 2, bends),
         ("delta_second[7/10,1]", Fraction(7, 10), Fraction(1), 1, bends),
     ]
+    # the work, each claim's points (two ends and the inner points) times its
+    # coefficients; the claims [1/(t+1), 1/t] tile [1/(t_max+1), 1/3], so
+    # their inner points are at most that interval's
+    width = {symbol: len(coefficients(1)) for symbol, coefficients in _BRANCH_COEFFICIENTS.items()}
+    work = sum(
+        (_inner_points(lo, hi, step) + 2) * width[symbol]
+        for _, lo, hi, _, (_, symbol, _, _) in claims
+    )
+    tiled = _inner_points(Fraction(1, t_max + 1), Fraction(1, 3), step) + 2 * max(0, t_max - 2)
+    work += tiled * width["delta''"]
+    _check_work(work, budget, f">= 2^{work.bit_length() - 1}", "use a coarser step or a smaller t_max")
     for t in range(3, t_max + 1):
         claims.append(
             (f"delta_second[1/{t + 1},1/{t}]", Fraction(1, t + 1), Fraction(1, t), t, bends)
@@ -225,26 +247,29 @@ def verify_delta_derivative_claims(
         below = fails == "<"
         pick = min if below else max
         # the grid points strictly inside (lo, hi), by index, and their values
-        # as integer numerators over scale; a Fraction is made only for the
-        # ends, the extreme and the points past the bound
+        # as integer numerators over scale, _GRID_CHUNK at a time; a Fraction
+        # is made only for the ends, the extreme and the points past the bound
         coefficients = _BRANCH_COEFFICIENTS[symbol](t)
         scale = step.denominator ** (len(coefficients) - 1)
-        first, last = math.floor(lo / step) + 1, math.ceil(hi / step) - 1
-        inner = _grid_numerators(coefficients, first, last, step)
+        first, inner = math.floor(lo / step) + 1, _inner_points(lo, hi, step)
         limit, side = bound.numerator * scale, -1 if below else 1
-        past = [
-            (i * step, Fraction(n, scale))
-            for i, n in enumerate(inner, first)
-            if side * (n * bound.denominator - limit) > 0
-        ]
         ends = [(p, on_branch(t, p)) for p in ([lo, hi] if hi != lo else [lo])]
+        past, extremes = [], [v for _, v in ends]
+        for start in range(first, first + inner, _GRID_CHUNK):
+            last = min(start + _GRID_CHUNK, first + inner) - 1
+            chunk = _grid_numerators(coefficients, start, last, step)
+            past += [
+                (i * step, Fraction(n, scale))
+                for i, n in enumerate(chunk, start)
+                if side * (n * bound.denominator - limit) > 0
+            ]
+            extremes.append(Fraction(pick(chunk), scale))
         bad = tuple(
             f"{symbol}({p}) = {v} {fails} {bound}"
             for p, v in ends[:1] + past + ends[1:]
             if (v < bound if below else v > bound)
         )
-        extremes = [v for _, v in ends] + ([Fraction(pick(inner), scale)] if inner else [])
-        points = len(ends) + len(inner)
+        points = len(ends) + inner
         segments.append(SegmentResult(name, lo, hi, t, points, pick(extremes), bad))
     boundary = {}
     for label, point, ts in [
@@ -438,10 +463,12 @@ def _energy_bound(n: int, a_size, energy):
     """Energy-bound numerators, over |G|^4 with |G| = n: with m = |A|,
     E = E(A) and f = n mod m, n^4 * (energy_upper_bound(m/n) - E/n^3) is
     n m^3 - m^3 f + m^2 f^2 - n E = m^2 (m (n - f) + f^2) - n E.  An empty
-    A has m = E = f = 0, so numerator 0."""
-    rest = n % np.maximum(a_size, 1)
-    a_size, energy, rest = _exact(4 * n**4, a_size, energy, rest)
-    return a_size**2 * (a_size * (n - rest) + rest**2) - n * energy, n**4
+    A has m = E = f = 0, so numerator 0.  The part in m alone is computed
+    once for each size m = 0..n and gathered by the sizes."""
+    m = np.arange(n + 1)
+    m, rest, energy = _exact(4 * n**4, m, n % np.maximum(m, 1), energy)
+    by_size = m**2 * (m * (n - rest) + rest**2)
+    return by_size.take(a_size) - n * energy, n**4
 
 
 def energy_bound_rows(group: FiniteAbelianGroup, a: np.ndarray):

@@ -3,6 +3,10 @@ to the library, and emit deterministic JSON reports.
 
 Exit codes: 0 all checks pass, 1 a checked inequality or identity failed
 (witness in the report), 2 usage or parse error, 3 resource cap exceeded.
+
+The module loads only what every verb needs (`abelian`, `errors`,
+`report`); a handler imports `bounds`, `fourier`, `linform`, `polynomial`
+or `reduction` when it first runs, so a verb does not pay to load the rest.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import abelian, bounds, fourier, linform, polynomial, reduction
+from . import abelian
 from .abelian import FiniteAbelianGroup, GroupSubset
-from .errors import AddformsError, CapExceeded, ParseError
+from .errors import DEFAULT_WORK_BUDGET, AddformsError, CapExceeded, ParseError
 from .report import dump_json, make_report, rational_json
 
 _EXHAUSTIVE_SUBSET_MAX_ORDER = 16
@@ -129,6 +133,8 @@ def _instance_rows(order: int, pairwise: bool, start: int, i: int) -> np.ndarray
 
 
 def _cmd_density(args):
+    from . import linform
+
     group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
     system = linform.parse_system(args.system)
@@ -154,6 +160,8 @@ def _cmd_energy(args):
         normalized=rational_json(Fraction(raw, group.order**3)),
     )
     if args.fourier:
+        from . import fourier
+
         report["fourier"] = fourier.energy_fourier(subset)
         report["approximate_fourier"] = True
     return report, False
@@ -253,6 +261,8 @@ def _describe_instance(subsets) -> dict:
 
 
 def _cmd_check(args):
+    from . import bounds
+
     kind = args.kind
     region = kind in ("region-graph", "region-energy")
     pairwise = kind in ("kneser", "plunnecke-ruzsa")
@@ -318,6 +328,8 @@ def _cmd_check(args):
 
 
 def _cmd_reduce(args):
+    from . import polynomial, reduction
+
     q = polynomial.parse_poly(args.poly)
     bundle = reduction.build_psi(q, args.k)
     report = make_report("reduce", params={"poly": args.poly, "k": args.k})
@@ -326,6 +338,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_witness(args):
+    from . import reduction
+
     spec = reduction.build_witness(args.k, args.n)
     subset_file = None
     if args.subset_file:
@@ -340,6 +354,8 @@ def _cmd_witness(args):
 
 
 def _cmd_verify_pinpoint(args):
+    from . import reduction
+
     result = reduction.verify_pinpoint(args.k, budget=args.max_work)
     report = make_report("verify-pinpoint", params={"k": args.k})
     report.update(result.to_dict())
@@ -347,6 +363,8 @@ def _cmd_verify_pinpoint(args):
 
 
 def _cmd_verify_homdensity(args):
+    from . import linform, reduction
+
     group = abelian.parse_group(args.group)
     k = args.k
     m = reduction.build_M(k)
@@ -397,6 +415,8 @@ def _cmd_verify_homdensity(args):
 
 
 def _cmd_verify_witness(args):
+    from . import reduction
+
     spec = reduction.build_witness(args.k, args.n)
     result = reduction.verify_witness(spec, budget=args.max_work)
     report = make_report("verify-witness", params={"k": args.k, "n": args.n})
@@ -405,8 +425,10 @@ def _cmd_verify_witness(args):
 
 
 def _cmd_verify_delta(args):
+    from . import bounds
+
     result = bounds.verify_delta_derivative_claims(
-        _parse_fraction(args.step), args.t_max
+        _parse_fraction(args.step), args.t_max, budget=args.max_work
     )
     report = make_report(
         "verify-delta-claims", params={"step": args.step, "t_max": args.t_max}
@@ -416,6 +438,8 @@ def _cmd_verify_delta(args):
 
 
 def _cmd_verify_bollobas(args):
+    from . import bounds
+
     violations = []
     checked = 0
     for t in range(1, args.t_max + 1):
@@ -439,6 +463,8 @@ def _cmd_verify_bollobas(args):
 
 
 def _cmd_estimate(args):
+    from . import linform
+
     group = abelian.parse_group(args.group)
     subset = _load_subset(args, group, "set")
     system = linform.parse_system(args.system)
@@ -477,7 +503,7 @@ def _add_common(p: argparse.ArgumentParser, *, max_work: bool = False) -> None:
             "--max-work",
             type=_int_at_least(0),
             default=None,
-            help=f"work budget (default {linform.DEFAULT_WORK_BUDGET})",
+            help=f"work budget (default {DEFAULT_WORK_BUDGET})",
         )
 
 
@@ -595,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("delta-claims", help="derivative sign claims on a grid")
     v.add_argument("--step", default="1/1000")
     v.add_argument("--t-max", type=_int_at_least(0), default=20)
-    _add_common(v)
+    _add_common(v, max_work=True)
     v.set_defaults(func=_cmd_verify_delta)
 
     v = vsub.add_parser("bollobas", help="breakpoint values and continuity")

@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and the work budget whose check raises
+CapExceeded."""
 
 from __future__ import annotations
 
@@ -27,3 +28,15 @@ class ParseError(AddformsError, ValueError):
         self.message = message
         self.line = line
         self.column = column
+
+
+DEFAULT_WORK_BUDGET = 10**9
+
+
+def _check_work(predicted: int, budget, power: str, hint: str) -> None:
+    """Refuse (CapExceeded) `predicted` work over `budget` (default DEFAULT_WORK_BUDGET),
+    written as `power` beyond 64 bits, where Python may not print its digits."""
+    cap = DEFAULT_WORK_BUDGET if budget is None else int(budget)
+    if predicted > cap:
+        work = predicted if predicted.bit_length() <= 64 else power
+        raise CapExceeded(f"predicted work {work} exceeds budget {cap}; raise the budget or {hint}")

@@ -39,9 +39,7 @@ import numpy as np
 
 from ._scan import Scanner, signed_sum
 from .abelian import GroupElement, GroupSubset, _negated_rows, pair_count_rows
-from .errors import CapExceeded, GroupMismatchError
-
-DEFAULT_WORK_BUDGET = 10**9
+from .errors import GroupMismatchError, _check_work
 
 # Cap on rows of any temporary assignment block.
 _ENUM_CHUNK = 1 << 20
@@ -134,15 +132,6 @@ def eval_form(form: LinearForm, assignment: Sequence[GroupElement]) -> GroupElem
             sum(c * g.residues[t] for c, g in zip(form.coefficients, assignment)) % n
         )
     return GroupElement(group, tuple(residues))
-
-
-def _check_work(predicted: int, budget, power: str, hint: str) -> None:
-    """Refuse (CapExceeded) `predicted` work over `budget` (default DEFAULT_WORK_BUDGET),
-    written as `power` beyond 64 bits, where Python may not print its digits."""
-    cap = DEFAULT_WORK_BUDGET if budget is None else int(budget)
-    if predicted > cap:
-        work = predicted if predicted.bit_length() <= 64 else power
-        raise CapExceeded(f"predicted work {work} exceeds budget {cap}; raise the budget or {hint}")
 
 
 def _checked_prefixes(system: LinearSystem, group, prefixes, budget) -> tuple[np.ndarray, int]:

@@ -34,6 +34,7 @@ from addforms.bounds import (
     plunnecke_ruzsa_rows,
     verify_delta_derivative_claims,
 )
+from addforms.errors import CapExceeded
 
 
 def test_bollobas_h_examples():
@@ -194,6 +195,65 @@ def test_delta_claims_grid_reports_violations_in_order(monkeypatch):
         assert (segment.points, segment.extreme, segment.violations) == want
     seg = next(s for s in report.segments if s.name == "delta_second[7/10,1]")
     assert seg.violations[0].startswith("delta''(7/10) = ") and len(seg.violations) > 2
+
+
+# delta'' moved up by 2, which breaks every delta'' claim near its left end
+# as in the test above, and a bump -(10a - 3)^2 whose peak 0 lies inside
+# [1/4, 1/3]: each as its function and its integer coefficients
+_SECOND, _SECOND_COEFFICIENTS = delta_double_prime_on_branch, bounds._BRANCH_COEFFICIENTS["delta''"]
+_SECOND_VARIANTS = {
+    "delta''": None,
+    "shifted": (lambda t, a: _SECOND(t, a) + 2, lambda t: (0, *_SECOND_COEFFICIENTS(t)[1:])),
+    "bump": (lambda t, a: -((10 * a - 3) ** 2), lambda t: (-9, 60, -100)),
+}
+
+
+@pytest.mark.parametrize("variant", list(_SECOND_VARIANTS))
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_delta_claims_grid_in_chunks_matches_fraction_evaluation(monkeypatch, chunk, variant):
+    monkeypatch.setattr(bounds, "_GRID_CHUNK", chunk)
+    if _SECOND_VARIANTS[variant] is not None:
+        on_branch, coefficients = _SECOND_VARIANTS[variant]
+        monkeypatch.setitem(bounds._BRANCH_COEFFICIENTS, "delta''", coefficients)
+        monkeypatch.setattr(bounds, "delta_double_prime_on_branch", on_branch)
+    step = Fraction(1, 100)
+    report = verify_delta_derivative_claims(step=step, t_max=6)
+    assert report.ok == (variant == "delta''")
+    for segment in report.segments:
+        want = _fraction_grid_segment(segment, step)
+        assert (segment.points, segment.extreme, segment.violations) == want
+
+
+def _claims_work(report) -> int:
+    """Grid points times coefficients over the segments of a report."""
+    return sum(s.points * (4 if s.name.startswith("delta_prime") else 3) for s in report.segments)
+
+
+@pytest.mark.parametrize(
+    "step, t_max", [("1/1000", 20), ("1/7", 9), ("1/60", 60), ("3/401", 3), ("1", 0), ("2", 2)]
+)
+def test_delta_claims_refuse_work_over_the_budget_before_evaluating(monkeypatch, step, t_max):
+    step = Fraction(step)
+    work = _claims_work(verify_delta_derivative_claims(step=step, t_max=t_max))
+
+    def evaluated(*args):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(bounds, "_grid_numerators", evaluated)
+    with pytest.raises(CapExceeded, match=f"predicted work \\d+ exceeds budget {work - 1};"):
+        verify_delta_derivative_claims(step=step, t_max=t_max, budget=work - 1)
+    # the prediction counts a breakpoint 1/t on the grid as an inner point
+    # too, so it is over the work by at most 3 per claim [1/(t+1), 1/t]
+    monkeypatch.undo()
+    report = verify_delta_derivative_claims(step=step, t_max=t_max, budget=work + 3 * t_max)
+    assert _claims_work(report) == work
+
+
+def test_delta_claims_write_work_beyond_64_bits_as_a_power():
+    with pytest.raises(CapExceeded, match=r"predicted work >= 2\^\d+ exceeds budget"):
+        verify_delta_derivative_claims(step=Fraction(1, 10**30))
+    with pytest.raises(CapExceeded, match=r"predicted work \d+ exceeds budget"):
+        verify_delta_derivative_claims(t_max=10**12)
 
 
 def test_check_kneser_examples():

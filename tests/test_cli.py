@@ -192,6 +192,17 @@ def test_estimate_deterministic(capsys):
     assert abs(report["estimate"] - 0.5) <= report["radius"]
 
 
+def test_delta_claims_refuse_a_grid_over_the_budget(capsys):
+    argv = ["verify", "delta-claims", "--step", "1/100", "--t-max", "6"]
+    code, out, _ = run_cli(capsys, *argv, "--max-work", "2000")
+    assert code == 0 and json.loads(out)["ok"]
+    code, out, err = run_cli(capsys, *argv, "--max-work", "100")
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: predicted work ") and "exceeds budget 100;" in err
+    code, out, err = run_cli(capsys, "verify", "delta-claims", "--step", "1/10000000000")
+    assert code == 3 and out == "" and "exceeds budget 1000000000;" in err
+
+
 def test_estimate_refuses_oversized_sampling_before_drawing(capsys, monkeypatch):
     argv = ["estimate", "--group", "Z4", "--set", "{0}", "--system", "[g1]", "--samples"]
 

@@ -32,15 +32,19 @@ _CHUNK = 1 << 21
 # its cost rule, in units of one pair counted pairwise, finds cheaper (timings
 # in CHANGES.md): pairwise, a row costs _PAIRWISE_ROW_PAIRS + |A_i|*|B_i|;
 # batched, the call costs _BATCH_CALL_PAIRS and each row
-# _BATCH_PAIRS_PER_ELEMENT * |G|.  So a lone small row is counted pairwise,
-# and the same row in a large batch is not.  The batched path is the
+# _BATCH_PAIRS_PER_ELEMENT * |G|, or _FLOAT32_PAIRS_PER_ELEMENT * |G| on a
+# float32 FFT.  So a lone small row is counted pairwise, and the same row in
+# a large batch is not.  The batched path is the
 # difference-table loop when |G| <= _TABLE_ORDER_PER_AXIS * rank (numpy's
 # n-dimensional FFT pays a pass per axis, so the loop wins on many short axes
 # and on one axis up to about |G| = 32); otherwise int64 Walsh-Hadamard
 # butterflies on Z2^k while |G|^3 < _I64_EXACT, and one certified FFT on
-# every other group.
+# every other group.  `additive_energies` prices its one forward transform
+# by the same rule at _ENERGY_PAIRS_PER_ELEMENT * |G| a row.
 _PAIRWISE_ROW_PAIRS = 1 << 10
 _BATCH_PAIRS_PER_ELEMENT = 8
+_FLOAT32_PAIRS_PER_ELEMENT = 3
+_ENERGY_PAIRS_PER_ELEMENT = 2
 _BATCH_CALL_PAIRS = 1 << 12
 _TABLE_ORDER_PER_AXIS = 32
 # A row of `pair_count_rows` holds up to about 44 bytes of temporaries per
@@ -561,17 +565,16 @@ def _table_counts(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> np
     return counts.T.astype(np.int64)
 
 
-def _certified_fft(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs):
+def _certified_fft(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs, dtype):
     """Pair counts of the rows of two (rows, |G|) indicator matrices by one
     real FFT convolution over the group axes (the C-order index makes
-    `reshape(rows, *moduli)` the array to transform), in the precision of
-    `_fft_dtype`, rounded to int64, with a per-row certificate: every value
-    lies within 1/4 of an integer and the row sums to `pairs`
-    (|A_i| * |B_i|).  Pass `b is a` for A + A."""
+    `reshape(rows, *moduli)` the array to transform), in `dtype`, the
+    precision `_fft_dtype` picks for them, rounded to int64, with a per-row
+    certificate: every value lies within 1/4 of an integer and the row sums
+    to `pairs` (|A_i| * |B_i|).  Pass `b is a` for A + A."""
     rows = len(a)
     shape = (rows, *group.moduli)
     axes = tuple(range(1, group.rank + 1))
-    dtype = _fft_dtype(group, pairs)
     # numpy 2.4 runs a float32 forward transform in double under the default
     # norm (its scale, the int 1, picks the double loop, through casting
     # buffers); norm="forward" keeps float32, and on |G| = 2^n its scale
@@ -699,18 +702,40 @@ def pair_count_rows(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray) -> 
     return counts
 
 
+def _pairwise_cheaper(order: int, pairs, per_element: int) -> bool:
+    """The cost rule: whether rows of |A_i| * |B_i| = `pairs` cost less
+    counted pairwise than in one batched call at `per_element` pairs per
+    group element of each row."""
+    batched = _BATCH_CALL_PAIRS + len(pairs) * per_element * order
+    return (pairs + _PAIRWISE_ROW_PAIRS).sum() < batched
+
+
+def _pair_path(group: FiniteAbelianGroup, pairs) -> str:
+    """The path the cost rule picks for rows of |A_i| * |B_i| = `pairs`:
+    "pairwise", "table", "butterflies" or the FFT's dtype, "float32" or
+    "float64"."""
+    if group.order <= _TABLE_ORDER_PER_AXIS * group.rank:
+        path = "table"
+    elif _butterflies(group):
+        path = "butterflies"
+    else:
+        path = _fft_dtype(group, pairs).__name__
+    per_element = _FLOAT32_PAIRS_PER_ELEMENT if path == "float32" else _BATCH_PAIRS_PER_ELEMENT
+    return "pairwise" if _pairwise_cheaper(group.order, pairs, per_element) else path
+
+
 def _ruled_counts(group: FiniteAbelianGroup, a: np.ndarray, b: np.ndarray, pairs) -> np.ndarray:
     """`pair_count_rows` of rows whose operands are neither empty nor full,
     by the path the cost rule picks; `pairs` holds |A_i| * |B_i|."""
-    pairwise_cost = (pairs + _PAIRWISE_ROW_PAIRS).sum()
-    if pairwise_cost < _BATCH_CALL_PAIRS + len(a) * _BATCH_PAIRS_PER_ELEMENT * group.order:
+    path = _pair_path(group, pairs)
+    if path == "pairwise":
         counts, recount = np.empty(a.shape, dtype=np.int64), range(len(a))
-    elif group.order <= _TABLE_ORDER_PER_AXIS * group.rank:
+    elif path == "table":
         counts, recount = _table_counts(group, a, b), ()
-    elif _butterflies(group):
+    elif path == "butterflies":
         counts, recount = _butterfly_counts(group, a, b), ()
     else:
-        counts, ok = _certified_fft(group, a, b, pairs)
+        counts, ok = _certified_fft(group, a, b, pairs, np.dtype(path).type)
         recount = np.flatnonzero(~ok)
     for i in recount:
         counts[i] = _pairwise_counts(group, a[i].nonzero()[0], b[i].nonzero()[0])
@@ -769,6 +794,114 @@ def additive_energy_rows(group: FiniteAbelianGroup, counts: np.ndarray) -> np.nd
     if group.order**3 >= _I64_EXACT:
         counts = counts.astype(object)
     return (counts * counts).sum(axis=1)
+
+
+def additive_energies(group: FiniteAbelianGroup, a: np.ndarray) -> np.ndarray:
+    """Row-wise `additive_energy_raw` of a boolean (rows, |G|) matrix, exact:
+    int64 while |G|^3 < 2^63, Python integers beyond.
+
+    By Parseval, |G| E(A) is the sum of |1_A^(xi)|^4 over the characters xi,
+    so one forward transform gives every energy of a batch.  `_energy_path`
+    picks one exact path for the batch, from its largest |A_i| = m:
+    - on Z2^k, the int64 Walsh-Hadamard transform W, and E = sum(W^4) >> k,
+      exact while |G| m^4 < 2^63 bounds every term and partial sum;
+    - on every other group of order 2^n, one float64 `rfftn`, when
+      `_parseval_sizes` proves the sum within |G|/2 of |G| E, so that
+      rint(sum / |G|) is E; `rfftn` keeps the frequencies 0..L/2 of the last
+      axis, of length L, so each frequency strictly between them stands for
+      itself and its mirror, with weight 2;
+    - otherwise `additive_energy_rows` of `pair_count_rows`: orders that are
+      not powers of 2, larger m, |G|^3 >= 2^63, and batches that the cost
+      rule counts pairwise more cheaply."""
+    path = _energy_path(group, a.sum(axis=1))
+    if path == "pairs":
+        return additive_energy_rows(group, pair_count_rows(group, a, a))
+    if path == "butterflies":
+        power = _walsh_hadamard(a.astype(np.int64))
+        power *= power
+        power *= power
+        return power.sum(axis=1) >> (group.order.bit_length() - 1)
+    axes = tuple(range(1, group.rank + 1))
+    spectrum = np.fft.rfftn(a.reshape(len(a), *group.moduli), axes=axes)
+    power = spectrum.real * spectrum.real
+    power += spectrum.imag * spectrum.imag
+    del spectrum
+    power *= power
+    power[..., 1 : group.moduli[-1] // 2] *= 2
+    energies = power.reshape(len(a), -1).sum(axis=1) / group.order
+    return np.rint(energies).astype(np.int64)
+
+
+def _energy_path(group: FiniteAbelianGroup, sizes) -> str:
+    """The path of `additive_energies` for rows of these |A_i|:
+    "butterflies", "parseval" or "pairs"."""
+    n = group.order
+    bits = n.bit_length() - 1
+    m = int(sizes.max(initial=0))
+    if n != 1 << bits or n**3 >= _I64_EXACT:
+        return "pairs"
+    if _pairwise_cheaper(n, sizes * sizes, _ENERGY_PAIRS_PER_ELEMENT):
+        return "pairs"
+    if max(group.moduli) <= 2:
+        return "butterflies" if n * m**4 < _I64_EXACT else "pairs"
+    return "parseval" if m <= _parseval_sizes(bits, group.moduli[-1]) else "pairs"
+
+
+@functools.cache
+def _parseval_sizes(bits: int, last: int) -> int:
+    """The largest |A| whose float64 Parseval sum `_parseval_error` proves
+    within |G|/2 of |G| E(A), on a group of order 2^bits whose last axis has
+    length `last`: the bound grows with |A|, so bisect on it."""
+    n = 1 << bits
+    half = Fraction(n, 2)
+    if _parseval_error(bits, last, n) < half:
+        return n
+    low, high = 0, n  # certified, not certified
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if _parseval_error(bits, last, mid) < half else (low, mid)
+    return low
+
+
+def _parseval_error(bits: int, last: int, m: int) -> Fraction:
+    """An a priori bound, in exact rationals, on the error of the float64
+    sum of w |y^(xi)|^4 over the computed `rfftn` spectrum y^ of an
+    indicator row x of at most m elements, whose exact spectrum is y, on a
+    group of order N = 2^bits whose last axis has length `last`.
+
+    Higham, Accuracy and Stability of Numerical Algorithms (2002), Thm 24.2:
+    a radix-2 FFT of length N = 2^n in floating point of unit roundoff u,
+    with twiddle factors within mu of the true ones, computes y^ with
+    ||y^ - y|| <= rho ||y|| = delta, rho = n eta / (1 - n eta) and
+    eta = mu + gamma_4 (sqrt 2 + mu), gamma_k = k u / (1 - k u); here
+    ||y|| = sqrt(N) ||x|| = sqrt(N m), u = 2^-53 and mu = 2u (numpy's
+    pocketfft computes its twiddles to within an ulp or so).  As in
+    `_fft_dtype`, the theorem is taken to cover a group of order 2^n on any
+    number of axes and the real transform.  Every |y(xi)| is at most m, so
+    each |y^(xi)| is at most m + delta, and |a^4 - b^4| <= 4 (m + delta)^3
+    |a - b|; with the weights, at most 2, and sum |a - b| <= sqrt N delta,
+    the quartic sum is off by at most 8 (m + delta)^3 sqrt N delta.
+    Evaluating it adds gamma_(T + 4) times its size, at most N m^3 plus
+    that, over T terms: four roundings a term and T - 1 additions in any
+    order."""
+    n = 1 << bits
+    u = Fraction(1, 1 << 53)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    mu = 2 * u
+    eta = mu + gamma(4) * (_sqrt_above(2) + mu)
+    rho = bits * eta / (1 - bits * eta)
+    delta = rho * _sqrt_above(n * m)
+    quartic = 8 * (m + delta) ** 3 * _sqrt_above(n) * delta
+    terms = n // last * (last // 2 + 1)
+    return quartic + gamma(terms + 4) * (n * m**3 + quartic)
+
+
+def _sqrt_above(x: int) -> Fraction:
+    """A rational above sqrt(x), by less than 2^-64."""
+    return Fraction(math.isqrt(x << 128) + 1, 1 << 64)
 
 
 # Tables over every subset of a small group, indexed by its mask: element i is
@@ -965,7 +1098,7 @@ def representation_counts(a: GroupSubset) -> dict[GroupElement, int]:
 
 def additive_energy_raw(a: GroupSubset) -> int:
     """Number of quadruples (a1,a2,a3,a4) in A^4 with a1 + a2 = a3 + a4."""
-    return int(additive_energy_rows(a.group, _one_row(pair_count_rows, a, a))[0])
+    return int(_one_row(additive_energies, a)[0])
 
 
 def additive_energy(a: GroupSubset) -> Fraction:

@@ -27,16 +27,20 @@ from .errors import _check_work
 
 
 def bollobas_branch(x) -> int:
-    """Branch index t with x in [1 - 1/t, 1 - 1/(t+1))."""
+    """Branch index t with x in [1 - 1/t, 1 - 1/(t+1)): for x = p/q,
+    floor(1 / (1 - x)) = q // (q - p)."""
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("branch lookup needs 0 <= x < 1")
-    return int(1 / (1 - x))
+    return x.denominator // (x.denominator - x.numerator)
 
 
 def bollobas_on_branch(t: int, x) -> Fraction:
+    """(3t^2 - t - 2) / (t (t+1)) x - 2 (t-1) / (t+1), for x = p/q as one
+    fraction: ((3t^2 - t - 2) p - 2 (t-1) t q) / (t (t+1) q)."""
     x = Fraction(x)
-    return Fraction(3 * t * t - t - 2, t * (t + 1)) * x - Fraction(2 * (t - 1), t + 1)
+    p, q = x.numerator, x.denominator
+    return Fraction((3 * t * t - t - 2) * p - 2 * (t - 1) * t * q, t * (t + 1) * q)
 
 
 def bollobas_h(x) -> Fraction:
@@ -473,8 +477,7 @@ def _energy_bound(n: int, a_size, energy):
 
 def energy_bound_rows(group: FiniteAbelianGroup, a: np.ndarray):
     """Energy-bound numerators of the rows A_i."""
-    energy = abelian.additive_energy_rows(group, abelian.pair_count_rows(group, a, a))
-    return _energy_bound(group.order, a.sum(axis=1), energy)
+    return _energy_bound(group.order, a.sum(axis=1), abelian.additive_energies(group, a))
 
 
 def energy_bound_masks(group: FiniteAbelianGroup):

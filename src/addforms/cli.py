@@ -86,22 +86,25 @@ def _subset_json(subset: GroupSubset) -> dict:
 
 def _mask_rows(masks: np.ndarray, order: int) -> np.ndarray:
     """Boolean (len(masks), order) matrix: element i is in row k when bit i
-    of masks[k] is set (order <= 64): the masks' little-endian octets,
-    unpacked low bit first."""
-    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(len(masks), 8)
+    of masks[k] is set, masks[k] being one integer below 2^64 or a row of
+    64-bit words, whose bit i is bit i mod 64 of word i // 64: the words'
+    little-endian octets, unpacked low bit first."""
+    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(len(masks), -1)
     return np.unpackbits(octets, axis=1, count=order, bitorder="little").view(bool)
 
 
 def _random_batches(group: FiniteAbelianGroup, count: int, seed: int, pairwise: bool):
     """`count` random subsets, or pairs of consecutive ones, as row batches
-    drawn from one Philox stream (a batch draws the same numbers as its rows
-    drawn one at a time).  An element is in when its raw 64-bit draw is
-    below 2^63: Philox's `random()` is (draw >> 11) * 2^-53, so these are the
-    bits of `random() < 0.5`, without the conversion."""
+    drawn from one Philox stream (a batch draws the same words as its rows
+    drawn one at a time).  A row draws ceil(|G| / 64) raw 64-bit words, and
+    element j is in when bit j mod 64 of word j // 64 is set (`_mask_rows`):
+    every bit of a Philox word is uniform and independent of the others, so
+    each element is in with probability 1/2, at one draw per 64 elements."""
     raw = np.random.Philox(key=int(seed)).random_raw
     rows = abelian.batch_rows(group)
+    words = -(-group.order // 64)
     for start in range(0, count, rows):
-        bits = raw((min(rows, count - start) * (1 + pairwise), group.order)) < 2**63
+        bits = _mask_rows(raw((min(rows, count - start) * (1 + pairwise), words)), group.order)
         yield (bits[0::2], bits[1::2]) if pairwise else (bits,)
 
 
@@ -331,7 +334,7 @@ def _cmd_reduce(args):
     from . import polynomial, reduction
 
     q = polynomial.parse_poly(args.poly)
-    bundle = reduction.build_psi(q, args.k)
+    bundle = reduction.build_psi(q, args.k, budget=args.max_work)
     report = make_report("reduce", params={"poly": args.poly, "k": args.k})
     report["bundle"] = bundle.to_dict()
     return report, False
@@ -444,11 +447,11 @@ def _cmd_verify_bollobas(args):
     checked = 0
     for t in range(1, args.t_max + 1):
         checked += 1
-        x = 1 - Fraction(1, t)
+        x = Fraction(t - 1, t)
         expected = Fraction((t - 1) * (t - 2), t * t)
         if bounds.bollobas_h(x) != expected:
             violations.append(f"value at 1-1/{t}")
-        shared = 1 - Fraction(1, t + 1)
+        shared = Fraction(t, t + 1)
         if bounds.bollobas_on_branch(t + 1, shared) != bounds.bollobas_on_branch(t, shared):
             violations.append(f"discontinuity between branches {t} and {t + 1}")
     report = make_report(
@@ -586,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="assemble the reduction bundle for (q, k)")
     p.add_argument("--poly", required=True)
     p.add_argument("--k", type=_int_at_least(1), required=True)
-    _add_common(p)
+    _add_common(p, max_work=True)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("witness", help="build the explicit product-group witness")

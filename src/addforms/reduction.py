@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .abelian import FiniteAbelianGroup, GroupElement, GroupSubset
-from .errors import GroupMismatchError
+from .errors import GroupMismatchError, _check_work
 from . import linform
 from .linform import LinearForm, LinearSystem, QuantumSystem
 from . import polynomial as poly
@@ -150,14 +150,24 @@ class ReductionBundle:
         }
 
 
-def build_psi(q: IntPolynomial, k: int) -> ReductionBundle:
+def build_psi(q: IntPolynomial, k: int, budget: int | None = None) -> ReductionBundle:
     """Expand each cleared monomial coeff * v^a e^b t^c into a quantum term
-    with a copies of V_j, b of E_j, c of T_j; constants stay coefficient-only."""
+    with a copies of V_j, b of E_j, c of T_j; constants stay coefficient-only.
+    Refuses (CapExceeded), before any term is assembled, a psi whose text
+    may be longer than `budget`: each term writes its coefficient, at most 3
+    characters of sign and separators, and for each unit of its exponents
+    one factor's system and a `*`."""
     qq = poly.ensure_xy_layout(q, k)
     qstar = poly.transform_qstar(qq, k)
     vs = tuple(build_V(k, j) for j in range(1, k + 1))
     es = tuple(build_E(k, j) for j in range(1, k + 1))
     ts = tuple(build_T(k, j) for j in range(1, k + 1))
+    widths = [len(linform.format_system(s)) + 1 for s in vs + es + ts]
+    work = sum(
+        len(str(coeff)) + 3 + sum(e * w for e, w in zip(exps, widths))
+        for exps, coeff in qstar.terms
+    )
+    _check_work(work, budget, f">= 2^{work.bit_length() - 1}", "lower the degree of the polynomial")
     # a monomial's exponents are those of v_1..v_k, e_1..e_k, t_1..t_k
     terms = tuple(
         (coeff, tuple(s for s, e in zip(vs + es + ts, exps) for _ in range(e)))

@@ -146,6 +146,17 @@ def test_reduce_bundle(capsys):
     assert "L" in report["bundle"]["systems"]
 
 
+def test_reduce_refuses_a_psi_over_the_budget_before_building_it(capsys):
+    # x1^100000000 clears to one term v1^(10^8) e1^(10^8): a psi of about
+    # 9.2 * 10^9 characters, refused at once under the default budget
+    code, out, err = run_cli(capsys, "reduce", "--poly", "x1^100000000", "--k", "1")
+    assert (code, out) == (3, "") and "predicted work 9200000004 exceeds budget" in err
+    argv = ["reduce", "--poly", "x1^3", "--k", "1"]
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--max-work", str(len(report["bundle"]["psi"]) - 1))[0] == 3
+
+
 def test_witness_writes_subset_file(capsys, tmp_path):
     target = tmp_path / "witness.subset"
     code, report = run_json(
@@ -632,11 +643,22 @@ def test_sweep_counts_every_violation(capsys, monkeypatch, argv, name, first):
     assert [w["instance"] for w in report["witnesses"][: len(first)]] == first
 
 
+def _drawn_rows(seed: int, rows: int, order: int) -> np.ndarray:
+    """The subsets of `--random` drawn one at a time, in pure Python: a row
+    takes ceil(order / 64) raw Philox words in turn, and element j is in when
+    bit j mod 64 of word j // 64 is set."""
+    raw = np.random.Philox(key=seed).random_raw
+    drawn = []
+    for _ in range(rows):
+        words = [int(raw()) for _ in range(-(-order // 64))]
+        drawn.append([words[j // 64] >> (j % 64) & 1 == 1 for j in range(order)])
+    return np.array(drawn, dtype=bool).reshape(rows, order)
+
+
 def test_batches_draw_the_per_subset_instances(monkeypatch):
     monkeypatch.setattr(abelian, "batch_rows", lambda group: 3)
     group = FiniteAbelianGroup([2, 3])
-    gen = np.random.Generator(np.random.Philox(key=9))
-    singles = np.array([gen.random(group.order) < 0.5 for _ in range(14)])
+    singles = _drawn_rows(9, 14, group.order)
     batches = list(cli._random_batches(group, 7, 9, pairwise=True))
     assert [len(a) for a, _ in batches] == [3, 3, 1]
     assert np.array_equal(np.concatenate([a for a, _ in batches]), singles[0::2])
@@ -659,12 +681,15 @@ def test_batches_draw_the_per_subset_instances(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 9, 2**31 - 1])
-@pytest.mark.parametrize("moduli, count", [((1,), 5), ((2, 3), 7), ((256,), 200), ((16, 16), 90)])
+@pytest.mark.parametrize(
+    "moduli, count",
+    [((1,), 5), ((2, 3), 7), ((256,), 200), ((16, 16), 90), ((63,), 9), ((64,), 9), ((65,), 9), ((100,), 9)],
+)
 def test_random_batches_draw_the_bits_of_random_below_one_half(seed, moduli, count):
+    # each element is in with probability 1/2: one bit of a Philox word
     group = FiniteAbelianGroup(moduli)
     for pairwise in (False, True):
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        want = gen.random((count * (1 + pairwise), group.order)) < 0.5
+        want = _drawn_rows(seed, count * (1 + pairwise), group.order)
         batches = list(cli._random_batches(group, count, seed, pairwise))
         sides = [np.concatenate(side) for side in zip(*batches)]
         assert np.array_equal(sides[0], want[0::2] if pairwise else want)

@@ -3,10 +3,12 @@ in float32 only where Percival's a priori bound (Math. Comp. 72 (2003),
 Thm 5.1) is below 1/2, and float32 counts equal the exact paths' counts on
 random, near-full, coset and arithmetic-progression rows.  The rule's choice
 is spied on the benchmark's sweep groups and its large kernel groups, and
-both precisions' batches are held to the batch budget."""
+both precisions' batches are held to the batch budget.  The Parseval
+energies' bound (Higham 2002, Thm 24.2) certifies the sizes it names."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +37,38 @@ def test_float32_pairs_is_the_largest_size_the_bound_certifies(bits):
     # 2237/1000 exceeds sqrt 5 by 4e-4 of it, so the exact rule gives up
     # at most a share of that size of the float bound's headroom
     assert percival(bits, limit + 1) * (1 + 1e-3) >= 0.5
+
+
+def parseval(bits: int, last: int, m: int) -> float:
+    """The bound of `abelian._parseval_error` in floats: the error of the
+    float64 sum of w |y^|^4 over an `rfftn` spectrum of an m-element row."""
+    u = 2.0**-53
+    n = 1 << bits
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    eta = 2 * u + gamma(4) * (math.sqrt(2) + 2 * u)
+    delta = bits * eta / (1 - bits * eta) * math.sqrt(n * m)
+    quartic = 8 * (m + delta) ** 3 * math.sqrt(n) * delta
+    return quartic + gamma(n // last * (last // 2 + 1) + 4) * (n * m**3 + quartic)
+
+
+@pytest.mark.parametrize(
+    "bits, last, largest",
+    [(bits, 1 << bits, 1 << bits) for bits in range(13)]
+    + [(13, 8192, 4307), (14, 16384, 4141), (16, 65536, 3657), (20, 1 << 20, 1981)]
+    + [(16, 256, 3654)],  # Z256xZ256: more terms to sum than Z65536
+)
+def test_parseval_sizes_is_the_largest_size_the_bound_certifies(bits, last, largest):
+    assert abelian._parseval_sizes(bits, last) == largest
+    half = Fraction(1 << bits, 2)
+    exact = abelian._parseval_error(bits, last, largest)
+    assert exact < half
+    # the exact rationals round sqrt 2, sqrt N and sqrt(N m) up by < 2^-64
+    assert math.isclose(exact, parseval(bits, last, largest), rel_tol=1e-12)
+    if largest < 1 << bits:
+        assert abelian._parseval_error(bits, last, largest + 1) >= half
 
 
 def test_the_rule_takes_float32_only_on_powers_of_two_under_the_bound():
@@ -84,7 +118,7 @@ def test_float32_counts_equal_the_exact_paths(moduli):
     for lhs, rhs in ((a, b), (a, a)):
         pairs = lhs.sum(axis=1) * rhs.sum(axis=1)
         assert abelian._fft_dtype(group, pairs) is np.float32
-        counts, ok = abelian._certified_fft(group, lhs, rhs, pairs)
+        counts, ok = abelian._certified_fft(group, lhs, rhs, pairs, np.float32)
         assert counts.dtype == np.int64 and ok.all()
         if group.order <= 256:
             want = abelian._table_counts(group, lhs, rhs)
@@ -104,7 +138,7 @@ def test_float32_counts_on_sparse_rows_of_z65536():
     a[2, 3 + 257 * np.arange(200)] = True  # an arithmetic progression
     pairs = a.sum(axis=1) * b.sum(axis=1)
     assert abelian._fft_dtype(group, pairs) is np.float32
-    counts, ok = abelian._certified_fft(group, a, b, pairs)
+    counts, ok = abelian._certified_fft(group, a, b, pairs, np.float32)
     assert ok.all()
     for row, x, y in zip(counts, a, b):
         assert np.array_equal(row, abelian._pairwise_counts(group, x.nonzero()[0], y.nonzero()[0]))
@@ -134,7 +168,17 @@ SWEEPS = [
 
 
 def test_the_sweep_groups_choose_their_dtype(monkeypatch, tmp_path):
+    # the energy bounds take their energies from one forward transform, and
+    # count no pairs; the other sweeps count pairs by the FFT
     chosen = _dtype_spy(monkeypatch)
+    energy_paths = []
+
+    def spy(group, sizes, original=abelian._energy_path):
+        path = original(group, sizes)
+        energy_paths.append((group.literal(), path))
+        return path
+
+    monkeypatch.setattr(abelian, "_energy_path", spy)
     for kind, group, extra in SWEEPS:
         argv = ["check", f"--{kind}", "--group", group, "--random", "300", "--seed", "5", *extra]
         assert main([*argv, "--out", str(tmp_path / "report.json")]) in (0, 1)
@@ -142,12 +186,11 @@ def test_the_sweep_groups_choose_their_dtype(monkeypatch, tmp_path):
     for group, dtype in chosen:
         by_group.setdefault(group, set()).add(dtype)
     assert by_group == {
-        "Z256": {np.float32},
-        "Z16xZ16": {np.float32},
         "Z128": {np.float32},
         "Z64": {np.float32},
         "Z100": {np.float64},
     }
+    assert set(energy_paths) == {("Z256", "parseval"), ("Z16xZ16", "parseval")}
 
 
 # the kernel groups of order at least 4096 that reach the FFT (Z2^12 runs the

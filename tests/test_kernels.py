@@ -3,7 +3,8 @@ row-wise batched forms and the Fourier module against the brute-force
 oracles, on each of the four exact paths of the one pair counter (the
 difference table, Walsh-Hadamard butterflies on Z2^k, the certified FFT and
 pairwise counting), plus the rule that chooses between them, the
-certificate fallbacks and the exact energy sum."""
+certificate fallbacks, the exact energy sum and the energies from one
+forward transform."""
 
 import math
 import sys
@@ -19,14 +20,16 @@ from hypothesis import strategies as st
 
 import oracles
 
-from addforms import abelian
+from addforms import abelian, cli
 from addforms.abelian import (
     FiniteAbelianGroup,
     GroupSubset,
     IndexCode,
     SumCode,
+    additive_energies,
     additive_energy_raw,
     additive_energy_rows,
+    doubling_constant,
     pair_count_rows,
     representation_vector,
     stabilizer,
@@ -390,11 +393,11 @@ def test_crossover_sides(monkeypatch):
     rows = np.random.Generator(np.random.Philox(key=3)).random((64, 12)) < 0.5
     small_batch = pair_count_rows(z12, rows, rows)
     assert calls[2:] == [("table", 64)]
-    # 64 elements of Z256: 4096 pairs, pairwise alone but batched among 8 rows
+    # 32 elements of Z256: 1024 pairs, pairwise alone but batched among 8 rows
     z256 = FiniteAbelianGroup((256,))
     spread = np.zeros((8, 256), dtype=bool)
     for i in range(8):
-        spread[i, i % 4 :: 4] = True
+        spread[i, i % 8 :: 8] = True
     alone = pair_count_rows(z256, spread[:1], spread[:1])
     assert calls[3:] == [("pairwise", 1)]
     batch = pair_count_rows(z256, spread, spread)
@@ -408,6 +411,101 @@ def test_crossover_sides(monkeypatch):
             assert np.array_equal(pair_count_rows(z256, spread, spread), batch)
         assert {p for p, _ in calls} == {path}
     assert np.array_equal(alone, batch[:1])
+
+
+def test_float32_batches_are_priced_at_their_own_cost(monkeypatch):
+    # one sparse row of Z65536, about 655 elements: 4.3 * 10^5 pairs, more
+    # than a float32 transform's 4096 + 3 * 65536, less than 4096 + 8 * 65536
+    calls = _path_spy(monkeypatch)
+    group = FiniteAbelianGroup((65536,))
+    rng = np.random.Generator(np.random.Philox(key=6))
+    a, b = (GroupSubset(group, rng.random(group.order) < 0.01) for _ in range(2))
+    sums, doubling = sumset(a, b), doubling_constant(a)
+    assert calls == [("fft", 1), ("fft", 1)]
+    del calls[:]
+    monkeypatch.setattr(abelian, "_FLOAT32_PAIRS_PER_ELEMENT", abelian._BATCH_PAIRS_PER_ELEMENT)
+    assert sumset(a, b) == sums and doubling_constant(a) == doubling
+    assert calls == [("pairwise", 1), ("pairwise", 1)]
+
+
+def test_homdensity_rows_keep_their_paths_under_the_float32_price(monkeypatch, tmp_path):
+    # the benchmark's `verify homdensity` runs count small groups' rows; the
+    # float32 price moves none of them
+    def paths():
+        taken = []
+
+        def spy(group, pairs, original=abelian._pair_path):
+            taken.append(original(group, pairs))
+            return taken[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(abelian, "_pair_path", spy)
+            for group, k, seed in [("Z9xZ2", "2", "1"), ("Z16xZ3", "2", "2"), ("Z9xZ2", "3", "3")]:
+                argv = ["verify", "homdensity", "--group", group, "--k", k, "--pairs", "30"]
+                out = ["--seed", seed, "--out", str(tmp_path / "report.json")]
+                assert cli.main([*argv, *out]) == 0
+        return taken
+
+    priced = paths()
+    monkeypatch.setattr(abelian, "_FLOAT32_PAIRS_PER_ELEMENT", abelian._BATCH_PAIRS_PER_ELEMENT)
+    assert priced == paths() and priced and "float32" not in priced
+
+
+def _energy_path_spy(monkeypatch):
+    """Record the path of every `additive_energies` batch."""
+    paths = []
+
+    def spy(group, sizes, original=abelian._energy_path):
+        paths.append(original(group, sizes))
+        return paths[-1]
+
+    monkeypatch.setattr(abelian, "_energy_path", spy)
+    return paths
+
+
+def _transform_path(moduli):
+    """The path a large batch of a presentation takes: butterflies on Z2^k,
+    Parseval on the other groups of order 2^n, pair counts on the rest."""
+    n = math.prod(moduli)
+    if n & (n - 1):
+        return "pairs"
+    return "butterflies" if max(moduli) <= 2 else "parseval"
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    oracles.group_presentations(16)
+    + [(4, 2), (8, 2), (4, 1), (4, 1, 4)]
+    + [(2,) * k for k in range(5, 13)]
+    + [(256,), (16, 16), (64, 64), (4096,), (100,), (9, 5, 5)],
+    ids=str,
+)
+def test_energies_from_one_transform_equal_the_pair_count_energies(monkeypatch, moduli):
+    group = FiniteAbelianGroup(moduli)
+    rng = np.random.Generator(np.random.Philox(key=group.order))
+    a = rng.random((40, group.order)) < rng.random((40, 1))
+    a[0], a[1] = False, True  # an empty and a full row
+    paths = _energy_path_spy(monkeypatch)
+    got = additive_energies(group, a)
+    assert paths == [_transform_path(moduli)]
+    want = additive_energy_rows(group, pair_count_rows(group, a, a))
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_energies_of_z65536_up_to_the_largest_certified_size(monkeypatch):
+    group = FiniteAbelianGroup((65536,))
+    largest = abelian._parseval_sizes(16, 65536)
+    rng = np.random.Generator(np.random.Philox(key=8))
+    paths = _energy_path_spy(monkeypatch)
+    for size, path in ((655, "parseval"), (largest, "parseval"), (largest + 1, "pairs")):
+        row = np.zeros(group.order, dtype=bool)
+        row[rng.choice(group.order, size, replace=False)] = True
+        want = additive_energy_rows(group, pair_count_rows(group, row[None], row[None]))[0]
+        # the `energy` verb's one-row call
+        assert additive_energy_raw(GroupSubset(group, row)) == want
+        assert paths[-1] == path
+    assert len(paths) == 3
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from conftest import subset_from_mask, subset_from_tuples
 
 from addforms import linform, reduction
+from addforms.errors import CapExceeded
 from addforms.abelian import FiniteAbelianGroup, GroupSubset
 from addforms.linform import eval_density, eval_density_fixed, eval_quantum
 from addforms.polynomial import IntPolynomial, parse_poly, poly_eval
@@ -75,6 +76,22 @@ _BUNDLE_DIGESTS = {
 def test_bundle_form_order_pinned(poly, k):
     text = dump_json(build_psi(parse_poly(poly), k).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == _BUNDLE_DIGESTS[poly, k]
+
+
+@pytest.mark.parametrize(
+    ("poly", "k"), [*_BUNDLE_DIGESTS, ("-123*x1^3*y2 + 7", 2), ("5", 1), ("x1^300", 1)]
+)
+def test_psi_is_priced_by_its_text_before_it_is_built(monkeypatch, poly, k):
+    # the price bounds psi's text from above, by at most 3 characters a term
+    text = linform.format_quantum(build_psi(parse_poly(poly), k).psi)
+    terms = len(reduction.poly.transform_qstar(parse_poly(poly), k).terms)
+    built = []
+    monkeypatch.setattr(reduction, "QuantumSystem", lambda terms: built.append(terms))
+    with pytest.raises(CapExceeded):
+        build_psi(parse_poly(poly), k, budget=len(text) - 1)
+    assert built == []
+    build_psi(parse_poly(poly), k, budget=len(text) + 3 * terms)
+    assert len(built) == 1
 
 
 def test_build_E_edge_form():
